@@ -38,6 +38,16 @@ def _reals(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_box(text: str, dim2: int) -> np.ndarray:
     parts = text.split(",")
     if len(parts) == 1:
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the full identity-verification suite")
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--samples", type=_count, default=100)
     p_verify.add_argument("--orientation", default="auto",
                           choices=("auto", "+1", "-1"))
     p_verify.add_argument("--box", default=None,

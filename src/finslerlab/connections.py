@@ -21,24 +21,25 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .core import TangentSample, as_energy, _require_in_domain, _y_index
+from .core import (TangentSample, as_energy, cartan_tensor, metric_tensor,
+                   _require_in_domain, _y_index)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
 from .numkit import jet_space
 
 __all__ = [
-    "ConnectionData",
     "CovariantReport",
     "GeometryJets",
     "Trajectory",
     "barthel_curvature",
     "berwald_coeffs",
+    "berwald_from_njets",
     "cartan_hcoeffs",
     "concurrency_probe",
-    "connection_data",
     "curvature_from_njets",
     "integrate_geodesic",
     "nonlinear_connection",
     "spray",
+    "spray_system",
 ]
 
 
@@ -127,27 +128,13 @@ class GeometryJets:
     # -- value-level fields ---------------------------------------------------
 
     def metric(self) -> np.ndarray:
-        n = self.n
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = self.E.partial(_y_index(n, i, j))
-        return g
+        return metric_tensor(self.E)
 
     def metric_inverse(self) -> np.ndarray:
         return np.linalg.inv(self.metric())
 
     def cartan_torsion(self) -> np.ndarray:
-        n = self.n
-        C = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = 0.5 * self.E.partial(_y_index(n, i, j, k))
-                    for p in {(i, j, k), (i, k, j), (j, i, k),
-                              (j, k, i), (k, i, j), (k, j, i)}:
-                        C[p] = v
-        return C
+        return cartan_tensor(self.E)
 
     def spray(self) -> np.ndarray:
         return np.array([G.value for G in self.spray_jets])
@@ -156,39 +143,30 @@ class GeometryJets:
         return np.array([[Nij.value for Nij in row] for row in self.nonlinear_jets])
 
     def berwald(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                dj = self.nonlinear_jets[i][j]
-                for k in range(j, n):
-                    out[i, j, k] = out[i, k, j] = dj.diff_y(k).value
-        return out
+        return berwald_from_njets(self.nonlinear_jets)
 
     def curvature(self) -> np.ndarray:
         return curvature_from_njets(self.nonlinear_jets)
 
+    def delta_metric(self) -> np.ndarray:
+        """dg[k, i, j] = delta_k g_ij = d g_ij/dx^k - N^m_k * 2 C_mij."""
+        dxg = np.array([metric_tensor(self.E.diff_x(k)) for k in range(self.n)])
+        return dxg - 2.0 * np.einsum("mk,mij->kij", self.nonlinear(), self.cartan_torsion())
+
     def cartan(self) -> np.ndarray:
-        n = self.n
-        g = self.metric()
-        ginv = np.linalg.inv(g)
-        C = self.cartan_torsion()
-        N = self.nonlinear()
-        dxg = np.empty((n, n, n))  # dxg[k, i, j] = d g_ij / dx^k
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    mi = [0] * (2 * n)
-                    mi[k] += 1
-                    mi[n + i] += 1
-                    mi[n + j] += 1
-                    dxg[k, i, j] = dxg[k, j, i] = self.E.partial(mi)
-        # delta_k g_ij = d_x^k g_ij - N^m_k * 2 C_mij
-        dg = dxg - 2.0 * np.einsum("mk,mij->kij", N, C)
+        ginv = np.linalg.inv(self.metric())
+        dg = self.delta_metric()
         # Gamma^i_jk = (1/2) g^{is} (delta_j g_sk + delta_k g_js - delta_s g_jk)
         return 0.5 * (np.einsum("is,jsk->ijk", ginv, dg)
                       + np.einsum("is,ksj->ijk", ginv, dg)
                       - np.einsum("is,sjk->ijk", ginv, dg))
+
+
+def berwald_from_njets(N_jets) -> np.ndarray:
+    """G^i_jk = dN^i_j/dy^k for any nonlinear-connection field given as a matrix
+    of jets valid to one y-order; every entry is differentiated, none copied."""
+    return np.array([[[Nij.diff_y(k).value for k in range(len(N_jets))]
+                      for Nij in row] for row in N_jets])
 
 
 def curvature_from_njets(N_jets) -> np.ndarray:
@@ -205,32 +183,7 @@ def curvature_from_njets(N_jets) -> np.ndarray:
                 dyN[i, k, j] = N_jets[i][k].diff_y(j).value
     # delta[j, i, k] = delta_j N^i_k
     delta = np.einsum("ikj->jik", dxN) - np.einsum("mj,ikm->jik", N, dyN)
-    R = np.empty((n, n, n))
-    for i in range(n):
-        R[i] = delta[:, i, :] - delta[:, i, :].T
-    return R
-
-
-@dataclass
-class ConnectionData:
-    """Spray and connection coefficients at one sample."""
-
-    sprayG: np.ndarray        # (n,)
-    N: np.ndarray             # (n, n)
-    berwald: np.ndarray       # (n, n, n), symmetric in the last two slots
-    curvR: np.ndarray         # (n, n, n), antisymmetric in the last two slots
-    cartanGamma: np.ndarray   # (n, n, n), symmetric in the last two slots
-
-
-def connection_data(model, s: TangentSample) -> ConnectionData:
-    geo = GeometryJets(model, s, 4, 2)
-    return ConnectionData(
-        sprayG=geo.spray(),
-        N=geo.nonlinear(),
-        berwald=geo.berwald(),
-        curvR=geo.curvature(),
-        cartanGamma=geo.cartan(),
-    )
+    return np.transpose(delta, (1, 0, 2)) - np.transpose(delta, (1, 2, 0))
 
 
 def spray(model, s: TangentSample) -> np.ndarray:
@@ -362,25 +315,28 @@ class Trajectory:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _spray_rhs(energy, space, x, y):
-    s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
-    E = energy.energy_jet(s, space)
-    n = energy.dim
-    g = np.empty((n, n))
-    rhs = np.empty(n)
+def spray_system(E, y) -> np.ndarray:
+    """Right-hand side b_l = y^k d^2E/dy^l dx^k - dE/dx^l of the spray's
+    defining linear system g_lm (2 G^m) = b_l, from an energy jet valid to
+    (2, 1)."""
+    n = E.space.n
+    b = np.empty(n)
     for l in range(n):
-        for j in range(l, n):
-            g[l, j] = g[j, l] = E.partial(_y_index(n, l, j))
         mi = [0] * (2 * n)
         mi[l] = 1
         acc = -E.partial(mi)
         for k in range(n):
-            mk = [0] * (2 * n)
+            mk = list(_y_index(n, l))
             mk[k] = 1
-            mk[n + l] += 1
             acc += y[k] * E.partial(mk)
-        rhs[l] = acc
-    G = 0.5 * np.linalg.solve(g, rhs)
+        b[l] = acc
+    return b
+
+
+def _spray_rhs(energy, space, x, y):
+    s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
+    E = energy.energy_jet(s, space)
+    G = 0.5 * np.linalg.solve(metric_tensor(E), spray_system(E, y))
     return np.concatenate([y, -2.0 * G])
 
 

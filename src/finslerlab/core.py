@@ -17,6 +17,7 @@ import numpy as np
 from . import expr
 from .errors import DomainEscape, SingularMetric
 from .numkit import Jet, jet_space
+from .report import relmax
 
 log = logging.getLogger("finslerlab")
 
@@ -27,6 +28,8 @@ __all__ = [
     "as_energy",
     "make_sample",
     "metric_data",
+    "metric_tensor",
+    "cartan_tensor",
     "homogeneity_report",
     "sample_batch",
 ]
@@ -121,6 +124,29 @@ def _y_index(n, *idx):
     return tuple(mi)
 
 
+def metric_tensor(E: Jet) -> np.ndarray:
+    """g_ij = d^2 E/dy_i dy_j read off an energy jet valid to y-order 2."""
+    n = E.space.n
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = E.partial(_y_index(n, i, j))
+    return g
+
+
+def cartan_tensor(E: Jet) -> np.ndarray:
+    """C_ijk = (1/2) d^3 E/dy_i dy_j dy_k read off an energy jet valid to y-order 3."""
+    n = E.space.n
+    C = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                v = 0.5 * E.partial(_y_index(n, i, j, k))
+                for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
+                    C[p] = v
+    return C
+
+
 def metric_data(model, s: TangentSample) -> MetricData:
     """Fundamental tensor, inverse, supporting form, angular metric, Cartan torsion.
 
@@ -137,16 +163,7 @@ def metric_data(model, s: TangentSample) -> MetricData:
         raise DomainEscape(f"F^2 = {2 * E0} is not positive at the sample")
     F = math.sqrt(2.0 * E0)
 
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gij = E.partial(_y_index(n, i, j))
-            gji = E.partial(_y_index(n, j, i))
-            if abs(gij - gji) > 1e-12 * max(1.0, abs(gij)):
-                raise SingularMetric(
-                    f"fundamental tensor asymmetry {abs(gij - gji)} at ({i},{j})")
-            g[i, j] = g[j, i] = 0.5 * (gij + gji)
-
+    g = metric_tensor(E)
     det_g = float(np.linalg.det(g))
     scale = math.prod(max(abs(g[i, i]), 1e-300) for i in range(n)) ** (1.0 / n)
     if abs(det_g) < 1e-12 * scale**n:
@@ -161,16 +178,8 @@ def metric_data(model, s: TangentSample) -> MetricData:
     ell = np.array([Fj.partial(_y_index(n, i)) for i in range(n)])
     hbar = g - np.outer(ell, ell)
 
-    C = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = 0.5 * E.partial(_y_index(n, i, j, k))
-                for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                    C[p] = v
-
     return MetricData(F=F, E=E0, g=g, ginv=ginv, ell=ell, hbar=hbar,
-                      cartanC=C, det_g=det_g, cond_g=cond_g)
+                      cartanC=cartan_tensor(E), det_g=det_g, cond_g=cond_g)
 
 
 @dataclass
@@ -196,16 +205,9 @@ def homogeneity_report(model, s: TangentSample, lambdas=(0.5, 2.0, 3.0)) -> Homo
             raise DomainEscape(f"scaled sample lambda={lam} left the (conic) domain")
         md = metric_data(model, scaled)
         rF = max(rF, abs(md.F - lam * base.F) / (lam * base.F))
-        rg = max(rg, _relmax(md.g, base.g))
-        rC = max(rC, _relmax(lam * md.cartanC, base.cartanC))
+        rg = max(rg, relmax(md.g, base.g))
+        rC = max(rC, relmax(lam * md.cartanC, base.cartanC))
     return HomogeneityReport(tuple(lambdas), rF, rg, rC)
-
-
-def _relmax(got, want) -> float:
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    denom = max(1.0, float(np.max(np.abs(want))))
-    return float(np.max(np.abs(got - want))) / denom
 
 
 def sample_batch(model, box, count, rng, predicate=None, max_tries=None):

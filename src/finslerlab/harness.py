@@ -18,7 +18,7 @@ from .core import (ModelEnergy, homogeneity_report, make_sample, metric_data,
                    sample_batch)
 from .errors import DomainEscape
 from .matsumoto import HatEnergy
-from .numkit import DiffConfig, fd_derivative, jet_space, _simplex
+from .numkit import fd_derivative, jet_space, _simplex
 from .report import IdentityResult, PairAccumulator, SuiteReport
 
 __all__ = ["RunConfig", "run_verification", "run_core_suite", "inspect_point"]
@@ -53,6 +53,17 @@ CORE_TOLERANCES = {
     "geodesic-first-integral-hat": 1e-6,
 }
 
+# core-batch samples that also get the FD oracle / the homogeneity check
+FD_SAMPLES = 20
+HOMOGENEITY_SAMPLES = 10
+# RK4 step and duration of the geodesic first-integral check
+GEODESIC_STEP = 1e-3
+GEODESIC_TIME = 1.0
+# Ridders refinement: initial step scale, tableau size, step contraction
+RIDDERS_START_SCALE = 8.0
+RIDDERS_LEVELS = 8
+RIDDERS_CON = 1.4
+
 
 @dataclass
 class RunConfig:
@@ -63,10 +74,6 @@ class RunConfig:
     box: np.ndarray | None = None
     orientation: str = "auto"        # "auto" | "+1" | "-1"
     tolerance_overrides: dict = field(default_factory=dict)
-    fd_samples: int = 20
-    homogeneity_samples: int = 10
-    geodesic_step: float = 1e-3
-    geodesic_time: float = 1.0
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -81,7 +88,7 @@ def _box(model, cfg: RunConfig) -> np.ndarray:
 # core invariants
 # --------------------------------------------------------------------------
 
-def run_core_suite(model, s_batch, cfg: RunConfig):
+def run_core_suite(model, s_batch):
     """Structural invariants of the metric/connection layer over a batch."""
     n = model.dim
     eye = np.eye(n)
@@ -111,7 +118,7 @@ def run_core_suite(model, s_batch, cfg: RunConfig):
         accs["cartan-torsion-radial-contraction"].add(
             s, np.einsum("ijk,i->jk", C, s.y) / cs, np.zeros((n, n)))
 
-        if k < cfg.homogeneity_samples:
+        if k < HOMOGENEITY_SAMPLES:
             rep = homogeneity_report(model, s)
             accs["metric-homogeneity"].add(
                 s, [rep.F_residual, rep.g_residual, rep.C_residual], [0.0, 0.0, 0.0])
@@ -120,19 +127,8 @@ def run_core_suite(model, s_batch, cfg: RunConfig):
         N = geo.nonlinear()
         Bw = geo.berwald()
         R = geo.curvature()
-        E = geo.E
-        rhs = np.empty(n)
-        for i in range(n):
-            mi = [0] * (2 * n)
-            mi[i] = 1
-            acc = -E.partial(mi)
-            for kk in range(n):
-                mk = [0] * (2 * n)
-                mk[kk] = 1
-                mk[n + i] += 1
-                acc += s.y[kk] * E.partial(mk)
-            rhs[i] = acc
-        accs["spray-defining-system"].add(s, md.g @ (2.0 * G), rhs)
+        accs["spray-defining-system"].add(
+            s, md.g @ (2.0 * G), connections.spray_system(geo.E, s.y))
         accs["spray-homogeneity-tower"].add(
             s, np.concatenate([N @ s.y, np.einsum("ijk,k->ij", Bw, s.y).ravel()]),
             np.concatenate([2.0 * G, N.ravel()]))
@@ -144,16 +140,7 @@ def run_core_suite(model, s_batch, cfg: RunConfig):
             s, np.transpose(R, (0, 2, 1)) / rscale, -R / rscale)
 
         gamma = geo.cartan()
-        dxg = np.empty((n, n, n))
-        for kk in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    mi = [0] * (2 * n)
-                    mi[kk] += 1
-                    mi[n + i] += 1
-                    mi[n + j] += 1
-                    dxg[kk, i, j] = dxg[kk, j, i] = E.partial(mi)
-        dg = dxg - 2.0 * np.einsum("mk,mij->kij", N, C)
+        dg = geo.delta_metric()
         compat = dg - np.einsum("lik,lj->kij", gamma, md.g) \
             - np.einsum("ljk,il->kij", gamma, md.g)
         gscale = max(1.0, float(np.max(np.abs(dg))))
@@ -182,7 +169,7 @@ def run_core_suite(model, s_batch, cfg: RunConfig):
 # jets vs the finite-difference oracle
 # --------------------------------------------------------------------------
 
-def _ridders_fd(fn, x, y, m, dcfg, in_domain, start_scale=8.0, levels=8, con=1.4):
+def _ridders_fd(fn, x, y, m, in_domain):
     """Central difference with Ridders-style step refinement.
 
     Evaluates the stencil at geometrically contracting steps, extrapolates the
@@ -192,13 +179,13 @@ def _ridders_fd(fn, x, y, m, dcfg, in_domain, start_scale=8.0, levels=8, con=1.4
     terms) and structurally-zero derivatives of a large function, where only a
     wide step beats roundoff.
     """
-    con2 = con * con
-    tableau = [[None] * levels for _ in range(levels)]
+    con2 = RIDDERS_CON * RIDDERS_CON
+    tableau = [[None] * RIDDERS_LEVELS for _ in range(RIDDERS_LEVELS)]
     best = None
     err = math.inf
-    for i in range(levels):
-        scale = start_scale / con**i
-        tableau[0][i] = fd_derivative(fn, x, y, m, dcfg, in_domain=in_domain,
+    for i in range(RIDDERS_LEVELS):
+        scale = RIDDERS_START_SCALE / RIDDERS_CON**i
+        tableau[0][i] = fd_derivative(fn, x, y, m, in_domain=in_domain,
                                       step_scale=scale)
         if i == 0:
             best = tableau[0][0]
@@ -218,12 +205,11 @@ def _ridders_fd(fn, x, y, m, dcfg, in_domain, start_scale=8.0, levels=8, con=1.4
     return best
 
 
-def run_fd_suite(model, s_batch, cfg: RunConfig):
+def run_fd_suite(model, s_batch):
     """Cross-check every jet partial of total order <= 3 of F^2 and F against
     central differences."""
     n = model.dim
     energy = ModelEnergy(model)
-    dcfg = DiffConfig()
     multi = [m for m in _simplex(2 * n, 3) if sum(m) >= 1]
     acc = PairAccumulator("jet-vs-fd-oracle", CORE_TOLERANCES["jet-vs-fd-oracle"])
     skipped = 0
@@ -245,7 +231,7 @@ def run_fd_suite(model, s_batch, cfg: RunConfig):
             for m in multi:
                 jv = jet.partial(m)
                 try:
-                    fv = _ridders_fd(fn, s.x, s.y, m, dcfg, model.in_domain)
+                    fv = _ridders_fd(fn, s.x, s.y, m, model.in_domain)
                 except DomainEscape:
                     skipped += 1
                     continue
@@ -274,10 +260,9 @@ def run_geodesic_suite(model, cfg: RunConfig, orientation: float):
         batch, _ = sample_batch(model, box, 8, rng, predicate=predicate)
         best = None
         for s in batch:
-            traj = connections.integrate_geodesic(
-                energy, s, cfg.geodesic_time, cfg.geodesic_step)
+            traj = connections.integrate_geodesic(energy, s, GEODESIC_TIME, GEODESIC_STEP)
             elapsed = float(traj.t[-1]) if traj.t.shape[0] > 1 else 0.0
-            if elapsed < 20 * cfg.geodesic_step:
+            if elapsed < 20 * GEODESIC_STEP:
                 continue  # left the domain almost immediately; try another start
             rate = traj.metric_drift() / elapsed
             best = (s, rate, elapsed, traj.escaped)
@@ -308,7 +293,8 @@ def _sample_for_orientation(model, cfg, orientation, stream, count):
 
 
 def run_verification(model, cfg: RunConfig) -> SuiteReport:
-    """Run every suite and assemble the one-model verification report."""
+    """Run every suite and assemble the one-model verification report; raises
+    ValueError when a tolerance override names no identity of the report."""
     extras = {}
 
     # orientation: fixed by config, or chosen to minimize the probe residual
@@ -330,12 +316,12 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     core_batch, rej = sample_batch(model, _box(model, cfg),
                                    min(cfg.samples, 50), rng_core)
     extras["core_batch_rejected"] = rej
-    core_results, core_extras = run_core_suite(model, core_batch, cfg)
+    core_results, core_extras = run_core_suite(model, core_batch)
     results += core_results
     extras.update(core_extras)
 
-    fd_batch = core_batch[: cfg.fd_samples]
-    results += run_fd_suite(model, fd_batch, cfg)
+    fd_batch = core_batch[:FD_SAMPLES]
+    results += run_fd_suite(model, fd_batch)
 
     main_batch, rej_main = _sample_for_orientation(
         model, cfg, orientation, _STREAM_CHANGE, cfg.samples)
@@ -413,14 +399,17 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 
     results += run_geodesic_suite(model, cfg, orientation)
 
-    for r in results:
-        if r.name in cfg.tolerance_overrides and r.tolerance is not None:
-            r.tolerance = float(cfg.tolerance_overrides[r.name])
-
     names = [r.name for r in results]
     if len(names) != len(set(names)):
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise RuntimeError(f"identity listed twice in the report: {dupes}")
+    unknown = sorted(set(cfg.tolerance_overrides) - set(names))
+    if unknown:
+        raise ValueError(f"tolerance override for no identity in the report: "
+                         f"{', '.join(unknown)}")
+    for r in results:
+        if r.name in cfg.tolerance_overrides and r.tolerance is not None:
+            r.tolerance = float(cfg.tolerance_overrides[r.name])
 
     return SuiteReport(
         model=model.name,
@@ -440,7 +429,7 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
     """Full object dump at one tangent point (metric, connections, change scalars)."""
     s = make_sample(model, x, y)
     md = metric_data(model, s)
-    cd = connections.connection_data(model, s)
+    geo = connections.GeometryJets(model, s, 4, 2)
     out = {
         "model": model.name,
         "x": [float(v) for v in s.x],
@@ -454,11 +443,11 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
         "ell": md.ell.tolist(),
         "hbar": md.hbar.tolist(),
         "cartan_torsion": md.cartanC.tolist(),
-        "spray": cd.sprayG.tolist(),
-        "nonlinear_connection": cd.N.tolist(),
-        "berwald": cd.berwald.tolist(),
-        "curvature": cd.curvR.tolist(),
-        "cartan_hcoeffs": cd.cartanGamma.tolist(),
+        "spray": geo.spray().tolist(),
+        "nonlinear_connection": geo.nonlinear().tolist(),
+        "berwald": geo.berwald().tolist(),
+        "curvature": geo.curvature().tolist(),
+        "cartan_hcoeffs": geo.cartan().tolist(),
     }
     try:
         sc = matsumoto.change_scalars(model, s, orientation)

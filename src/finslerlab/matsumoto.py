@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .connections import GeometryJets, curvature_from_njets, phi_values
+from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets,
+                          phi_values)
 from .core import ModelEnergy, TangentSample, make_sample, metric_data
 from .errors import DegenerateMargin, OutsideHatDomain
 from .numkit import Jet
@@ -39,7 +40,7 @@ __all__ = [
     "margin_ray_scan",
     "nondegeneracy_scan",
     "predicted_angular",
-    "predicted_berwald_and_curvature",
+    "predicted_berwald",
     "predicted_cartan",
     "predicted_metric",
     "predicted_nonlinear_connection",
@@ -54,8 +55,26 @@ __all__ = [
 
 # margin threshold (relative to F) below which change scalars are refused
 MARGIN_EPS = 1e-8
+# relative fence of the hat domain: points within roundoff distance of the
+# boundary F = Phi are excluded along with the outside
+HAT_FENCE = 1e-10
 # suites additionally keep clear of the hat-domain boundary F = Phi
 HAT_GAP_FRACTION = 0.05
+# a margin above this fraction of F counts as healthy (far from degeneracy)
+HEALTHY_MARGIN = 0.1
+# directions swept around the circle by the margin ray scan
+RAY_THETA_STEPS = 720
+
+
+def _inside_hat_fence(F: float, Phi: float) -> bool:
+    return F - Phi > HAT_FENCE * F
+
+
+def _require_hat_domain(F: float, Phi: float, s: TangentSample):
+    if not _inside_hat_fence(F, Phi):
+        raise OutsideHatDomain(
+            f"F - Phi = {F - Phi} at x={s.x.tolist()}, y={s.y.tolist()} "
+            f"is not safely positive")
 
 
 class HatEnergy:
@@ -83,25 +102,21 @@ class HatEnergy:
             Phi = Phi + ui * E.diff_y(i)
         Phi = self.orientation * Phi
         F = (2.0 * E).sqrt()
-        FmP = F - Phi
-        if FmP.value <= 1e-10 * F.value:
-            raise OutsideHatDomain(
-                f"F - Phi = {FmP.value} at x={s.x.tolist()}, y={s.y.tolist()} "
-                f"is not safely positive")
-        Fhat = (2.0 * E) / FmP
+        _require_hat_domain(F.value, Phi.value, s)
+        Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
 
     def f_value(self, x, y) -> float:
-        sc = _scalar_values(self.model, make_sample(self.model, x, y), self.orientation)
-        if sc["F"] - sc["Phi"] <= 1e-10 * sc["F"]:
-            raise OutsideHatDomain(f"F - Phi not safely positive at x={x}, y={y}")
+        s = make_sample(self.model, x, y)
+        sc = _scalar_values(self.model, s, self.orientation)
+        _require_hat_domain(sc["F"], sc["Phi"], s)
         return sc["F"] ** 2 / (sc["F"] - sc["Phi"])
 
     def in_domain(self, x, y) -> bool:
         if not self.model.in_domain(x, y):
             return False
         sc = _scalar_values(self.model, make_sample(self.model, x, y), self.orientation)
-        return sc["F"] - sc["Phi"] > 1e-10 * sc["F"]
+        return _inside_hat_fence(sc["F"], sc["Phi"])
 
 
 def _scalar_values(model, s: TangentSample, orientation: float) -> dict:
@@ -132,28 +147,24 @@ class ChangeScalars:
     orientation: float
 
 
-def change_scalars(model, s: TangentSample, orientation: float = 1.0,
-                   margin_eps: float = MARGIN_EPS) -> ChangeScalars:
-    """Phi, p^2, the non-degeneracy margin and the spray-change scalars f1, f2.
-
-    Raises OutsideHatDomain when F <= Phi and DegenerateMargin when
-    |margin| <= margin_eps * F (f1, f2 carry the margin in denominators).
-    """
-    sc = _scalar_values(model, s, orientation)
+def _checked_scalars(sc: dict, s: TangentSample, orientation: float) -> ChangeScalars:
+    """ChangeScalars from `_scalar_values` output; raises OutsideHatDomain past
+    the hat fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2
+    carry the margin in denominators)."""
     F, Phi, p2, margin = sc["F"], sc["Phi"], sc["p2"], sc["margin"]
-    # relative fence: points within roundoff distance of the F = Phi boundary
-    # are excluded along with the outside
-    if F - Phi <= 1e-10 * F:
-        raise OutsideHatDomain(
-            f"F - Phi = {F - Phi} at x={s.x.tolist()}, y={s.y.tolist()} "
-            f"is not safely positive")
-    if abs(margin) <= margin_eps * F:
-        raise DegenerateMargin(f"|margin| = {abs(margin)} <= {margin_eps} * F")
+    _require_hat_domain(F, Phi, s)
+    if abs(margin) <= MARGIN_EPS * F:
+        raise DegenerateMargin(f"|margin| = {abs(margin)} <= {MARGIN_EPS} * F")
     return ChangeScalars(
         F=F, Phi=Phi, phi_up=sc["phi_up"], phi_low=sc["phi_low"], p2=p2,
         margin=margin, f1=F * (4.0 * Phi - F) / margin, f2=2.0 * F**3 / margin,
         Fhat=F * F / (F - Phi), orientation=float(orientation),
     )
+
+
+def change_scalars(model, s: TangentSample, orientation: float = 1.0) -> ChangeScalars:
+    """Phi, p^2, the non-degeneracy margin and the spray-change scalars f1, f2."""
+    return _checked_scalars(_scalar_values(model, s, orientation), s, orientation)
 
 
 # --------------------------------------------------------------------------
@@ -311,30 +322,16 @@ class ChangeJets:
                 out[i][j] = self.geo.nonlinear_jets[i][j] + term
         return out
 
-    def scalars(self) -> ChangeScalars:
-        F = self.F_jet.value
-        Phi = self.Phi_jet.value
-        margin = self.margin_jet.value
-        return ChangeScalars(
-            F=F, Phi=Phi,
-            phi_up=np.array([p.value for p in self.phi_up_jets]),
-            phi_low=np.array([p.value for p in self.phi_low_jets]),
-            p2=self.p2_jet.value, margin=margin,
-            f1=self.f1_jet.value, f2=self.f2_jet.value,
-            Fhat=F * F / (F - Phi), orientation=self.orientation,
-        )
-
 
 # --------------------------------------------------------------------------
 # predicted laws that need jets
 # --------------------------------------------------------------------------
 
-def predicted_cartan(model, s: TangentSample, orientation: float = 1.0) -> np.ndarray:
+def predicted_cartan(cj: ChangeJets) -> np.ndarray:
     """That_ijk = (1/2) d(ghat_pred_ij)/dy^k with the coefficient scalars
-    differentiated exactly (as jets) rather than expanded by hand."""
-    geo = GeometryJets(model, s, 3, 0)
-    cj = ChangeJets(geo, orientation)
-    n = model.dim
+    differentiated exactly (as jets) rather than expanded by hand; needs base
+    jets of order (3, 0)."""
+    n = cj.n
     gh = cj.ghat_pred_jets
     T = np.empty((n, n, n))
     for i in range(n):
@@ -344,26 +341,16 @@ def predicted_cartan(model, s: TangentSample, orientation: float = 1.0) -> np.nd
     return T
 
 
-def predicted_nonlinear_connection(model, s: TangentSample,
-                                   orientation: float = 1.0) -> np.ndarray:
-    geo = GeometryJets(model, s, 3, 1)
-    cj = ChangeJets(geo, orientation)
+def predicted_nonlinear_connection(cj: ChangeJets) -> np.ndarray:
+    """Nhat^i_j from the closed-form law; needs base jets of order (3, 1)."""
     return np.array([[Nij.value for Nij in row] for row in cj.nhat_pred_jets])
 
 
-def predicted_berwald_and_curvature(model, s: TangentSample,
-                                    orientation: float = 1.0):
-    """(Berwald coefficients, curvature) of the *predicted* nonlinear connection."""
-    geo = GeometryJets(model, s, 4, 2)
-    cj = ChangeJets(geo, orientation)
-    n = model.dim
-    nh = cj.nhat_pred_jets
-    berw = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                berw[i, j, k] = nh[i][j].diff_y(k).value
-    return berw, curvature_from_njets(nh)
+def predicted_berwald(cj: ChangeJets) -> np.ndarray:
+    """Berwald coefficients of the predicted nonlinear connection; needs base
+    jets of order (4, 1).  Its curvature is curvature_from_njets of the same
+    jets, at order (4, 2)."""
+    return berwald_from_njets(cj.nhat_pred_jets)
 
 
 def concurrency_obstruction(model, s: TangentSample,
@@ -430,38 +417,28 @@ LEMMA_TOLERANCES = {
 
 
 class ChangeContext:
-    """Shared per-sample pipelines for the identity suites (built lazily)."""
+    """Per-sample inputs of the identity suites.  Each check builds the jets
+    of the orders it needs; only the value-level data is shared."""
 
     def __init__(self, model, s: TangentSample, orientation: float):
         self.model = model
         self.s = s
         self.orientation = float(orientation)
         self.hat_energy = HatEnergy(model, orientation)
-        self._base = {}
-        self._hat = {}
-        self._cj = {}
-
-    def base(self, y: int, x: int) -> GeometryJets:
-        key = (y, x)
-        if key not in self._base:
-            self._base[key] = GeometryJets(self.model, self.s, y, x)
-        return self._base[key]
 
     def hat(self, y: int, x: int) -> GeometryJets:
-        key = (y, x)
-        if key not in self._hat:
-            self._hat[key] = GeometryJets(self.hat_energy, self.s, y, x)
-        return self._hat[key]
+        return GeometryJets(self.hat_energy, self.s, y, x)
 
     def change_jets(self, y: int, x: int) -> ChangeJets:
-        key = (y, x)
-        if key not in self._cj:
-            self._cj[key] = ChangeJets(self.base(y, x), self.orientation)
-        return self._cj[key]
+        return ChangeJets(GeometryJets(self.model, self.s, y, x), self.orientation)
 
     @cached_property
+    def values(self) -> dict:
+        return _scalar_values(self.model, self.s, self.orientation)
+
+    @property
     def md(self):
-        return metric_data(self.model, self.s)
+        return self.values["md"]
 
     @cached_property
     def md_hat(self):
@@ -469,7 +446,7 @@ class ChangeContext:
 
     @cached_property
     def scalars(self) -> ChangeScalars:
-        return change_scalars(self.model, self.s, self.orientation)
+        return _checked_scalars(self.values, self.s, self.orientation)
 
 
 def _check_vertical(ctx: ChangeContext):
@@ -481,13 +458,6 @@ def _check_vertical(ctx: ChangeContext):
     ellhat = predicted_supporting_form(sc, md)
     ghat = predicted_metric(sc, md)
     hhat = predicted_angular(sc, md)
-    that = np.empty_like(mdh.cartanC)
-    gh = cj3.ghat_pred_jets
-    n = ctx.model.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                that[i, j, k] = that[j, i, k] = 0.5 * gh[i][j].diff_y(k).value
     return {
         "concurrent-form-two-routes": ([cj3.Phi_jet.value], [sc.Phi]),
         "supporting-form-pairing-of-phi": ([float(md.ell @ sc.phi_up)], [sc.Phi / sc.F]),
@@ -497,8 +467,8 @@ def _check_vertical(ctx: ChangeContext):
         "metric-normalization": ([float(y @ ghat @ y)], [sc.Fhat**2]),
         "angular-metric-change": (hhat, mdh.hbar),
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
-        "angular-annihilates-direction-hat": (hhat @ y, np.zeros(n)),
-        "cartan-torsion-change": (that, mdh.cartanC),
+        "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
+        "cartan-torsion-change": (predicted_cartan(cj3), mdh.cartanC),
     }
 
 
@@ -513,23 +483,15 @@ def _check_horizontal(ctx: ChangeContext, with_curvature: bool):
     spray_pred = predicted_spray(sc, cj.geo.spray(), y)
     spray_dir = geo_hat.spray()
 
-    nhat_formula = np.array([[Nij.value for Nij in row] for row in cj.nhat_pred_jets])
+    nhat_formula = predicted_nonlinear_connection(cj)
     nhat_from_spray = np.array(
         [[cj.spray_pred_jets[i].diff_y(j).value for j in range(n)] for i in range(n)])
-    nhat_dir = geo_hat.nonlinear()
-
-    berw_pred = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                berw_pred[i, j, k] = cj.nhat_pred_jets[i][j].diff_y(k).value
-    berw_dir = geo_hat.berwald()
 
     out = {
         "spray-change": (spray_pred, spray_dir),
-        "nonlinear-connection-change": (nhat_formula, nhat_dir),
+        "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),
-        "berwald-change": (berw_pred, berw_dir),
+        "berwald-change": (predicted_berwald(cj), geo_hat.berwald()),
     }
     if with_curvature:
         out["curvature-change"] = (
@@ -647,16 +609,17 @@ def select_orientation(model, probe_batches: dict):
     return best, totals
 
 
-def hat_sample_predicate(model, orientation: float,
-                         margin_fraction: float = 0.1,
-                         gap_fraction: float = HAT_GAP_FRACTION):
+def _clear_of_hat_boundary(sc: dict) -> bool:
+    return sc["F"] - sc["Phi"] > HAT_GAP_FRACTION * sc["F"]
+
+
+def hat_sample_predicate(model, orientation: float):
     """Sample filter for hat-side statistics: inside the hat domain with a
-    relative gap to its boundary, and |margin| above a fraction of F."""
+    relative gap to its boundary, and a healthy |margin|."""
 
     def ok(s: TangentSample) -> bool:
         sc = _scalar_values(model, s, orientation)
-        return (sc["F"] - sc["Phi"] > gap_fraction * sc["F"]
-                and abs(sc["margin"]) > margin_fraction * sc["F"])
+        return _clear_of_hat_boundary(sc) and abs(sc["margin"]) > HEALTHY_MARGIN * sc["F"]
 
     return ok
 
@@ -681,8 +644,7 @@ class NondegeneracyScan:
         return not self.falsifying and not self.suspicious
 
 
-def nondegeneracy_scan(model, s_batch, orientation: float = 1.0,
-                       margin_fraction: float = 0.1) -> NondegeneracyScan:
+def nondegeneracy_scan(model, s_batch, orientation: float = 1.0) -> NondegeneracyScan:
     falsifying = []
     suspicious = []
     min_m = math.inf
@@ -692,7 +654,7 @@ def nondegeneracy_scan(model, s_batch, orientation: float = 1.0,
     count = 0
     for s in s_batch:
         sc = _scalar_values(model, s, orientation)
-        if sc["F"] - sc["Phi"] <= HAT_GAP_FRACTION * sc["F"]:
+        if not _clear_of_hat_boundary(sc):
             continue
         count += 1
         ghat = GeometryJets(hat, s, 2, 0).metric()
@@ -702,7 +664,7 @@ def nondegeneracy_scan(model, s_batch, orientation: float = 1.0,
                "margin": sc["margin"], "det": det}
         min_m = min(min_m, abs(sc["margin"]))
         min_d = min(min_d, abs(det))
-        if abs(sc["margin"]) > margin_fraction * sc["F"] and abs(det) < 1e-10 * scale**n:
+        if abs(sc["margin"]) > HEALTHY_MARGIN * sc["F"] and abs(det) < 1e-10 * scale**n:
             falsifying.append(rec)
         if abs(sc["margin"]) < 1e-6 * sc["F"] and abs(det) > 1e-6 * scale**n:
             suspicious.append(rec)
@@ -711,8 +673,7 @@ def nondegeneracy_scan(model, s_batch, orientation: float = 1.0,
                              min_abs_margin=min_m, min_abs_det=min_d)
 
 
-def margin_ray_scan(model, x, orientation: float = 1.0,
-                    det_targets=(1e-6, 0.5), theta_steps: int = 720):
+def margin_ray_scan(model, x, orientation: float = 1.0, det_targets=(1e-6, 0.5)):
     """Sweep unit directions y(theta) at a fixed base point (dim 2 only),
     root-find a margin zero, and sample |det ghat| at prescribed |margin| levels.
 
@@ -722,24 +683,27 @@ def margin_ray_scan(model, x, orientation: float = 1.0,
         raise ValueError("the ray scan is implemented for dim-2 models")
     x = np.asarray(x, dtype=float)
 
+    hat = HatEnergy(model, orientation)
+
+    def sample(theta):
+        return make_sample(model, x, np.array([math.cos(theta), math.sin(theta)]))
+
     def margin_at(theta):
-        s = make_sample(model, x, np.array([math.cos(theta), math.sin(theta)]))
-        return _scalar_values(model, s, orientation)["margin"]
+        return _scalar_values(model, sample(theta), orientation)["margin"]
 
     def det_at(theta):
-        s = make_sample(model, x, np.array([math.cos(theta), math.sin(theta)]))
-        hat = HatEnergy(model, orientation)
-        return float(np.linalg.det(GeometryJets(hat, s, 2, 0).metric()))
+        return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric()))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False)
+    steps = RAY_THETA_STEPS
+    thetas = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
     vals = [margin_at(t) for t in thetas]
     bracket = None
-    for k in range(theta_steps):
-        a, b = thetas[k], thetas[(k + 1) % theta_steps] + (0 if k + 1 < theta_steps else 2 * math.pi)
+    for k in range(steps):
+        a, b = thetas[k], thetas[(k + 1) % steps] + (0 if k + 1 < steps else 2 * math.pi)
         if vals[k] == 0.0:
             bracket = (a, a)
             break
-        if vals[k] * vals[(k + 1) % theta_steps] < 0.0:
+        if vals[k] * vals[(k + 1) % steps] < 0.0:
             bracket = (a, b)
             break
     if bracket is None:
@@ -798,12 +762,13 @@ def projective_check(model, s_batch, orientation: float = 1.0) -> ProjectiveRepo
     degenerate = 0
     min_ratio = math.inf
     for s in s_batch:
+        values = _scalar_values(model, s, orientation)
+        md = values["md"]
         try:
-            sc = change_scalars(model, s, orientation)
+            sc = _checked_scalars(values, s, orientation)
         except (OutsideHatDomain, DegenerateMargin):
             degenerate += 1
             continue
-        md = metric_data(model, s)
         v = 0.5 * sc.f2 * sc.phi_up
         nv = math.sqrt(abs(float(v @ md.g @ v)))
         if nv < 1e-14:
@@ -844,11 +809,12 @@ def rational_decomposition_check(model, s_batch, orientation: float = 1.0):
     acc_hat = PairAccumulator("rational-decomposition-hat", 1e-9)
     skipped = 0
     for s in s_batch:
-        md = metric_data(model, s)
+        values = _scalar_values(model, s, orientation)
+        md = values["md"]
         theta, a = base_forms(s.x, s.y)
         acc_base.add(s, theta * a, md.g)
         try:
-            sc = change_scalars(model, s, orientation)
+            sc = _checked_scalars(values, s, orientation)
             mdh = metric_data(HatEnergy(model, orientation), s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1

@@ -32,7 +32,6 @@ __all__ = [
     "Jet",
     "JetSpace",
     "jet_space",
-    "lift",
     "fd_derivative",
 ]
 
@@ -392,39 +391,20 @@ class Jet:
         )
 
 
-def lift(x, y, order: int = 3, x_order: int | None = None) -> list[Jet]:
-    """Seed coordinate jets at (x, y) with unit first-order coefficients.
-
-    `order` bounds the y-part of kept multi-indices; `x_order` (default: same
-    as `order`) bounds the x-part.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    sp = jet_space(n, order, order if x_order is None else x_order)
-    return sp.lift(x, y)
-
-
 @dataclass(frozen=True)
 class DiffConfig:
-    """Differentiation settings: jet truncation order and the FD-oracle step.
+    """Step of the central-difference oracle.
 
     `fd_step` is the first-order central-difference step; higher-order stencils
-    widen it (12x, 80x) so truncation and roundoff errors stay balanced.
+    widen it (12x, 80x) so truncation and roundoff errors stay balanced.  Jet
+    truncation orders are not set here: each pipeline picks its `jet_space`.
     """
 
-    order: int = 3
     fd_step: float = 1e-5
-    fd_mode: str = "central"
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
         if self.fd_step <= 0:
             raise ValueError("fd_step must be > 0")
-        if self.fd_mode != "central":
-            raise ValueError("only central differences are implemented")
 
     def step_for_order(self, k: int) -> float:
         return self.fd_step * {1: 1.0, 2: 12.0, 3: 80.0}[k]

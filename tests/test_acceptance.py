@@ -6,6 +6,7 @@ All tolerances are pinned here, not configurable.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,10 +161,9 @@ def test_criterion_08_rational_decompositions():
 def test_criterion_09_numerical_hygiene():
     """Jets vs the FD oracle <= 1e-5 (orders <= 3, 20 samples per model);
     geodesics conserve F and Fhat to <= 1e-6 over unit time at step 1e-3."""
-    cfg = harness.RunConfig()
     fd_worst = 0.0
     for model, stream in ((EX, 111), (EU, 112)):
-        res = harness.run_fd_suite(model, _batch(model, 20, stream), cfg)[0]
+        res = harness.run_fd_suite(model, _batch(model, 20, stream))[0]
         fd_worst = max(fd_worst, res.residual)
 
     drifts = {}
@@ -184,14 +184,27 @@ def test_criterion_09_numerical_hygiene():
                    f"geodesic drift worst {drift_worst:.3e} (tol 1e-6)")
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
 def test_criterion_10_determinism(tmp_path):
-    """`verify --seed 42` twice produces byte-identical report bodies."""
-    bodies = []
-    for k in range(2):
-        out = tmp_path / f"run{k}.json"
-        code = cli.main(["verify", "--model", "euclid_concurrent", "--seed", "42",
-                         "--samples", "20", "--format", "json", "--out", str(out)])
+    """`verify --seed 42` twice produces byte-identical report bodies, equal to
+    the stored golden reports of both models."""
+    def body(model, samples, tag):
+        out = tmp_path / f"{model}-{tag}.json"
+        code = cli.main(["verify", "--model", model, "--seed", "42", "--samples",
+                         str(samples), "--format", "json", "--out", str(out)])
         assert code == 0
-        bodies.append(out.read_bytes())
-    ok = bodies[0] == bodies[1]
-    _report(10, ok, f"two runs, {len(bodies[0])} bytes each, identical: {ok}")
+        return out.read_bytes()
+
+    bodies = [body("euclid_concurrent", 20, k) for k in range(2)]
+    golden = {
+        "euclid_concurrent": (bodies[0], "verify_euclid_concurrent_seed42_s20.json"),
+        "matsumoto_example": (body("matsumoto_example", 8, 0),
+                              "verify_matsumoto_example_seed42_s8.json"),
+    }
+    drifted = [m for m, (got, name) in golden.items()
+               if got != (GOLDEN / name).read_bytes()]
+    ok = bodies[0] == bodies[1] and not drifted
+    _report(10, ok, f"two runs, {len(bodies[0])} bytes each, identical: "
+                    f"{bodies[0] == bodies[1]}; differ from golden: {drifted}")

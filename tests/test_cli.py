@@ -129,6 +129,25 @@ def test_verify_tolerance_override_can_force_failure(tmp_path):
     assert bad["passed"] is False and bad["tolerance"] == 1e-300
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "many"])
+def test_verify_rejects_sample_counts_below_one(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--model", "euclid_concurrent", f"--samples={count}"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
+    code = run(["verify", "--model", "euclid_concurrent", "--samples", "8",
+                "--seed", "3", "--format", "json", "--out", str(tmp_path / "rep.json"),
+                "--tolerance", "no-such-identity=1", "--tolerance", "metric-change=1",
+                "--tolerance", "also-missing=2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no-such-identity" in err and "also-missing" in err
+    assert "metric-change" not in err
+
+
 def test_report_covers_every_identity_exactly_once(tmp_path):
     out = tmp_path / "rep.json"
     run(["verify", "--model", "matsumoto_example", "--samples", "8",

@@ -172,9 +172,9 @@ def test_print_parse_round_trip_random(ast):
 @given(st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
 def test_real_and_jet_evaluation_agree(x1, y1, y2):
     """Value slot of a jet evaluation equals plain float evaluation."""
-    from finslerlab.numkit import lift
+    from finslerlab.numkit import jet_space
     ast = expr.parse_expression("sqrt(x1^2*y1^2 + y2^2) + x1*y2/y1")
     fval = expr.evaluate(ast, [x1, 0.0], [y1, y2])
-    coords = lift([x1, 0.0], [y1, y2], order=2)
+    coords = jet_space(2, 2, 2).lift([x1, 0.0], [y1, y2])
     jval = expr.evaluate(ast, coords[:2], coords[2:]).value
     assert abs(jval - fval) <= 1e-14 * max(1.0, abs(fval))

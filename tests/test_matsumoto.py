@@ -24,6 +24,11 @@ P0_F2 = 2.0 * SQ10**3 / P0_MARGIN
 P0_FHAT = 10.0 / (SQ10 - 1.0)
 
 
+def _change_jets(model, s, orientation, y_order, x_order):
+    geo = connections.GeometryJets(model, s, y_order, x_order)
+    return matsumoto.ChangeJets(geo, orientation)
+
+
 def _batch(model, orientation, count, stream):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, stream])))
     return sample_batch(model, models.default_box(model), count, rng,
@@ -117,10 +122,10 @@ def test_predicted_metric_vs_hessian_euclid_batch():
 
 def test_predicted_cartan_torsion():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    T = matsumoto.predicted_cartan(EU, s, +1.0)
+    T = matsumoto.predicted_cartan(_change_jets(EU, s, +1.0, 3, 0))
     assert np.allclose(T, 0.0, atol=1e-13)  # flat space, phi = 0 there
 
-    T = matsumoto.predicted_cartan(EX, P0, -1.0)
+    T = matsumoto.predicted_cartan(_change_jets(EX, P0, -1.0, 3, 0))
     for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(T - np.transpose(T, perm))) <= 1e-9 * max(
             1.0, np.max(np.abs(T)))
@@ -152,9 +157,8 @@ def test_predicted_spray_vanishing_phi_reduces_to_radial_shift():
 
 
 def test_predicted_nonlinear_connection_consistency_and_oracle():
-    nhat = matsumoto.predicted_nonlinear_connection(EX, P0, -1.0)
-    geo = connections.GeometryJets(EX, P0, 3, 1)
-    cj = matsumoto.ChangeJets(geo, -1.0)
+    cj = _change_jets(EX, P0, -1.0, 3, 1)
+    nhat = matsumoto.predicted_nonlinear_connection(cj)
     from_spray = np.array([[cj.spray_pred_jets[i].diff_y(j).value
                             for j in range(3)] for i in range(3)])
     assert np.max(np.abs(nhat - from_spray)) <= 1e-9 * max(1.0, np.max(np.abs(nhat)))
@@ -164,7 +168,9 @@ def test_predicted_nonlinear_connection_consistency_and_oracle():
 
 def test_predicted_berwald_and_curvature_euclid_batch():
     for s in _batch(EU, +1.0, 10, 2):
-        berw, curv = matsumoto.predicted_berwald_and_curvature(EU, s, +1.0)
+        cj = _change_jets(EU, s, +1.0, 4, 2)
+        berw = matsumoto.predicted_berwald(cj)
+        curv = connections.curvature_from_njets(cj.nhat_pred_jets)
         geo = connections.GeometryJets(HatEnergy(EU, +1.0), s, 4, 2)
         bd = geo.berwald()
         rd = geo.curvature()
