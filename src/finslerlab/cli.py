@@ -53,11 +53,16 @@ def _parse_box(text: str, dim2: int) -> np.ndarray:
     if len(parts) == 1:
         parts = parts * dim2
     if len(parts) != dim2:
-        raise ValueError(f"box needs 1 or {dim2} lo:hi entries, got {len(parts)}")
+        raise ValueError(f"--box needs 1 or {dim2} lo:hi entries, got {len(parts)}")
     rows = []
     for p in parts:
-        lo, hi = p.split(":")
-        rows.append([float(lo), float(hi)])
+        try:
+            lo, hi = (float(v) for v in p.split(":"))
+        except ValueError:
+            lo = hi = np.nan
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"--box entry {p!r} is not lo:hi with finite lo < hi")
+        rows.append([lo, hi])
     return np.array(rows)
 
 

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr
 from .core import (TangentSample, as_energy, cartan_tensor, metric_tensor,
                    _require_in_domain, _y_index)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
@@ -211,7 +210,7 @@ def cartan_hcoeffs(model, s: TangentSample) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def phi_values(model, x) -> np.ndarray:
-    return np.array([expr.evaluate(p, x, None, model.params) for p in model.phi])
+    return np.array([p(x, None) for p in model.phi_fns])
 
 
 def phi_jacobian(model, x) -> np.ndarray:
@@ -220,8 +219,8 @@ def phi_jacobian(model, x) -> np.ndarray:
     sp = jet_space(n, 0, 1)
     xjets = [sp.coordinate(j, x[j]) for j in range(n)]
     out = np.empty((n, n))
-    for i, past in enumerate(model.phi):
-        v = expr.evaluate(past, xjets, None, model.params)
+    for i, p in enumerate(model.phi_fns):
+        v = p(xjets, None)
         for j in range(n):
             mi = [0] * (2 * n)
             mi[j] = 1
@@ -285,6 +284,10 @@ def concurrency_probe(model, s_batch) -> CovariantReport:
 # geodesic integration
 # --------------------------------------------------------------------------
 
+# bound on RK4 steps (and trajectory rows) of one integration
+MAX_GEODESIC_STEPS = 1_000_000
+
+
 @dataclass
 class Trajectory:
     """RK4 solution of x' = y, y' = -2G(x, y) with the metric value along it.
@@ -347,10 +350,11 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
     domain.  The metric value F is a first integral of its own geodesic flow,
     so its drift along the result measures integration quality.
     """
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
+    for name, v in (("step", step), ("t_end", t_end)):
+        if not 0.0 < v < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    if not t_end / step <= MAX_GEODESIC_STEPS:
+        raise ValueError(f"t_end/step = {t_end / step!r} exceeds {MAX_GEODESIC_STEPS} RK4 steps")
     energy = as_energy(model)
     _require_in_domain(s0)
     n = energy.dim

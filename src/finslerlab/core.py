@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .errors import DomainEscape, SingularMetric
 from .numkit import Jet, jet_space
 from .report import relmax
@@ -53,10 +52,11 @@ def make_sample(model, x, y) -> TangentSample:
     y = np.asarray(y, dtype=float).copy()
     if x.shape != (model.dim,) or y.shape != (model.dim,):
         raise ValueError(f"expected points of dimension {model.dim}")
-    flags = tuple(
-        bool(expr.evaluate(c, x, y, model.params) > 0.0) for c in model.domain
-    )
-    return TangentSample(x, y, flags)
+    for name, v in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"coordinate {name}{bad[0] + 1} = {float(v[bad[0]])} is not finite")
+    return TangentSample(x, y, model.domain_flags(x, y))
 
 
 class ModelEnergy:
@@ -76,13 +76,13 @@ class ModelEnergy:
     def energy_jet(self, s: TangentSample, space) -> Jet:
         coords = space.lift(s.x, s.y)
         n = self.dim
-        F2 = expr.evaluate(self.model.F2, coords[:n], coords[n:], self.model.params)
+        F2 = self.model.F2_fn(coords[:n], coords[n:])
         if not isinstance(F2, Jet):
             F2 = space.constant(F2)
         return 0.5 * F2
 
     def energy_value(self, x, y) -> float:
-        return 0.5 * expr.evaluate(self.model.F2, x, y, self.model.params)
+        return 0.5 * self.model.F2_fn(x, y)
 
     def f_value(self, x, y) -> float:
         return math.sqrt(max(2.0 * self.energy_value(x, y), 0.0))

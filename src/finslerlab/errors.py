@@ -12,10 +12,6 @@ class EvalError(FinslerError):
 class DomainEscape(FinslerError):
     """A point (or a finite-difference stencil / trajectory) left the model domain."""
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
 
 class SingularMetric(FinslerError):
     """The fundamental tensor is numerically singular at the requested sample."""

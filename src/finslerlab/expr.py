@@ -17,13 +17,16 @@ real parameters::
 Expressions are whitespace-insensitive with precedence ^ > unary - > * / > + -
 ('^' is right-associative).  Variables are x1..xn and y1..yn; every other
 identifier is a named parameter, except sqrt/abs/sin/cos/exp/log which are
-function calls.  ASTs evaluate over any scalar ring that implements the usual
-operators (floats or jets).
+function calls.  Each expression of a model is lowered once, when its ModelDef
+is built, into a function (xs, ys) -> value made of Python closures; the same
+function runs on floats (sampling, domain tests, the finite-difference oracle)
+and on jets (energy and phi jets).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -32,7 +35,7 @@ from .numkit import Jet
 
 __all__ = [
     "Num", "Var", "Param", "Neg", "Bin", "Call",
-    "ModelDef", "parse", "parse_expression", "evaluate", "to_source",
+    "ModelDef", "parse", "parse_expression", "lower", "evaluate", "to_source",
     "free_vars", "squared",
 ]
 
@@ -248,41 +251,13 @@ def parse_expression(source: str, line: int = 1):
 
 
 # --------------------------------------------------------------------------
-# evaluation (generic over floats and jets)
+# evaluation: each AST is lowered once into closures over floats or jets
 # --------------------------------------------------------------------------
 
-def _call_fn(fn: str, v):
-    if isinstance(v, Jet):
-        if fn == "sqrt":
-            return v.sqrt()
-        if fn == "abs":
-            return abs(v)
-        if fn == "exp":
-            return v.exp()
-        if fn == "log":
-            return v.log()
-        if fn == "sin":
-            return v.sin()
-        if fn == "cos":
-            return v.cos()
-    else:
-        if fn == "sqrt":
-            if v < 0:
-                raise EvalError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        if fn == "abs":
-            return abs(v)
-        if fn == "exp":
-            return math.exp(v)
-        if fn == "log":
-            if v <= 0:
-                raise EvalError(f"log of non-positive value {v}")
-            return math.log(v)
-        if fn == "sin":
-            return math.sin(v)
-        if fn == "cos":
-            return math.cos(v)
-    raise EvalError(f"unknown function {fn!r}")
+def _div(a, b):
+    if not isinstance(b, Jet) and abs(b) < 1e-300:
+        raise EvalError("division by ~0")
+    return a / b
 
 
 def _pow(base, exponent):
@@ -307,51 +282,81 @@ def _pow(base, exponent):
     return base ** float(exponent)
 
 
-def evaluate(ast, xs, ys=None, params=None):
-    """Evaluate an AST at coordinates xs (x1..xn) and ys (y1..yn).
+def _sqrt(v):
+    if isinstance(v, Jet):
+        return v.sqrt()
+    if v < 0:
+        raise EvalError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
 
-    `ys` may be omitted for x-only expressions (phi components, domains over x).
-    Scalars may be floats or jets, mixed freely with numeric literals.
-    """
+
+def _log(v):
+    if isinstance(v, Jet):
+        return v.log()
+    if v <= 0:
+        raise EvalError(f"log of non-positive value {v}")
+    return math.log(v)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _div, "^": _pow}
+
+_FUNCTIONS = {
+    "sqrt": _sqrt,
+    "abs": abs,
+    "sin": lambda v: v.sin() if isinstance(v, Jet) else math.sin(v),
+    "cos": lambda v: v.cos() if isinstance(v, Jet) else math.cos(v),
+    "exp": lambda v: v.exp() if isinstance(v, Jet) else math.exp(v),
+    "log": _log,
+}
+
+
+def lower(ast, params=None):
+    """Function (xs, ys) -> value of the AST over floats or jets, where xs holds
+    x1..xn and ys y1..yn.  Built once: parameters become constants and every
+    operator node a closure that evaluates its left operand before its right.
+    An unknown parameter or function raises EvalError here, not per call."""
     params = params or {}
 
-    def ev(node):
+    def low(node):
         if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            seq = xs if node.kind == "x" else ys
-            if seq is None:
-                raise EvalError(f"no y-coordinates supplied but {node.kind}{node.index} used")
-            if node.index > len(seq):
-                raise EvalError(f"variable {node.kind}{node.index} out of range")
-            return seq[node.index - 1]
+            v = node.value
+            return lambda xs, ys: v
         if isinstance(node, Param):
-            try:
-                return params[node.name]
-            except KeyError:
-                raise EvalError(f"unknown parameter {node.name!r}") from None
+            if node.name not in params:
+                raise EvalError(f"unknown parameter {node.name!r}")
+            v = params[node.name]
+            return lambda xs, ys: v
+        if isinstance(node, Var):
+            i = node.index - 1
+            if node.kind == "x":
+                return lambda xs, ys: xs[i]
+            return lambda xs, ys: ys[i]
         if isinstance(node, Neg):
-            return -ev(node.a)
+            a = low(node.a)
+            return lambda xs, ys: -a(xs, ys)
         if isinstance(node, Call):
-            return _call_fn(node.fn, ev(node.a))
+            if node.fn not in _FUNCTIONS:
+                raise EvalError(f"unknown function {node.fn!r}")
+            fn, a = _FUNCTIONS[node.fn], low(node.a)
+            return lambda xs, ys: fn(a(xs, ys))
         if isinstance(node, Bin):
-            a = ev(node.a)
-            if node.op == "^":
-                return _pow(a, ev(node.b))
-            b = ev(node.b)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if not isinstance(b, Jet) and abs(b) < 1e-300:
-                    raise EvalError("division by ~0")
-                return a / b
+            op, a, b = _OPERATORS[node.op], low(node.a), low(node.b)
+            return lambda xs, ys: op(a(xs, ys), b(xs, ys))
         raise EvalError(f"cannot evaluate node {node!r}")
 
-    return ev(ast)
+    return low(ast)
+
+
+def evaluate(ast, xs, ys=None, params=None):
+    """Evaluate an AST once at coordinates xs (x1..xn) and ys (y1..yn).
+
+    `ys` may be omitted for x-only expressions (phi components, domains over x).
+    Repeated evaluation should call a function from :func:`lower` instead.
+    """
+    if ys is None and any(kind == "y" for kind, _ in free_vars(ast)[0]):
+        raise EvalError("no y-coordinates supplied but the expression uses y")
+    return lower(ast, params)(xs, ys)
 
 
 # --------------------------------------------------------------------------
@@ -404,15 +409,26 @@ class ModelDef:
 
     def __post_init__(self):
         _validate_model(self)
-        # F^2 with the outer sqrt stripped; the metric layer differentiates this
-        self.F2 = squared(self.F)
+        # lowered once; every consumer calls these.  F^2 has its outer sqrt
+        # stripped, as the metric layer differentiates F^2 rather than F
+        self.F2_fn = lower(squared(self.F), self.params)
+        self.phi_fns = tuple(lower(p, self.params) for p in self.phi)
+        self.domain_fns = tuple(lower(d, self.params) for d in self.domain)
+
+    def domain_flags(self, x, y) -> tuple:
+        """One flag per domain constraint: True when it is strictly positive at
+        (x, y).  A constraint that cannot be evaluated there counts as violated."""
+        flags = []
+        for c in self.domain_fns:
+            try:
+                flags.append(bool(c(x, y) > 0.0))
+            except EvalError:
+                flags.append(False)
+        return tuple(flags)
 
     def in_domain(self, x, y) -> bool:
-        """True when every domain constraint is strictly positive at (x, y)."""
-        for c in self.domain:
-            if evaluate(c, x, y, self.params) <= 0.0:
-                return False
-        return True
+        """True when every domain constraint holds at (x, y)."""
+        return all(self.domain_flags(x, y))
 
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")

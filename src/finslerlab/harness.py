@@ -353,15 +353,20 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
              f"min |margin| = {scan.min_abs_margin!r}, min |det ghat| = {scan.min_abs_det!r}"))
 
     if model.dim == 2:
-        ray = None
+        ray, scanned = None, 0
         for xtry in ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1]):
-            ray = matsumoto.margin_ray_scan(model, xtry, orientation)
+            try:
+                ray = matsumoto.margin_ray_scan(model, xtry, orientation)
+            except DomainEscape:
+                continue  # a ray direction at this base point is outside the domain
+            scanned += 1
             if ray is not None:
                 break
         if ray is None:
             results.append(IdentityResult(
                 name="nondegeneracy-ray-profile", kind="skipped",
-                note="margin does not change sign on the probed rays"))
+                note="margin does not change sign on the probed rays" if scanned
+                else "every probed base point has rays outside the model domain"))
         else:
             lv = ray["levels"]
             ratio = abs(lv[1e-6]["det"]) / max(abs(lv[0.5]["det"]), 1e-300)

@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr
 from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets,
                           phi_values)
 from .core import ModelEnergy, TangentSample, make_sample, metric_data
@@ -97,9 +96,8 @@ class HatEnergy:
         n = self.dim
         coords = space.lift(s.x, s.y)
         Phi = space.zero()
-        for i, p_ast in enumerate(self.model.phi):
-            ui = expr.evaluate(p_ast, coords[:n], None, self.model.params)
-            Phi = Phi + ui * E.diff_y(i)
+        for i, p in enumerate(self.model.phi_fns):
+            Phi = Phi + p(coords[:n], None) * E.diff_y(i)
         Phi = self.orientation * Phi
         F = (2.0 * E).sqrt()
         _require_hat_domain(F.value, Phi.value, s)
@@ -225,9 +223,8 @@ class ChangeJets:
         n = self.n
         xs = self.geo.coords[:n]
         return [
-            self.orientation * _as_jet(self.space, expr.evaluate(p, xs, None,
-                                                                 self.geo.energy.model.params))
-            for p in self.geo.energy.model.phi
+            self.orientation * _as_jet(self.space, p(xs, None))
+            for p in self.geo.energy.model.phi_fns
         ]
 
     @cached_property
@@ -548,7 +545,7 @@ def _check_lemma(ctx: ChangeContext):
     }
 
 
-def _run_suite(model, s_batch, orientation, check_fn, tolerances, names=None):
+def _run_suite(model, s_batch, orientation, check_fn, tolerances):
     accs = {}
     skipped = 0
     for s in s_batch:
@@ -559,8 +556,6 @@ def _run_suite(model, s_batch, orientation, check_fn, tolerances, names=None):
             skipped += 1
             continue
         for name, (pred, direct) in pairs.items():
-            if names is not None and name not in names:
-                continue
             if name not in accs:
                 accs[name] = PairAccumulator(name, tolerances[name])
             accs[name].add(s, pred, direct)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DomainEscape, EvalError
 
 __all__ = [
-    "DiffConfig",
+    "FD_STEP",
     "Jet",
     "JetSpace",
     "jet_space",
@@ -329,14 +328,7 @@ class Jet:
         v = self.value
         if v <= 0.0:
             raise EvalError(f"sqrt of non-positive value {v}")
-
-        def dk(k):
-            c = 1.0
-            for i in range(k):
-                c *= (0.5 - i) / (i + 1)
-            return c * v ** (0.5 - k)
-
-        return self._compose(dk)
+        return self ** 0.5
 
     def exp(self) -> "Jet":
         e = math.exp(self.value)
@@ -391,24 +383,10 @@ class Jet:
         )
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Step of the central-difference oracle.
-
-    `fd_step` is the first-order central-difference step; higher-order stencils
-    widen it (12x, 80x) so truncation and roundoff errors stay balanced.  Jet
-    truncation orders are not set here: each pipeline picks its `jet_space`.
-    """
-
-    fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be > 0")
-
-    def step_for_order(self, k: int) -> float:
-        return self.fd_step * {1: 1.0, 2: 12.0, 3: 80.0}[k]
-
+# first-order central-difference step; higher-order stencils widen it (12x,
+# 80x) so truncation and roundoff errors stay balanced
+FD_STEP = 1e-5
+_FD_WIDEN = {1: 1.0, 2: 12.0, 3: 80.0}
 
 # offsets (in units of the step) and weights of 1-d central stencils, O(step^2)
 _STENCILS = {
@@ -417,18 +395,15 @@ _STENCILS = {
     3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
 }
 
-DEFAULT_DIFF_CONFIG = DiffConfig()
 
-
-def fd_derivative(f, x, y, multi_index, config: DiffConfig = DEFAULT_DIFF_CONFIG,
-                  in_domain=None, step_scale: float = 1.0) -> float:
+def fd_derivative(f, x, y, multi_index, in_domain=None, step_scale: float = 1.0) -> float:
     """Central-difference estimate of a mixed partial of f(x, y).
 
     `multi_index` has length 2n (x-orders first, then y-orders) and total order
     <= 3.  The estimate is a tensor product of 1-d central stencils, each with
     O(step^2) truncation error.  If `in_domain` is given, every stencil point
     is screened through it first and a :class:`DomainEscape` is raised when one
-    falls outside.
+    falls outside.  `step_scale` multiplies the widened FD_STEP.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -441,13 +416,15 @@ def fd_derivative(f, x, y, multi_index, config: DiffConfig = DEFAULT_DIFF_CONFIG
     total = sum(mi)
     if total > 3:
         raise ValueError("fd_derivative supports total order <= 3")
+    if not step_scale > 0.0:
+        raise ValueError(f"step_scale must be > 0, got {step_scale!r}")
     if total == 0:
         return float(f(x, y))
 
     # all stencil axes use the step sized for the *total* order: the product of
     # per-axis denominators scales like h^total, and a tight step on one axis
     # of a mixed index would amplify roundoff through the others' h-powers
-    h = config.step_for_order(total) * step_scale
+    h = FD_STEP * _FD_WIDEN[total] * step_scale
     axes = []  # (variable, offsets scaled by step, weights, step**order)
     for v, k in enumerate(mi):
         if k == 0:

@@ -50,10 +50,15 @@ def test_inspect_euclid_flat(capsys):
     assert out["change"]["Fhat"] == pytest.approx(1.0)
 
 
-def test_inspect_zero_direction_exits_2(capsys):
-    code = run(["inspect", "--model", "matsumoto_example",
-                "--x", "1,0,1", "--y", "0,0,0"])
+@pytest.mark.parametrize("x, y, named", [
+    pytest.param("1,0,1", "0,0,0", "", id="zero-direction"),
+    pytest.param("nan,0,1", "1,1,1", "x1", id="nan-x"),
+    pytest.param("1,0,1", "1,inf,1", "y2", id="inf-y"),
+])
+def test_inspect_zero_direction_exits_2(x, y, named, capsys):
+    code = run(["inspect", "--model", "matsumoto_example", f"--x={x}", f"--y={y}"])
     assert code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_parse_error_exits_3(tmp_path, capsys):
@@ -188,6 +193,49 @@ def test_geodesic_cli_hat_route(tmp_path):
     assert max(abs(v - F[0]) for v in F) / F[0] <= 1e-6
 
 
-def test_geodesic_bad_step_exits_2():
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--step", "0"], "step", id="zero-step"),
+    pytest.param(["--step", "inf"], "step", id="inf-step"),
+    pytest.param(["--t-end", "nan"], "t_end", id="nan-t-end"),
+    pytest.param(["--t-end", "1e12", "--step", "1"], "t_end/step", id="too-many-steps"),
+])
+def test_geodesic_bad_step_exits_2(flags, named, capsys):
     assert run(["geodesic", "--model", "euclid_concurrent", "--x", "0,0",
-                "--y", "1,0", "--step", "0"]) == 2
+                "--y", "1,0", *flags]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["1:2:3", "2:1", "0:inf", "a:1", "0:1,0:1"])
+def test_verify_bad_box_exits_2(box, capsys):
+    assert run(["verify", "--model", "euclid_concurrent", "--samples", "1",
+                f"--box={box}"]) == 2
+    assert "--box" in capsys.readouterr().err
+
+
+LOG_DOMAIN_MODEL = """
+name = log_domain
+dim = 2
+F = sqrt(y1^2 + y2^2)
+phi1 = -x1
+phi2 = -x2
+domain = y1^2 + y2^2
+domain = log(x1)
+"""
+
+
+@pytest.mark.parametrize("box", [
+    pytest.param([], id="default-box"),
+    pytest.param(["--box=-2:3,-1:1,0.5:2,0.5:2"], id="custom-box"),
+])
+def test_verify_model_with_unevaluable_domain_runs(box, tmp_path):
+    """A constraint that raises (log of x1 <= 0) rejects the point, and ray-scan
+    base points outside the domain are skipped instead of ending the run."""
+    model = tmp_path / "log_domain.fmod"
+    model.write_text(LOG_DOMAIN_MODEL)
+    out = tmp_path / "rep.json"
+    code = run(["verify", "--model", str(model), "--samples", "8", *box,
+                "--format", "json", "--out", str(out)])
+    assert code in (0, 1)
+    ray = {r["name"]: r for r in json.loads(out.read_text())["identities"]}[
+        "nondegeneracy-ray-profile"]
+    assert ray["kind"] == "skipped" and "outside the model domain" in ray["note"]

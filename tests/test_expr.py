@@ -122,6 +122,43 @@ def test_missing_sections_rejected():
         expr.parse("name = x\ndim = 2\nF = sqrt(y1^2 + y2^2)\nphi1 = 0\n")
 
 
+def test_domain_constraint_that_cannot_be_evaluated_is_violated():
+    m = expr.parse(MINI_MODEL + "domain = log(x1)\n")
+    assert m.domain_flags([-1.0, 0.0], [1.0, 0.0]) == (True, False)
+    assert not m.in_domain([0.0, 0.0], [1.0, 0.0])
+    assert m.in_domain([2.0, 0.0], [1.0, 0.0])
+
+
+def test_lowering_rejects_unknown_parameter_and_function():
+    with pytest.raises(EvalError, match="scale"):
+        expr.lower(expr.parse_expression("scale*y1"), {})
+    assert expr.lower(expr.parse_expression("scale*y1"), {"scale": 2.0})([], [3.0]) == 6.0
+    with pytest.raises(EvalError, match="erf"):
+        expr.lower(Call("erf", Num(1.0)))
+
+
+def test_y_variable_without_y_coordinates_raises():
+    with pytest.raises(EvalError, match="y-coordinates"):
+        expr.evaluate(expr.parse_expression("x1*y1"), [1.0])
+
+
+def test_model_expressions_are_lowered_once(monkeypatch):
+    """Sampling, the metric layer and the changed energy call the functions
+    lowered when the model was built; none lowers an expression again."""
+    from finslerlab import core, models
+    from finslerlab.matsumoto import HatEnergy
+    from finslerlab.numkit import jet_space
+
+    m = models.builtin_model("matsumoto_example")
+    calls = []
+    real_lower = expr.lower
+    monkeypatch.setattr(expr, "lower", lambda *a: calls.append(a) or real_lower(*a))
+    s = core.make_sample(m, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    core.metric_data(m, s)
+    HatEnergy(m, -1.0).energy_jet(s, jet_space(3, 3, 1))
+    assert calls == []
+
+
 def test_undeclared_parameter_rejected():
     bad = MINI_MODEL.replace("param scale = 1.5", "")
     bad = bad.replace("F = sqrt(y1^2 + y2^2)", "F = scale*sqrt(y1^2 + y2^2)")
@@ -171,10 +208,10 @@ def test_print_parse_round_trip_random(ast):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
 def test_real_and_jet_evaluation_agree(x1, y1, y2):
-    """Value slot of a jet evaluation equals plain float evaluation."""
+    """One lowered function: its jet value slot equals its float value."""
     from finslerlab.numkit import jet_space
-    ast = expr.parse_expression("sqrt(x1^2*y1^2 + y2^2) + x1*y2/y1")
-    fval = expr.evaluate(ast, [x1, 0.0], [y1, y2])
+    fn = expr.lower(expr.parse_expression("sqrt(x1^2*y1^2 + y2^2) + x1*y2/y1"))
+    fval = fn([x1, 0.0], [y1, y2])
     coords = jet_space(2, 2, 2).lift([x1, 0.0], [y1, y2])
-    jval = expr.evaluate(ast, coords[:2], coords[2:]).value
+    jval = fn(coords[:2], coords[2:]).value
     assert abs(jval - fval) <= 1e-14 * max(1.0, abs(fval))

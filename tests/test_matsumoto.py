@@ -9,7 +9,7 @@ from finslerlab import connections, core, expr, matsumoto, models
 from finslerlab.core import metric_data, sample_batch
 from finslerlab.errors import DegenerateMargin, OutsideHatDomain
 from finslerlab.matsumoto import HatEnergy, change_scalars
-from finslerlab.numkit import DiffConfig, fd_derivative
+from finslerlab.numkit import fd_derivative
 
 EX = models.builtin_model("matsumoto_example")
 EU = models.builtin_model("euclid_concurrent")
@@ -250,7 +250,7 @@ def test_obstruction_second_derivatives_match_finite_differences():
             mi = [0, 0, 0, 0]
             mi[2 + k] += 1
             mi[2 + j] += 1
-            fd = fd_derivative(f2_of, s.x, s.y, mi, DiffConfig())
+            fd = fd_derivative(f2_of, s.x, s.y, mi)
             assert abs(jet_d2[k, j] - fd) <= 1e-4 * max(1.0, abs(jet_d2[k, j]))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslerlab.errors import DomainEscape, EvalError
-from finslerlab.numkit import DiffConfig, fd_derivative, jet_space
+from finslerlab.numkit import fd_derivative, jet_space
 
 
 def test_lift_seeding():
@@ -147,7 +147,9 @@ def test_fd_oracle_rejects_high_order_and_escaping_stencils():
                       in_domain=lambda x, y: abs(y[0] - 1.0) < 1e-9)
 
 
-def test_diff_config_validation():
-    with pytest.raises(ValueError):
-        DiffConfig(fd_step=0.0)
-    assert DiffConfig().step_for_order(1) == 1e-5
+def test_fd_step_scale_must_be_positive():
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="step_scale"):
+            fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1), step_scale=scale)
+    assert fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1),
+                         step_scale=0.1) == pytest.approx(2.0, rel=1e-9)
