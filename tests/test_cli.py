@@ -1,6 +1,7 @@
 """CLI behaviour: commands, formats, exit codes, determinism, report shape."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +240,22 @@ def test_verify_model_with_unevaluable_domain_runs(box, tmp_path):
     ray = {r["name"]: r for r in json.loads(out.read_text())["identities"]}[
         "nondegeneracy-ray-profile"]
     assert ray["kind"] == "skipped" and "outside the model domain" in ray["note"]
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    pytest.param(["inspect", "--model", "matsumoto_example", "--x=1,0,1", "--y=1,1,1",
+                  "--orientation=-1", "--format", "json"],
+                 "inspect_matsumoto_example_P0_orient-1.json", id="inspect"),
+    pytest.param(["geodesic", "--model", "matsumoto_example", "--which", "hat",
+                  "--x=1,0,1", "--y=1,1,1", "--orientation=-1", "--t-end", "0.05",
+                  "--step", "1e-3"],
+                 "geodesic_hat_matsumoto_example_P0_orient-1.csv", id="geodesic-hat"),
+])
+def test_hat_side_output_matches_golden(argv, golden, tmp_path):
+    """The changed-metric dump and trajectory at P0 are pinned byte for byte."""
+    out = tmp_path / golden
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
