@@ -1,9 +1,10 @@
 """Command-line front end.
 
     finslerlab inspect  --model <path|name> --x 1,0,1 --y 1,1,1 [--orientation +1]
+                        [--format json|table] [--out PATH]
     finslerlab verify   --model <path|name> [--seed N] [--samples N]
                         [--orientation auto|+1|-1] [--format json|csv|table]
-                        [--box lo:hi,...] [--out PATH]
+                        [--box lo:hi,...] [--tolerance NAME=V] [--out PATH]
     finslerlab geodesic --model <path|name> --x ... --y ... [--t-end T] [--step H]
                         [--which base|hat] [--orientation +1] [--out PATH]
 
@@ -38,14 +39,29 @@ def _reals(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
 
 
-def _count(text: str) -> int:
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> tuple:
+    """NAME=V with V a finite real >= 0."""
+    name, _, value = text.partition("=")
     try:
-        value = int(text)
+        tol = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        tol = np.nan
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not NAME=V with a finite V >= 0")
+    return name, tol
 
 
 def _parse_box(text: str, dim2: int) -> np.ndarray:
@@ -76,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", required=True,
                         help="model file path or builtin name")
     common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--format", default="table",
-                        choices=("json", "csv", "table"))
 
     coord_help = "comma-separated reals; use --x=-1,0,... when a value is negative"
     p_inspect = sub.add_parser("inspect", parents=[common],
@@ -85,18 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--x", required=True, type=_reals, help=coord_help)
     p_inspect.add_argument("--y", required=True, type=_reals, help=coord_help)
     p_inspect.add_argument("--orientation", default="+1", choices=("+1", "-1"))
+    p_inspect.add_argument("--format", default="table", choices=("json", "table"))
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the full identity-verification suite")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--samples", type=_count, default=100)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_verify.add_argument("--samples", type=_int_at_least(1), default=100)
     p_verify.add_argument("--orientation", default="auto",
                           choices=("auto", "+1", "-1"))
+    p_verify.add_argument("--format", default="table", choices=("json", "csv", "table"))
     p_verify.add_argument("--box", default=None,
                           help="sampling box, lo:hi per coordinate (comma-separated); "
                                "use --box=-1:1,... when a bound is negative")
-    p_verify.add_argument("--tolerance", action="append", default=[],
-                          metavar="NAME=VALUE", help="override one identity tolerance")
+    p_verify.add_argument("--tolerance", action="append", default=[], type=_tolerance,
+                          metavar="NAME=V", help="override one identity tolerance")
 
     p_geo = sub.add_parser("geodesic", parents=[common],
                            help="integrate a geodesic and emit the trajectory CSV")
@@ -158,18 +174,12 @@ def _verify_csv(rep) -> str:
 
 def cmd_verify(ns) -> int:
     model = models.load_model(ns.model)
-    overrides = {}
-    for item in ns.tolerance:
-        name, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"--tolerance needs NAME=VALUE, got {item!r}")
-        overrides[name] = float(value)
     cfg = harness.RunConfig(
         samples=ns.samples,
         seed=ns.seed,
         box=None if ns.box is None else _parse_box(ns.box, 2 * model.dim),
         orientation=ns.orientation,
-        tolerance_overrides=overrides,
+        tolerance_overrides=dict(ns.tolerance),
     )
     rep = harness.run_verification(model, cfg)
     if ns.format == "json":
@@ -186,7 +196,7 @@ def cmd_geodesic(ns) -> int:
     s0 = make_sample(model, ns.x, ns.y)
     if ns.which == "hat":
         orientation = 1.0 if ns.orientation == "+1" else -1.0
-        energy = matsumoto.HatEnergy(model, orientation)
+        energy = matsumoto.HatEnergy(model.oriented(orientation))
     else:
         energy = model
     traj = connections.integrate_geodesic(energy, s0, ns.t_end, ns.step)

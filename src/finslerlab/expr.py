@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import EvalError, ModelSyntaxError, ModelValidationError
 from .numkit import Jet
@@ -414,6 +414,15 @@ class ModelDef:
         self.F2_fn = lower(squared(self.F), self.params)
         self.phi_fns = tuple(lower(p, self.params) for p in self.phi)
         self.domain_fns = tuple(lower(d, self.params) for d in self.domain)
+
+    def oriented(self, sign) -> ModelDef:
+        """This model with phi multiplied by `sign` (+1 or -1): the two signs
+        are the two normalizations of a concurrent field, nabla phi = +id or -id."""
+        if sign == 1:
+            return self
+        if sign == -1:
+            return replace(self, phi=tuple(Neg(p) for p in self.phi))
+        raise ValueError(f"orientation must be +1 or -1, got {sign!r}")
 
     def domain_flags(self, x, y) -> tuple:
         """One flag per domain constraint: True when it is strictly positive at

@@ -247,15 +247,16 @@ def run_fd_suite(model, s_batch):
 # geodesic conservation
 # --------------------------------------------------------------------------
 
-def run_geodesic_suite(model, cfg: RunConfig, orientation: float):
-    """First-integral drift of base and changed geodesic flows."""
+def run_geodesic_suite(model, cfg: RunConfig):
+    """First-integral drift of base and changed geodesic flows; the change is
+    built on the model's phi as given (the base flow does not use phi)."""
     rng = _rng(cfg.seed, _STREAM_GEODESIC)
     box = _box(model, cfg)
     out = []
     for name, energy, predicate in (
         ("geodesic-first-integral-base", model, None),
-        ("geodesic-first-integral-hat", HatEnergy(model, orientation),
-         matsumoto.hat_sample_predicate(model, orientation)),
+        ("geodesic-first-integral-hat", HatEnergy(model),
+         matsumoto.hat_sample_predicate(model)),
     ):
         batch, _ = sample_batch(model, box, 8, rng, predicate=predicate)
         best = None
@@ -286,9 +287,9 @@ def run_geodesic_suite(model, cfg: RunConfig, orientation: float):
 # full verification
 # --------------------------------------------------------------------------
 
-def _sample_for_orientation(model, cfg, orientation, stream, count):
+def _sample_for_orientation(model, cfg, stream, count):
     rng = _rng(cfg.seed, stream)
-    pred = matsumoto.hat_sample_predicate(model, orientation)
+    pred = matsumoto.hat_sample_predicate(model)
     return sample_batch(model, _box(model, cfg), count, rng, predicate=pred)
 
 
@@ -305,10 +306,13 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
         probes = {}
         for o, stream in ((1.0, _STREAM_PROBE_PLUS), (-1.0, _STREAM_PROBE_MINUS)):
             probes[o], _ = _sample_for_orientation(
-                model, cfg, o, stream, max(8, cfg.samples // 8))
+                model.oriented(o), cfg, stream, max(8, cfg.samples // 8))
         orientation, totals = matsumoto.select_orientation(model, probes)
         extras["orientation_mode"] = "auto"
         extras["orientation_probe_totals"] = {f"{o:+.0f}": t for o, t in totals.items()}
+    hat_model = model.oriented(orientation)
+    other = -orientation
+    other_model = model.oriented(other)
 
     results = []
 
@@ -324,26 +328,25 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     results += run_fd_suite(model, fd_batch)
 
     main_batch, rej_main = _sample_for_orientation(
-        model, cfg, orientation, _STREAM_CHANGE, cfg.samples)
+        hat_model, cfg, _STREAM_CHANGE, cfg.samples)
     extras["change_batch_rejected"] = rej_main
-    results += matsumoto.change_identity_suite(model, main_batch, orientation)
-    results += matsumoto.lemma_identity_suite(model, main_batch, orientation)
+    results += matsumoto.change_identity_suite(hat_model, main_batch)
+    results += matsumoto.lemma_identity_suite(hat_model, main_batch)
 
     # tabulate the opposite orientation on a smaller batch so a sign clash in
     # the source formulas is isolated per identity rather than guessed
-    other = -orientation
     other_batch, _ = _sample_for_orientation(
-        model, cfg, other, _STREAM_CHANGE_OTHER, max(8, cfg.samples // 4))
-    other_results = matsumoto.change_identity_suite(model, other_batch, other,
+        other_model, cfg, _STREAM_CHANGE_OTHER, max(8, cfg.samples // 4))
+    other_results = matsumoto.change_identity_suite(other_model, other_batch,
                                                     with_curvature=False)
-    other_results += matsumoto.lemma_identity_suite(model, other_batch, other)
+    other_results += matsumoto.lemma_identity_suite(other_model, other_batch)
     extras["other_orientation"] = f"{other:+.0f}"
     extras["other_orientation_residuals"] = {
         r.name: r.residual for r in other_results if r.residual is not None}
 
     scan_batch, _ = sample_batch(model, _box(model, cfg),
                                  min(cfg.samples, 50), _rng(cfg.seed, _STREAM_SCAN))
-    scan = matsumoto.nondegeneracy_scan(model, scan_batch, orientation)
+    scan = matsumoto.nondegeneracy_scan(hat_model, scan_batch)
     results.append(IdentityResult(
         name="nondegeneracy-margin-scan", kind="identity",
         residual=float(len(scan.falsifying) + len(scan.suspicious)), tolerance=0.5,
@@ -356,7 +359,7 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
         ray, scanned = None, 0
         for xtry in ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1]):
             try:
-                ray = matsumoto.margin_ray_scan(model, xtry, orientation)
+                ray = matsumoto.margin_ray_scan(hat_model, xtry)
             except DomainEscape:
                 continue  # a ray direction at this base point is outside the domain
             scanned += 1
@@ -380,7 +383,7 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
             name="nondegeneracy-ray-profile", kind="skipped",
             note="direction sweep is implemented for dim-2 models"))
 
-    proj = matsumoto.projective_check(model, main_batch, orientation)
+    proj = matsumoto.projective_check(hat_model, main_batch)
     results.append(IdentityResult(
         name="projective-impossibility", kind="identity",
         residual=proj.threshold / max(proj.min_ratio, 1e-300),
@@ -390,7 +393,7 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 
     obs_max = 0.0
     for s in main_batch[: max(8, cfg.samples // 8)]:
-        O = matsumoto.concurrency_obstruction(model, s, orientation)
+        O = matsumoto.concurrency_obstruction(hat_model, s)
         obs_max = max(obs_max, float(np.max(np.abs(O))))
     extras["obstruction_max_norm"] = obs_max
     results.append(IdentityResult(
@@ -400,9 +403,9 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 
     decomp_batch, _ = sample_batch(model, _box(model, cfg),
                                    min(cfg.samples, 30), _rng(cfg.seed, _STREAM_DECOMP))
-    results += matsumoto.rational_decomposition_check(model, decomp_batch, orientation)
+    results += matsumoto.rational_decomposition_check(hat_model, decomp_batch)
 
-    results += run_geodesic_suite(model, cfg, orientation)
+    results += run_geodesic_suite(hat_model, cfg)
 
     names = [r.name for r in results]
     if len(names) != len(set(names)):
@@ -454,9 +457,10 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
         "curvature": geo.curvature().tolist(),
         "cartan_hcoeffs": geo.cartan().tolist(),
     }
+    hat = HatEnergy(model.oriented(orientation))
     try:
-        sc = matsumoto.change_scalars(model, s, orientation)
-        hat_md = metric_data(HatEnergy(model, orientation), s)
+        sc = matsumoto.change_scalars(hat.model, s)
+        hat_md = metric_data(hat, s)
         out["change"] = {
             "orientation": orientation,
             "Phi": sc.Phi,
@@ -469,7 +473,7 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
             "phi_low": sc.phi_low.tolist(),
             "ghat": hat_md.g.tolist(),
             "det_ghat": hat_md.det_g,
-            "spray_hat": connections.spray(HatEnergy(model, orientation), s).tolist(),
+            "spray_hat": connections.spray(hat, s).tolist(),
         }
     except Exception as e:  # noqa: BLE001 - inspection should degrade, not die
         out["change"] = {"error": f"{type(e).__name__}: {e}"}

@@ -1,11 +1,12 @@
 """The concurrent-field metric change Fhat = F^2/(F - Phi) and its identity suite.
 
 Phi is the pairing of the model's phi field with the direction, taken through
-the fundamental tensor: Phi = g(phi, y).  Every operation accepts an
-`orientation` in {+1, -1} that multiplies phi before Phi is formed; the two
-signs correspond to the two possible normalizations of a concurrent field
-(horizontal covariant derivative +id or -id), and the harness selects the one
-that minimizes the total identity residual rather than presuming either.
+the fundamental tensor: Phi = g(phi, y).  The sign of phi is part of the
+model: the two normalizations of a concurrent field (horizontal covariant
+derivative +id or -id) are `model` and `model.oriented(-1)`, and every
+operation here uses phi as its model gives it.  `select_orientation` runs the
+suites on both and keeps the sign that minimizes the total identity residual
+rather than presuming either.
 
 Predicted objects come from closed-form transformation laws in terms of base
 quantities (g, ell, phi, F, Phi, p^2 and the scalars f1, f2); direct objects
@@ -24,7 +25,7 @@ import numpy as np
 
 from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets,
                           phi_values)
-from .core import ModelEnergy, TangentSample, make_sample, metric_data
+from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
 from .errors import DegenerateMargin, OutsideHatDomain
 from .numkit import Jet
 from .report import IdentityResult, PairAccumulator
@@ -85,10 +86,9 @@ class HatEnergy:
 
     y_overhead = 1
 
-    def __init__(self, model, orientation: float = 1.0):
+    def __init__(self, model):
         self.model = model
         self.dim = model.dim
-        self.orientation = float(orientation)
         self.base = ModelEnergy(model)
 
     def energy_jet(self, s: TangentSample, space) -> Jet:
@@ -98,7 +98,6 @@ class HatEnergy:
         Phi = space.zero()
         for i, p in enumerate(self.model.phi_fns):
             Phi = Phi + p(coords[:n], None) * E.diff_y(i)
-        Phi = self.orientation * Phi
         F = (2.0 * E).sqrt()
         _require_hat_domain(F.value, Phi.value, s)
         Fhat = (2.0 * E) / (F - Phi)
@@ -106,63 +105,67 @@ class HatEnergy:
 
     def f_value(self, x, y) -> float:
         s = make_sample(self.model, x, y)
-        sc = _scalar_values(self.model, s, self.orientation)
-        _require_hat_domain(sc["F"], sc["Phi"], s)
-        return sc["F"] ** 2 / (sc["F"] - sc["Phi"])
+        sc = _scalar_values(self.model, s)
+        _require_hat_domain(sc.F, sc.Phi, s)
+        return sc.F ** 2 / (sc.F - sc.Phi)
 
     def in_domain(self, x, y) -> bool:
         if not self.model.in_domain(x, y):
             return False
-        sc = _scalar_values(self.model, make_sample(self.model, x, y), self.orientation)
-        return _inside_hat_fence(sc["F"], sc["Phi"])
-
-
-def _scalar_values(model, s: TangentSample, orientation: float) -> dict:
-    """Value-level F, Phi, p^2, margin without raising on degeneracy (scan use)."""
-    md = metric_data(model, s)
-    phi_up = orientation * phi_values(model, s.x)
-    phi_low = md.g @ phi_up
-    Phi = float(phi_low @ s.y)
-    p2 = float(phi_low @ phi_up)
-    margin = md.F * (1.0 + 2.0 * p2) - 3.0 * Phi
-    return {"md": md, "phi_up": phi_up, "phi_low": phi_low, "F": md.F,
-            "Phi": Phi, "p2": p2, "margin": margin}
+        sc = _scalar_values(self.model, make_sample(self.model, x, y))
+        return _inside_hat_fence(sc.F, sc.Phi)
 
 
 @dataclass
 class ChangeScalars:
     """Scalar data of the change at one sample."""
 
+    md: MetricData
     F: float
     Phi: float
-    phi_up: np.ndarray   # oriented phi^i
+    phi_up: np.ndarray   # phi^i
     phi_low: np.ndarray  # phi_i = g_ij phi^j
     p2: float
     margin: float        # F(1 + 2 p^2) - 3 Phi
-    f1: float
-    f2: float
-    Fhat: float
-    orientation: float
+
+    @property
+    def f1(self) -> float:
+        return self.F * (4.0 * self.Phi - self.F) / self.margin
+
+    @property
+    def f2(self) -> float:
+        return 2.0 * self.F**3 / self.margin
+
+    @property
+    def Fhat(self) -> float:
+        return self.F * self.F / (self.F - self.Phi)
 
 
-def _checked_scalars(sc: dict, s: TangentSample, orientation: float) -> ChangeScalars:
-    """ChangeScalars from `_scalar_values` output; raises OutsideHatDomain past
-    the hat fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2
-    carry the margin in denominators)."""
-    F, Phi, p2, margin = sc["F"], sc["Phi"], sc["p2"], sc["margin"]
-    _require_hat_domain(F, Phi, s)
-    if abs(margin) <= MARGIN_EPS * F:
-        raise DegenerateMargin(f"|margin| = {abs(margin)} <= {MARGIN_EPS} * F")
-    return ChangeScalars(
-        F=F, Phi=Phi, phi_up=sc["phi_up"], phi_low=sc["phi_low"], p2=p2,
-        margin=margin, f1=F * (4.0 * Phi - F) / margin, f2=2.0 * F**3 / margin,
-        Fhat=F * F / (F - Phi), orientation=float(orientation),
-    )
+def _scalar_values(model, s: TangentSample) -> ChangeScalars:
+    """Value-level F, Phi, p^2, margin without raising on degeneracy (scan use)."""
+    md = metric_data(model, s)
+    phi_up = phi_values(model, s.x)
+    phi_low = md.g @ phi_up
+    Phi = float(phi_low @ s.y)
+    p2 = float(phi_low @ phi_up)
+    margin = md.F * (1.0 + 2.0 * p2) - 3.0 * Phi
+    return ChangeScalars(md=md, F=md.F, Phi=Phi, phi_up=phi_up, phi_low=phi_low,
+                         p2=p2, margin=margin)
 
 
-def change_scalars(model, s: TangentSample, orientation: float = 1.0) -> ChangeScalars:
+def _checked_scalars(sc: ChangeScalars, s: TangentSample) -> ChangeScalars:
+    """`sc`, once it passes the checks: raises OutsideHatDomain past the hat
+    fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2 carry
+    the margin in denominators)."""
+    _require_hat_domain(sc.F, sc.Phi, s)
+    if abs(sc.margin) <= MARGIN_EPS * sc.F:
+        raise DegenerateMargin(f"|margin| = {abs(sc.margin)} <= {MARGIN_EPS} * F")
+    return sc
+
+
+def change_scalars(model, s: TangentSample) -> ChangeScalars:
     """Phi, p^2, the non-degeneracy margin and the spray-change scalars f1, f2."""
-    return _checked_scalars(_scalar_values(model, s, orientation), s, orientation)
+    return _checked_scalars(_scalar_values(model, s), s)
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def predicted_angular(sc: ChangeScalars, md) -> np.ndarray:
 
 
 def predicted_spray(sc: ChangeScalars, sprayG: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ghat^i = G^i + (1/2) f1 y^i - (1/2) f2 phi^i (oriented phi)."""
+    """Ghat^i = G^i + (1/2) f1 y^i - (1/2) f2 phi^i."""
     return sprayG + 0.5 * sc.f1 * y - 0.5 * sc.f2 * sc.phi_up
 
 
@@ -212,9 +215,8 @@ def _as_jet(space, v):
 class ChangeJets:
     """Jets of the change scalars and predicted fields, sharing one base geometry."""
 
-    def __init__(self, geo: GeometryJets, orientation: float):
+    def __init__(self, geo: GeometryJets):
         self.geo = geo
-        self.orientation = float(orientation)
         self.n = geo.n
         self.space = geo.space
 
@@ -222,10 +224,7 @@ class ChangeJets:
     def phi_up_jets(self):
         n = self.n
         xs = self.geo.coords[:n]
-        return [
-            self.orientation * _as_jet(self.space, p(xs, None))
-            for p in self.geo.energy.model.phi_fns
-        ]
+        return [_as_jet(self.space, p(xs, None)) for p in self.geo.energy.model.phi_fns]
 
     @cached_property
     def phi_low_jets(self):
@@ -350,14 +349,13 @@ def predicted_berwald(cj: ChangeJets) -> np.ndarray:
     return berwald_from_njets(cj.nhat_pred_jets)
 
 
-def concurrency_obstruction(model, s: TangentSample,
-                            orientation: float = 1.0) -> np.ndarray:
+def concurrency_obstruction(model, s: TangentSample) -> np.ndarray:
     """Obstruction to phi staying concurrent for Fhat:
     O^i_j = [df1/dy^j - phi^k d2f2/dy^k dy^j] phi^i
             - (phi^k df1/dy^k) delta^i_j + (phi^k d2f1/dy^k dy^j) y^i.
     Generically nonzero; identically zero iff the change preserves concurrency."""
     geo = GeometryJets(model, s, 4, 0)
-    cj = ChangeJets(geo, orientation)
+    cj = ChangeJets(geo)
     n = model.dim
     ph = np.array([p.value for p in cj.phi_up_jets])
     df1 = np.array([cj.f1_jet.diff_y(j).value for j in range(n)])
@@ -417,25 +415,16 @@ class ChangeContext:
     """Per-sample inputs of the identity suites.  Each check builds the jets
     of the orders it needs; only the value-level data is shared."""
 
-    def __init__(self, model, s: TangentSample, orientation: float):
+    def __init__(self, model, s: TangentSample):
         self.model = model
         self.s = s
-        self.orientation = float(orientation)
-        self.hat_energy = HatEnergy(model, orientation)
+        self.hat_energy = HatEnergy(model)
 
     def hat(self, y: int, x: int) -> GeometryJets:
         return GeometryJets(self.hat_energy, self.s, y, x)
 
     def change_jets(self, y: int, x: int) -> ChangeJets:
-        return ChangeJets(GeometryJets(self.model, self.s, y, x), self.orientation)
-
-    @cached_property
-    def values(self) -> dict:
-        return _scalar_values(self.model, self.s, self.orientation)
-
-    @property
-    def md(self):
-        return self.values["md"]
+        return ChangeJets(GeometryJets(self.model, self.s, y, x))
 
     @cached_property
     def md_hat(self):
@@ -443,12 +432,12 @@ class ChangeContext:
 
     @cached_property
     def scalars(self) -> ChangeScalars:
-        return _checked_scalars(self.values, self.s, self.orientation)
+        return change_scalars(self.model, self.s)
 
 
 def _check_vertical(ctx: ChangeContext):
     sc = ctx.scalars
-    md = ctx.md
+    md = sc.md
     mdh = ctx.md_hat
     y = ctx.s.y
     cj3 = ctx.change_jets(3, 0)
@@ -498,7 +487,7 @@ def _check_horizontal(ctx: ChangeContext, with_curvature: bool):
 
 def _check_lemma(ctx: ChangeContext):
     sc = ctx.scalars
-    md = ctx.md
+    md = sc.md
     y = ctx.s.y
     n = ctx.model.dim
     cj = ctx.change_jets(3, 1)
@@ -545,12 +534,12 @@ def _check_lemma(ctx: ChangeContext):
     }
 
 
-def _run_suite(model, s_batch, orientation, check_fn, tolerances):
+def _run_suite(model, s_batch, check_fn, tolerances):
     accs = {}
     skipped = 0
     for s in s_batch:
         try:
-            ctx = ChangeContext(model, s, orientation)
+            ctx = ChangeContext(model, s)
             pairs = check_fn(ctx)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
@@ -564,13 +553,12 @@ def _run_suite(model, s_batch, orientation, check_fn, tolerances):
     return [accs[k].result(note) for k in sorted(accs)]
 
 
-def lemma_identity_suite(model, s_batch, orientation: float = 1.0):
+def lemma_identity_suite(model, s_batch):
     """Residuals of the concurrent-field derivative identities over a batch."""
-    return _run_suite(model, s_batch, orientation, _check_lemma, LEMMA_TOLERANCES)
+    return _run_suite(model, s_batch, _check_lemma, LEMMA_TOLERANCES)
 
 
-def change_identity_suite(model, s_batch, orientation: float = 1.0,
-                          with_curvature: bool = True):
+def change_identity_suite(model, s_batch, with_curvature: bool = True):
     """Predicted-vs-direct residuals for every transformation law over a batch."""
 
     def fn(ctx):
@@ -578,7 +566,7 @@ def change_identity_suite(model, s_batch, orientation: float = 1.0,
         pairs.update(_check_horizontal(ctx, with_curvature))
         return pairs
 
-    results = _run_suite(model, s_batch, orientation, fn, CHANGE_TOLERANCES)
+    results = _run_suite(model, s_batch, fn, CHANGE_TOLERANCES)
     results.append(IdentityResult(
         name="vertical-berwald-invariance", kind="structural", residual=0.0,
         n_samples=len(s_batch),
@@ -591,30 +579,32 @@ def change_identity_suite(model, s_batch, orientation: float = 1.0,
 def select_orientation(model, probe_batches: dict):
     """Pick the orientation whose total suite residual is smaller.
 
-    `probe_batches` maps +1.0/-1.0 to sample batches drawn under that
-    orientation's hat-domain predicate.  Returns (orientation, totals).
+    `probe_batches` maps +1.0/-1.0 to sample batches drawn under the
+    hat-domain predicate of `model.oriented` with that sign.  Returns
+    (orientation, totals).
     """
     totals = {}
     for orient, batch in probe_batches.items():
-        results = change_identity_suite(model, batch, orient, with_curvature=False)
-        results += lemma_identity_suite(model, batch, orient)
+        oriented = model.oriented(orient)
+        results = change_identity_suite(oriented, batch, with_curvature=False)
+        results += lemma_identity_suite(oriented, batch)
         totals[orient] = float(sum(
             min(r.residual, 1.0) for r in results if r.residual is not None))
     best = min(sorted(totals), key=lambda o: totals[o])
     return best, totals
 
 
-def _clear_of_hat_boundary(sc: dict) -> bool:
-    return sc["F"] - sc["Phi"] > HAT_GAP_FRACTION * sc["F"]
+def _clear_of_hat_boundary(sc: ChangeScalars) -> bool:
+    return sc.F - sc.Phi > HAT_GAP_FRACTION * sc.F
 
 
-def hat_sample_predicate(model, orientation: float):
+def hat_sample_predicate(model):
     """Sample filter for hat-side statistics: inside the hat domain with a
     relative gap to its boundary, and a healthy |margin|."""
 
     def ok(s: TangentSample) -> bool:
-        sc = _scalar_values(model, s, orientation)
-        return _clear_of_hat_boundary(sc) and abs(sc["margin"]) > HEALTHY_MARGIN * sc["F"]
+        sc = _scalar_values(model, s)
+        return _clear_of_hat_boundary(sc) and abs(sc.margin) > HEALTHY_MARGIN * sc.F
 
     return ok
 
@@ -639,16 +629,16 @@ class NondegeneracyScan:
         return not self.falsifying and not self.suspicious
 
 
-def nondegeneracy_scan(model, s_batch, orientation: float = 1.0) -> NondegeneracyScan:
+def nondegeneracy_scan(model, s_batch) -> NondegeneracyScan:
     falsifying = []
     suspicious = []
     min_m = math.inf
     min_d = math.inf
     n = model.dim
-    hat = HatEnergy(model, orientation)
+    hat = HatEnergy(model)
     count = 0
     for s in s_batch:
-        sc = _scalar_values(model, s, orientation)
+        sc = _scalar_values(model, s)
         if not _clear_of_hat_boundary(sc):
             continue
         count += 1
@@ -656,19 +646,19 @@ def nondegeneracy_scan(model, s_batch, orientation: float = 1.0) -> Nondegenerac
         det = float(np.linalg.det(ghat))
         scale = math.prod(max(abs(ghat[i, i]), 1e-300) for i in range(n)) ** (1.0 / n)
         rec = {"x": s.x.tolist(), "y": s.y.tolist(),
-               "margin": sc["margin"], "det": det}
-        min_m = min(min_m, abs(sc["margin"]))
+               "margin": sc.margin, "det": det}
+        min_m = min(min_m, abs(sc.margin))
         min_d = min(min_d, abs(det))
-        if abs(sc["margin"]) > HEALTHY_MARGIN * sc["F"] and abs(det) < 1e-10 * scale**n:
+        if abs(sc.margin) > HEALTHY_MARGIN * sc.F and abs(det) < 1e-10 * scale**n:
             falsifying.append(rec)
-        if abs(sc["margin"]) < 1e-6 * sc["F"] and abs(det) > 1e-6 * scale**n:
+        if abs(sc.margin) < 1e-6 * sc.F and abs(det) > 1e-6 * scale**n:
             suspicious.append(rec)
     return NondegeneracyScan(n_samples=count, falsifying=falsifying,
                              suspicious=suspicious,
                              min_abs_margin=min_m, min_abs_det=min_d)
 
 
-def margin_ray_scan(model, x, orientation: float = 1.0, det_targets=(1e-6, 0.5)):
+def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
     """Sweep unit directions y(theta) at a fixed base point (dim 2 only),
     root-find a margin zero, and sample |det ghat| at prescribed |margin| levels.
 
@@ -678,13 +668,13 @@ def margin_ray_scan(model, x, orientation: float = 1.0, det_targets=(1e-6, 0.5))
         raise ValueError("the ray scan is implemented for dim-2 models")
     x = np.asarray(x, dtype=float)
 
-    hat = HatEnergy(model, orientation)
+    hat = HatEnergy(model)
 
     def sample(theta):
         return make_sample(model, x, np.array([math.cos(theta), math.sin(theta)]))
 
     def margin_at(theta):
-        return _scalar_values(model, sample(theta), orientation)["margin"]
+        return _scalar_values(model, sample(theta)).margin
 
     def det_at(theta):
         return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric()))
@@ -751,19 +741,18 @@ class ProjectiveReport:
         return self.n_checked == 0 or self.min_ratio > self.threshold
 
 
-def projective_check(model, s_batch, orientation: float = 1.0) -> ProjectiveReport:
+def projective_check(model, s_batch) -> ProjectiveReport:
     checked = 0
     parallel = 0
     degenerate = 0
     min_ratio = math.inf
     for s in s_batch:
-        values = _scalar_values(model, s, orientation)
-        md = values["md"]
         try:
-            sc = _checked_scalars(values, s, orientation)
+            sc = change_scalars(model, s)
         except (OutsideHatDomain, DegenerateMargin):
             degenerate += 1
             continue
+        md = sc.md
         v = 0.5 * sc.f2 * sc.phi_up
         nv = math.sqrt(abs(float(v @ md.g @ v)))
         if nv < 1e-14:
@@ -782,7 +771,7 @@ def projective_check(model, s_batch, orientation: float = 1.0) -> ProjectiveRepo
                             min_ratio=min_ratio if checked else math.inf)
 
 
-def rational_decomposition_check(model, s_batch, orientation: float = 1.0):
+def rational_decomposition_check(model, s_batch):
     """Residuals of the factored forms theta*a = g and theta_hat*a_hat = ghat.
 
     The base factorization requires shipped closed forms for the model; the
@@ -804,13 +793,13 @@ def rational_decomposition_check(model, s_batch, orientation: float = 1.0):
     acc_hat = PairAccumulator("rational-decomposition-hat", 1e-9)
     skipped = 0
     for s in s_batch:
-        values = _scalar_values(model, s, orientation)
-        md = values["md"]
+        sc = _scalar_values(model, s)
+        md = sc.md
         theta, a = base_forms(s.x, s.y)
         acc_base.add(s, theta * a, md.g)
         try:
-            sc = _checked_scalars(values, s, orientation)
-            mdh = metric_data(HatEnergy(model, orientation), s)
+            _checked_scalars(sc, s)
+            mdh = metric_data(HatEnergy(model), s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue

@@ -28,7 +28,7 @@ def _report(num, ok, detail):
 def _batch(model, count, stream, orientation=None):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, stream])))
     pred = None if orientation is None else \
-        matsumoto.hat_sample_predicate(model, orientation)
+        matsumoto.hat_sample_predicate(model.oriented(orientation))
     return sample_batch(model, models.default_box(model), count, rng,
                         predicate=pred)[0]
 
@@ -79,7 +79,7 @@ def test_criterion_03_master_change_suite_flat_model():
     """Every transformation law on the flat companion at the definition-
     consistent orientation, 100 samples with |margin| > 0.1 F, <= 1e-6."""
     batch = _batch(EU, 100, 104, orientation=+1.0)
-    results = matsumoto.change_identity_suite(EU, batch, +1.0)
+    results = matsumoto.change_identity_suite(EU.oriented(+1), batch)
     laws = ["supporting-form-change", "angular-metric-change", "metric-change",
             "cartan-torsion-change", "spray-change",
             "nonlinear-connection-change", "berwald-change", "curvature-change"]
@@ -114,12 +114,12 @@ def test_criterion_05_nondegeneracy_theorem():
     """A margin zero exists on a ray with 0.5 < |x| < 1; |det ghat| collapses
     by >= 1e3 from margin 0.5 to margin 1e-6; healthy margins keep healthy
     determinants."""
-    scan = matsumoto.margin_ray_scan(EU, [0.8, 0.0], +1.0)
+    scan = matsumoto.margin_ray_scan(EU.oriented(+1), [0.8, 0.0])
     ratio = math.inf
     if scan is not None:
         ratio = abs(scan["levels"][1e-6]["det"]) / abs(scan["levels"][0.5]["det"])
     batch = _batch(EU, 50, 105)
-    census = matsumoto.nondegeneracy_scan(EU, batch, +1.0)
+    census = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
     ok = scan is not None and ratio <= 1e-3 and not census.falsifying
     _report(5, ok,
             f"theta* = {scan['theta_star']:.6f}, det collapse ratio {ratio:.3e} "
@@ -128,8 +128,8 @@ def test_criterion_05_nondegeneracy_theorem():
 
 def test_criterion_06_projective_impossibility():
     """Non-radial part of the spray change stays g-orthogonal to y (> 1e-8)."""
-    rep_ex = matsumoto.projective_check(EX, _batch(EX, 50, 106, -1.0), -1.0)
-    rep_eu = matsumoto.projective_check(EU, _batch(EU, 50, 107, +1.0), +1.0)
+    rep_ex = matsumoto.projective_check(EX.oriented(-1), _batch(EX, 50, 106, -1.0))
+    rep_eu = matsumoto.projective_check(EU.oriented(+1), _batch(EU, 50, 107, +1.0))
     ok = (rep_ex.ok and rep_eu.ok
           and rep_ex.min_ratio > 1e-8 and rep_eu.min_ratio > 1e-8)
     _report(6, ok,
@@ -142,7 +142,7 @@ def test_criterion_07_lemma_suite():
     worst = 0.0
     for model, orient, stream in ((EU, +1.0, 108), (EX, -1.0, 109)):
         batch = _batch(model, 100, stream, orient)
-        for r in matsumoto.lemma_identity_suite(model, batch, orient):
+        for r in matsumoto.lemma_identity_suite(model.oriented(orient), batch):
             worst = max(worst, r.residual)
     _report(7, worst <= 1e-8, f"worst lemma residual {worst:.3e} (tol 1e-8)")
 
@@ -151,7 +151,7 @@ def test_criterion_08_rational_decompositions():
     """theta*a = g and theta_hat*a_hat = ghat, <= 1e-9 at 30 samples."""
     batch = _batch(EX, 30, 110, -1.0)
     res = {r.name: r.residual
-           for r in matsumoto.rational_decomposition_check(EX, batch, -1.0)}
+           for r in matsumoto.rational_decomposition_check(EX.oriented(-1), batch)}
     worst = max(res.values())
     _report(8, worst <= 1e-9,
             f"base {res['rational-decomposition-base']:.3e}, "
@@ -171,9 +171,9 @@ def test_criterion_09_numerical_hygiene():
     e0 = core.make_sample(EU, [0.2, 0.1], [1.0, 0.3])
     for name, energy, s0 in (
         ("example-base", EX, p0),
-        ("example-hat", HatEnergy(EX, -1.0), p0),
+        ("example-hat", HatEnergy(EX.oriented(-1)), p0),
         ("flat-base", EU, e0),
-        ("flat-hat", HatEnergy(EU, +1.0), e0),
+        ("flat-hat", HatEnergy(EU.oriented(+1)), e0),
     ):
         traj = connections.integrate_geodesic(energy, s0, 1.0, 1e-3)
         assert not traj.escaped and traj.t[-1] == pytest.approx(1.0)

@@ -143,6 +143,37 @@ def test_verify_rejects_sample_counts_below_one(count, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--model", "euclid_concurrent", "--samples", "1", "--seed=-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_non_finite_or_negative_tolerance(value, capsys):
+    item = f"metric-change={value}"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--model", "euclid_concurrent", "--samples", "1",
+             "--tolerance", item])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err and item in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["inspect", "--x", "0,0", "--y", "1,0", "--format", "csv"],
+                 id="inspect-csv"),
+    pytest.param(["geodesic", "--x", "0,0", "--y", "1,0", "--format", "json"],
+                 id="geodesic-format"),
+])
+def test_format_only_where_it_applies(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0], "--model", "euclid_concurrent", *argv[1:]])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
     code = run(["verify", "--model", "euclid_concurrent", "--samples", "8",
                 "--seed", "3", "--format", "json", "--out", str(tmp_path / "rep.json"),

@@ -150,13 +150,42 @@ def test_model_expressions_are_lowered_once(monkeypatch):
     from finslerlab.numkit import jet_space
 
     m = models.builtin_model("matsumoto_example")
+    hat = HatEnergy(m.oriented(-1))
     calls = []
     real_lower = expr.lower
     monkeypatch.setattr(expr, "lower", lambda *a: calls.append(a) or real_lower(*a))
     s = core.make_sample(m, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     core.metric_data(m, s)
-    HatEnergy(m, -1.0).energy_jet(s, jet_space(3, 3, 1))
+    hat.energy_jet(s, jet_space(3, 3, 1))
     assert calls == []
+
+
+def test_oriented_negates_phi_and_nothing_else():
+    import numpy as np
+    from finslerlab import models
+    from finslerlab.numkit import Jet, jet_space
+
+    m = models.builtin_model("matsumoto_example")
+    assert m.oriented(+1) is m
+    neg = m.oriented(-1)
+    x, y = [1.2, -0.3, 0.8], [1.0, 0.6, 1.4]
+    coords = jet_space(3, 2, 2).lift(x, y)
+
+    def values(model):
+        phis = [p(x, None) for p in model.phi_fns]
+        jets = [p(coords[:3], None) for p in model.phi_fns]
+        jets = [v.coeffs if isinstance(v, Jet) else np.array([v]) for v in jets]
+        return phis, jets
+
+    phis, jets = values(m)
+    neg_phis, neg_jets = values(neg)
+    assert neg_phis == [-v for v in phis]
+    assert all(np.array_equal(a, -b) for a, b in zip(neg_jets, jets))
+    assert neg.F2_fn(x, y) == m.F2_fn(x, y)
+    assert [c(x, y) for c in neg.domain_fns] == [c(x, y) for c in m.domain_fns]
+    assert values(neg.oriented(-1))[0] == phis
+    with pytest.raises(ValueError):
+        m.oriented(0.5)
 
 
 def test_undeclared_parameter_rejected():

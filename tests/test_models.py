@@ -47,7 +47,7 @@ def _engine_value(model, fx, name):
         return connections.spray(model, s)[int(name[1]) - 1]
     if name in ("Phi", "p2", "margin"):
         from finslerlab.matsumoto import change_scalars
-        sc = change_scalars(model, s, +1.0)
+        sc = change_scalars(model.oriented(+1), s)
         return getattr(sc, {"Phi": "Phi", "p2": "p2", "margin": "margin"}[name])
     if name == "theta" or name.startswith("a"):
         theta, a = models.decomposition_forms(model)(np.array(fx.x), np.array(fx.y))
