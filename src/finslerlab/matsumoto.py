@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -411,41 +411,28 @@ LEMMA_TOLERANCES = {
 }
 
 
-class ChangeContext:
-    """Per-sample inputs of the identity suites.  Each check builds the jets
-    of the orders it needs; only the value-level data is shared."""
+def _check_change(model, s: TangentSample, with_curvature: bool):
+    """Predicted-vs-direct pairs of every transformation law at one sample.
 
-    def __init__(self, model, s: TangentSample):
-        self.model = model
-        self.s = s
-        self.hat_energy = HatEnergy(model)
-
-    def hat(self, y: int, x: int) -> GeometryJets:
-        return GeometryJets(self.hat_energy, self.s, y, x)
-
-    def change_jets(self, y: int, x: int) -> ChangeJets:
-        return ChangeJets(GeometryJets(self.model, self.s, y, x))
-
-    @cached_property
-    def md_hat(self):
-        return metric_data(self.hat_energy, self.s)
-
-    @cached_property
-    def scalars(self) -> ChangeScalars:
-        return change_scalars(self.model, self.s)
-
-
-def _check_vertical(ctx: ChangeContext):
-    sc = ctx.scalars
+    One base geometry (with its change jets) and one hat geometry, both at
+    order (4, 2) with curvature and (4, 1) without, feed every law."""
+    sc = change_scalars(model, s)
     md = sc.md
-    mdh = ctx.md_hat
-    y = ctx.s.y
-    cj3 = ctx.change_jets(3, 0)
+    y = s.y
+    n = model.dim
+    order = (4, 2 if with_curvature else 1)
+    cj = ChangeJets(GeometryJets(model, s, *order))
+    geo_hat = GeometryJets(HatEnergy(model), s, *order)
+    mdh = metric_data(geo_hat.energy, s)
+
     ellhat = predicted_supporting_form(sc, md)
     ghat = predicted_metric(sc, md)
     hhat = predicted_angular(sc, md)
-    return {
-        "concurrent-form-two-routes": ([cj3.Phi_jet.value], [sc.Phi]),
+    nhat_formula = predicted_nonlinear_connection(cj)
+    nhat_from_spray = np.array(
+        [[cj.spray_pred_jets[i].diff_y(j).value for j in range(n)] for i in range(n)])
+    out = {
+        "concurrent-form-two-routes": ([cj.Phi_jet.value], [sc.Phi]),
         "supporting-form-pairing-of-phi": ([float(md.ell @ sc.phi_up)], [sc.Phi / sc.F]),
         "supporting-form-change": (ellhat, mdh.ell),
         "supporting-form-normalization": ([float(ellhat @ y)], [sc.Fhat]),
@@ -454,27 +441,8 @@ def _check_vertical(ctx: ChangeContext):
         "angular-metric-change": (hhat, mdh.hbar),
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
         "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
-        "cartan-torsion-change": (predicted_cartan(cj3), mdh.cartanC),
-    }
-
-
-def _check_horizontal(ctx: ChangeContext, with_curvature: bool):
-    sc = ctx.scalars
-    y = ctx.s.y
-    n = ctx.model.dim
-    cfg = (4, 2) if with_curvature else (4, 1)
-    cj = ctx.change_jets(*cfg)
-    geo_hat = ctx.hat(*cfg)
-
-    spray_pred = predicted_spray(sc, cj.geo.spray(), y)
-    spray_dir = geo_hat.spray()
-
-    nhat_formula = predicted_nonlinear_connection(cj)
-    nhat_from_spray = np.array(
-        [[cj.spray_pred_jets[i].diff_y(j).value for j in range(n)] for i in range(n)])
-
-    out = {
-        "spray-change": (spray_pred, spray_dir),
+        "cartan-torsion-change": (predicted_cartan(cj), mdh.cartanC),
+        "spray-change": (predicted_spray(sc, cj.geo.spray(), y), geo_hat.spray()),
         "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),
         "berwald-change": (predicted_berwald(cj), geo_hat.berwald()),
@@ -485,12 +453,12 @@ def _check_horizontal(ctx: ChangeContext, with_curvature: bool):
     return out
 
 
-def _check_lemma(ctx: ChangeContext):
-    sc = ctx.scalars
+def _check_lemma(model, s: TangentSample):
+    sc = change_scalars(model, s)
     md = sc.md
-    y = ctx.s.y
-    n = ctx.model.dim
-    cj = ctx.change_jets(3, 1)
+    y = s.y
+    n = model.dim
+    cj = ChangeJets(GeometryJets(model, s, 3, 1))
     geo = cj.geo
     N = geo.nonlinear()
     G = geo.spray()
@@ -539,8 +507,7 @@ def _run_suite(model, s_batch, check_fn, tolerances):
     skipped = 0
     for s in s_batch:
         try:
-            ctx = ChangeContext(model, s)
-            pairs = check_fn(ctx)
+            pairs = check_fn(model, s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -560,13 +527,8 @@ def lemma_identity_suite(model, s_batch):
 
 def change_identity_suite(model, s_batch, with_curvature: bool = True):
     """Predicted-vs-direct residuals for every transformation law over a batch."""
-
-    def fn(ctx):
-        pairs = _check_vertical(ctx)
-        pairs.update(_check_horizontal(ctx, with_curvature))
-        return pairs
-
-    results = _run_suite(model, s_batch, fn, CHANGE_TOLERANCES)
+    check = partial(_check_change, with_curvature=with_curvature)
+    results = _run_suite(model, s_batch, check, CHANGE_TOLERANCES)
     results.append(IdentityResult(
         name="vertical-berwald-invariance", kind="structural", residual=0.0,
         n_samples=len(s_batch),
