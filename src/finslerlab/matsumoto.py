@@ -199,6 +199,21 @@ def predicted_angular(sc: ChangeScalars, md) -> np.ndarray:
             + d * (np.outer(pl, el) + np.outer(el, pl)))
 
 
+def predicted_cartan(sc: ChangeScalars, md) -> np.ndarray:
+    """Chat_ijk = a C_ijk + F^2 (F - 4 Phi) / (2 (F - Phi)^4) sigma(hbar_ij m_k)
+    + 6 F^4 / (F - Phi)^5 m_i m_j m_k, with m = phi_low - (Phi/F) ell,
+    a = F^2 (F - 2 Phi) / (F - Phi)^3 and sigma the cyclic sum over (i, j, k):
+    Shibata's beta-change form, valid because phi_low is y-independent."""
+    F, P = sc.F, sc.Phi
+    a = F**2 * (F - 2 * P) / (F - P) ** 3
+    b = F**2 * (F - 4 * P) / (2 * (F - P) ** 4)
+    c = 6 * F**4 / (F - P) ** 5
+    m = sc.phi_low - (P / F) * md.ell
+    hm = np.einsum("ij,k->ijk", md.hbar, m)
+    return (a * md.cartanC + b * (hm + hm.transpose(1, 2, 0) + hm.transpose(2, 0, 1))
+            + c * np.einsum("i,j,k->ijk", m, m, m))
+
+
 def predicted_spray(sc: ChangeScalars, sprayG: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ghat^i = G^i + (1/2) f1 y^i - (1/2) f2 phi^i."""
     return sprayG + 0.5 * sc.f1 * y - 0.5 * sc.f2 * sc.phi_up
@@ -248,10 +263,6 @@ class ChangeJets:
         return (2.0 * self.geo.E).sqrt()
 
     @cached_property
-    def ell_jets(self):
-        return [self.F_jet.diff_y(i) for i in range(self.n)]
-
-    @cached_property
     def p2_jet(self):
         acc = self.space.zero()
         for i in range(self.n):
@@ -269,28 +280,6 @@ class ChangeJets:
     @cached_property
     def f2_jet(self):
         return 2.0 * self.F_jet**3 / self.margin_jet
-
-    @cached_property
-    def ghat_pred_jets(self):
-        F, P = self.F_jet, self.Phi_jet
-        FmP = F - P
-        inv3 = 1.0 / (FmP * FmP * FmP)
-        inv4 = inv3 / FmP
-        a = F * F * (F - 2.0 * P) * inv3
-        b = 3.0 * F**4 * inv4
-        c = F * F * P * (4.0 * P - F) * inv4
-        d = F**3 * (F - 4.0 * P) * inv4
-        g = self.geo.g_jets
-        pl, el = self.phi_low_jets, self.ell_jets
-        n = self.n
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = out[j][i] = (
-                    a * g[i][j] + b * pl[i] * pl[j] + c * el[i] * el[j]
-                    + d * (pl[i] * el[j] + pl[j] * el[i])
-                )
-        return out
 
     @cached_property
     def spray_pred_jets(self):
@@ -322,20 +311,6 @@ class ChangeJets:
 # --------------------------------------------------------------------------
 # predicted laws that need jets
 # --------------------------------------------------------------------------
-
-def predicted_cartan(cj: ChangeJets) -> np.ndarray:
-    """That_ijk = (1/2) d(ghat_pred_ij)/dy^k with the coefficient scalars
-    differentiated exactly (as jets) rather than expanded by hand; needs base
-    jets of order (3, 0)."""
-    n = cj.n
-    gh = cj.ghat_pred_jets
-    T = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                T[i, j, k] = T[j, i, k] = 0.5 * gh[i][j].diff_y(k).value
-    return T
-
 
 def predicted_nonlinear_connection(cj: ChangeJets) -> np.ndarray:
     """Nhat^i_j from the closed-form law; needs base jets of order (3, 1)."""
@@ -441,7 +416,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         "angular-metric-change": (hhat, mdh.hbar),
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
         "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
-        "cartan-torsion-change": (predicted_cartan(cj), mdh.cartanC),
+        "cartan-torsion-change": (predicted_cartan(sc, md), mdh.cartanC),
         "spray-change": (predicted_spray(sc, cj.geo.spray(), y), geo_hat.spray()),
         "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),

@@ -122,10 +122,12 @@ def test_predicted_metric_vs_hessian_euclid_batch():
 
 def test_predicted_cartan_torsion():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    T = matsumoto.predicted_cartan(_change_jets(EU, s, +1.0, 3, 0))
+    sc = change_scalars(EU.oriented(+1), s)
+    T = matsumoto.predicted_cartan(sc, sc.md)
     assert np.allclose(T, 0.0, atol=1e-13)  # flat space, phi = 0 there
 
-    T = matsumoto.predicted_cartan(_change_jets(EX, P0, -1.0, 3, 0))
+    sc = change_scalars(EX.oriented(-1), P0)
+    T = matsumoto.predicted_cartan(sc, sc.md)
     for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(T - np.transpose(T, perm))) <= 1e-9 * max(
             1.0, np.max(np.abs(T)))
