@@ -29,15 +29,10 @@ __all__ = [
     "CovariantReport",
     "GeometryJets",
     "Trajectory",
-    "barthel_curvature",
-    "berwald_coeffs",
     "berwald_from_njets",
-    "cartan_hcoeffs",
     "concurrency_probe",
     "curvature_from_njets",
     "integrate_geodesic",
-    "nonlinear_connection",
-    "spray",
     "spray_system",
 ]
 
@@ -183,26 +178,6 @@ def curvature_from_njets(N_jets) -> np.ndarray:
     # delta[j, i, k] = delta_j N^i_k
     delta = np.einsum("ikj->jik", dxN) - np.einsum("mj,ikm->jik", N, dyN)
     return np.transpose(delta, (1, 0, 2)) - np.transpose(delta, (1, 2, 0))
-
-
-def spray(model, s: TangentSample) -> np.ndarray:
-    return GeometryJets(model, s, 2, 1).spray()
-
-
-def nonlinear_connection(model, s: TangentSample) -> np.ndarray:
-    return GeometryJets(model, s, 3, 1).nonlinear()
-
-
-def berwald_coeffs(model, s: TangentSample) -> np.ndarray:
-    return GeometryJets(model, s, 4, 1).berwald()
-
-
-def barthel_curvature(model, s: TangentSample) -> np.ndarray:
-    return GeometryJets(model, s, 4, 2).curvature()
-
-
-def cartan_hcoeffs(model, s: TangentSample) -> np.ndarray:
-    return GeometryJets(model, s, 3, 1).cartan()
 
 
 # --------------------------------------------------------------------------

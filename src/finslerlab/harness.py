@@ -473,7 +473,7 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
             "phi_low": sc.phi_low.tolist(),
             "ghat": hat_md.g.tolist(),
             "det_ghat": hat_md.det_g,
-            "spray_hat": connections.spray(hat, s).tolist(),
+            "spray_hat": connections.GeometryJets(hat, s, 2, 1).spray().tolist(),
         }
     except Exception as e:  # noqa: BLE001 - inspection should degrade, not die
         out["change"] = {"error": f"{type(e).__name__}: {e}"}

@@ -40,8 +40,8 @@ def test_criterion_01_example_reproduction():
     for s in batch:
         comp = models._example_components(s.x, s.y)
         md = metric_data(EX, s)
-        G = connections.spray(EX, s)
-        gamma = connections.cartan_hcoeffs(EX, s)
+        G = connections.GeometryJets(EX, s, 2, 1).spray()
+        gamma = connections.GeometryJets(EX, s, 3, 1).cartan()
         pairs = []
         for (i, j) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
             pairs.append((md.g[i, j], comp[f"g{i+1}{j+1}"]))

@@ -26,22 +26,23 @@ def _closed_form_spray(x, y):
 
 
 def test_spray_example_p0_and_generic_point():
-    assert np.allclose(connections.spray(EX, P0), [0.0, 1.0, -4.5], atol=1e-12)
+    assert np.allclose(connections.GeometryJets(EX, P0, 2, 1).spray(), [0.0, 1.0, -4.5],
+                       atol=1e-12)
     for s in (P0, PA):
-        got = connections.spray(EX, s)
+        got = connections.GeometryJets(EX, s, 2, 1).spray()
         want = _closed_form_spray(s.x, s.y)
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_spray_euclidean_vanishes():
     s = core.make_sample(EU, [0.4, -0.2], [1.0, 0.7])
-    assert np.allclose(connections.spray(EU, s), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 2, 1).spray(), 0.0, atol=1e-14)
 
 
 def test_spray_degree_two_homogeneity():
     s2 = core.make_sample(EX, P0.x, 2.0 * P0.y)
-    G1 = connections.spray(EX, P0)
-    G2 = connections.spray(EX, s2)
+    G1 = connections.GeometryJets(EX, P0, 2, 1).spray()
+    G2 = connections.GeometryJets(EX, s2, 2, 1).spray()
     assert np.max(np.abs(G2 - 4.0 * G1)) <= 1e-9 * max(1.0, np.max(np.abs(G2)))
 
 
@@ -49,36 +50,36 @@ def test_spray_defining_linear_system():
     md = core.metric_data(EX, PA)
     geo = connections.GeometryJets(EX, PA, 2, 1)
     rhs = connections.spray_system(geo.E, PA.y)
-    lhs = md.g @ (2.0 * connections.spray(EX, PA))
+    lhs = md.g @ (2.0 * connections.GeometryJets(EX, PA, 2, 1).spray())
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_nonlinear_connection_euler_and_sparsity():
-    N = connections.nonlinear_connection(EX, P0)
-    G = connections.spray(EX, P0)
+    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear()
+    G = connections.GeometryJets(EX, P0, 2, 1).spray()
     assert np.allclose(N @ P0.y, 2.0 * G, atol=1e-9)
     assert np.allclose(N @ P0.y, [0.0, 2.0, -9.0], atol=1e-9)
     assert N[2, 2] == pytest.approx(0.0, abs=1e-12)  # G3 has no y3 dependence
     s = core.make_sample(EU, [0.3, 0.0], [1.0, 0.2])
-    assert np.allclose(connections.nonlinear_connection(EU, s), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).nonlinear(), 0.0, atol=1e-14)
 
 
 def test_berwald_symmetry_and_contraction():
-    Bw = connections.berwald_coeffs(EX, P0)
+    Bw = connections.GeometryJets(EX, P0, 4, 1).berwald()
     assert np.max(np.abs(Bw - np.transpose(Bw, (0, 2, 1)))) <= 1e-10
-    N = connections.nonlinear_connection(EX, P0)
+    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear()
     assert np.max(np.abs(np.einsum("ijk,k->ij", Bw, P0.y) - N)) \
         <= 1e-9 * max(1.0, np.max(np.abs(N)))
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.berwald_coeffs(EU, s), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 4, 1).berwald(), 0.0, atol=1e-14)
 
 
 def test_curvature_antisymmetry_and_flat_space():
-    R = connections.barthel_curvature(EX, P0)
+    R = connections.GeometryJets(EX, P0, 4, 2).curvature()
     assert np.max(np.abs(R + np.transpose(R, (0, 2, 1)))) <= 1e-10 * max(
         1.0, np.max(np.abs(R)))
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.barthel_curvature(EU, s), 0.0, atol=1e-13)
+    assert np.allclose(connections.GeometryJets(EU, s, 4, 2).curvature(), 0.0, atol=1e-13)
 
 
 def test_horizontal_derivative_of_n_against_finite_differences():
@@ -91,7 +92,7 @@ def test_horizontal_derivative_of_n_against_finite_differences():
     def N_component(i, k, j):
         def f(x, y):
             s = core.make_sample(EX, x, y)
-            return connections.nonlinear_connection(EX, s)[i, k]
+            return connections.GeometryJets(EX, s, 3, 1).nonlinear()[i, k]
         mi = [0] * 6
         mi[j] = 1
         return fd_derivative(f, PA.x, PA.y, mi, step_scale=0.1)
@@ -105,14 +106,14 @@ def test_horizontal_derivative_of_n_against_finite_differences():
 
 def test_cartan_coefficients_fixtures_and_compatibility():
     for s in (P0, PA):
-        gamma = connections.cartan_hcoeffs(EX, s)
+        gamma = connections.GeometryJets(EX, s, 3, 1).cartan()
         x3 = s.x[2]
         assert gamma[0, 0, 2] == pytest.approx(1.0 / x3, rel=1e-10)
         assert gamma[1, 1, 2] == pytest.approx(1.0 / x3, rel=1e-10)
         assert gamma[2, 2, 2] == pytest.approx(0.0, abs=1e-10)
         assert np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1)))) <= 1e-10
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.cartan_hcoeffs(EU, s), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).cartan(), 0.0, atol=1e-14)
 
 
 def test_cartan_metric_compatibility():

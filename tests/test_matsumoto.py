@@ -138,7 +138,7 @@ def test_predicted_cartan_torsion():
 def test_predicted_spray_p0_frozen_values_and_direct_oracle():
     # orientation +1 arithmetic (printed-sign scalars)
     sc = change_scalars(EX.oriented(+1), P0)
-    G = connections.spray(EX, P0)
+    G = connections.GeometryJets(EX, P0, 2, 1).spray()
     got = matsumoto.predicted_spray(sc, G, P0.y)
     want = np.array([0.5 * P0_F1, 1.0 + 0.5 * P0_F1, -4.5 + 0.5 * P0_F1 - 0.5 * P0_F2])
     assert np.allclose(got, want, atol=1e-12)
@@ -146,7 +146,7 @@ def test_predicted_spray_p0_frozen_values_and_direct_oracle():
     # the direct cross-check holds under the harness-selected orientation (-1)
     sc = change_scalars(EX.oriented(-1), P0)
     pred = matsumoto.predicted_spray(sc, G, P0.y)
-    direct = connections.spray(HatEnergy(EX.oriented(-1)), P0)
+    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 2, 1).spray()
     assert np.max(np.abs(pred - direct)) <= 1e-6 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -164,7 +164,7 @@ def test_predicted_nonlinear_connection_consistency_and_oracle():
     from_spray = np.array([[cj.spray_pred_jets[i].diff_y(j).value
                             for j in range(3)] for i in range(3)])
     assert np.max(np.abs(nhat - from_spray)) <= 1e-9 * max(1.0, np.max(np.abs(nhat)))
-    direct = connections.nonlinear_connection(HatEnergy(EX.oriented(-1)), P0)
+    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 3, 1).nonlinear()
     assert np.max(np.abs(nhat - direct)) <= 1e-6 * max(1.0, np.max(np.abs(direct)))
 
 

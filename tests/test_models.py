@@ -42,9 +42,9 @@ def _engine_value(model, fx, name):
         return metric_data(model, s).cartanC[i, j, k]
     if name.startswith("Gamma"):
         i, j, k = (int(c) - 1 for c in name[5:])
-        return connections.cartan_hcoeffs(model, s)[i, j, k]
+        return connections.GeometryJets(model, s, 3, 1).cartan()[i, j, k]
     if name.startswith("G"):
-        return connections.spray(model, s)[int(name[1]) - 1]
+        return connections.GeometryJets(model, s, 2, 1).spray()[int(name[1]) - 1]
     if name in ("Phi", "p2", "margin"):
         from finslerlab.matsumoto import change_scalars
         sc = change_scalars(model.oriented(+1), s)
