@@ -6,7 +6,8 @@
                         [--orientation auto|+1|-1] [--format json|csv|table]
                         [--box lo:hi,...] [--tolerance NAME=V] [--out PATH]
     finslerlab geodesic --model <path|name> --x ... --y ... [--t-end T] [--step H]
-                        [--which base|hat] [--orientation +1] [--out PATH]
+                        [--which base | --which hat [--orientation +1|-1]]
+                        [--out PATH]
 
 Exit codes: 0 pass, 1 identity failure, 2 domain error, 3 parse/model error.
 """
@@ -121,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p_geo.add_argument("--step", type=float, default=1e-3)
     p_geo.add_argument("--which", default="base", choices=("base", "hat"))
-    p_geo.add_argument("--orientation", default="+1", choices=("+1", "-1"))
+    p_geo.add_argument("--orientation", choices=("+1", "-1"),
+                       help="sign of phi for --which hat (default +1)")
 
     return ap
 
@@ -195,7 +197,7 @@ def cmd_geodesic(ns) -> int:
     model = models.load_model(ns.model)
     s0 = make_sample(model, ns.x, ns.y)
     if ns.which == "hat":
-        orientation = 1.0 if ns.orientation == "+1" else -1.0
+        orientation = -1.0 if ns.orientation == "-1" else 1.0
         energy = matsumoto.HatEnergy(model.oriented(orientation))
     else:
         energy = model
@@ -209,7 +211,10 @@ def cmd_geodesic(ns) -> int:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ap = build_parser()
+    ns = ap.parse_args(argv)
+    if ns.command == "geodesic" and ns.which == "base" and ns.orientation is not None:
+        ap.error("--orientation applies only to --which hat")
     try:
         if ns.command == "inspect":
             return cmd_inspect(ns)

@@ -225,6 +225,15 @@ def test_geodesic_cli_hat_route(tmp_path):
     assert max(abs(v - F[0]) for v in F) / F[0] <= 1e-6
 
 
+def test_geodesic_rejects_orientation_for_base_flow(capsys):
+    """The base flow does not read phi, so a sign for it is refused, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        run(["geodesic", "--model", "euclid_concurrent", "--x=0.3,-0.2", "--y=1.1,0.7",
+             "--which", "base", "--orientation=-1"])
+    assert exc.value.code == 2
+    assert "--orientation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, named", [
     pytest.param(["--step", "0"], "step", id="zero-step"),
     pytest.param(["--step", "inf"], "step", id="inf-step"),
