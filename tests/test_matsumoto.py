@@ -1,11 +1,12 @@
 """The metric change: scalars, predicted laws vs direct recomputation, scans."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerlab import connections, core, expr, matsumoto, models
+from finslerlab import connections, core, expr, harness, matsumoto, models
 from finslerlab.core import metric_data, sample_batch
 from finslerlab.errors import DegenerateMargin, OutsideHatDomain
 from finslerlab.matsumoto import HatEnergy, change_scalars
@@ -14,6 +15,9 @@ from finslerlab.numkit import fd_derivative
 EX = models.builtin_model("matsumoto_example")
 EU = models.builtin_model("euclid_concurrent")
 P0 = core.make_sample(EX, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+# negative control: horizontally but not vertically concurrent
+RANDERS = models.load_model(
+    str(Path(__file__).parent / "data" / "randers_not_concurrent.fmod"))
 
 # frozen closed-form values at P0, orientation +1 (plain float arithmetic):
 # F = sqrt(10), Phi = x3 y3 = 1, p2 = x3^2 = 1, margin = 3 (sqrt(10) - 1)
@@ -345,6 +349,58 @@ def test_master_change_suite_euclid():
     for r in matsumoto.change_identity_suite(EU.oriented(+1), batch):
         if r.kind == "identity":
             assert r.residual <= min(r.tolerance, 1e-6), (r.name, r.residual)
+
+
+def test_negative_control_fails_vertical_concurrency():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 26])))
+    batch, _ = sample_batch(RANDERS, models.default_box(RANDERS), 8, rng)
+    results, _ = harness.run_core_suite(RANDERS, batch)
+    res = {r.name: r for r in results}
+    assert res["concurrency-vertical-contraction"].passed is False
+
+
+@pytest.mark.parametrize("orient", [+1.0, -1.0])
+def test_negative_control_fails_cartan_law(orient):
+    """The closed-form Cartan law assumes phi^k C_kij = 0; without it the law fails."""
+    batch = _batch(RANDERS, orient, 8, 27 + int(orient > 0))
+    res = {r.name: r for r in
+           matsumoto.change_identity_suite(RANDERS.oriented(orient), batch)}
+    assert res["cartan-torsion-change"].passed is False
+
+
+@pytest.mark.parametrize("helper, identity", [
+    ("predicted_supporting_form", "supporting-form-change"),
+    ("predicted_metric", "metric-change"),
+    ("predicted_angular", "angular-metric-change"),
+    ("predicted_cartan", "cartan-torsion-change"),
+    ("predicted_spray", "spray-change"),
+    ("predicted_nonlinear_connection", "nonlinear-connection-change"),
+    ("predicted_berwald", "berwald-change"),
+])
+def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
+    """Each predicted law feeds its identity: scaled by 1 + 1e-3, it fails."""
+    original = getattr(matsumoto, helper)
+    monkeypatch.setattr(matsumoto, helper, lambda *a: (1.0 + 1e-3) * original(*a))
+    batch = _batch(EX, -1.0, 8, 29)
+    res = {r.name: r for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)}
+    assert res[identity].passed is False
+
+
+@pytest.mark.parametrize("with_curvature", [True, False])
+def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypatch):
+    """One base and one changed-metric GeometryJets per change sample."""
+    built = []
+    init = connections.GeometryJets.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
+    batch = _batch(EX, -1.0, 3, 30)
+    results = matsumoto.change_identity_suite(EX.oriented(-1), batch, with_curvature)
+    assert all(r.note == "" for r in results if r.kind == "identity")
+    assert len(built) == 2 * len(batch)
 
 
 def test_hat_geodesic_near_degeneracy_halts_finitely():
