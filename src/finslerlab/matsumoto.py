@@ -203,7 +203,8 @@ def predicted_cartan(sc: ChangeScalars, md) -> np.ndarray:
     """Chat_ijk = a C_ijk + F^2 (F - 4 Phi) / (2 (F - Phi)^4) sigma(hbar_ij m_k)
     + 6 F^4 / (F - Phi)^5 m_i m_j m_k, with m = phi_low - (Phi/F) ell,
     a = F^2 (F - 2 Phi) / (F - Phi)^3 and sigma the cyclic sum over (i, j, k):
-    Shibata's beta-change form, valid because phi_low is y-independent."""
+    Shibata's beta-change form, valid where phi_low does not depend on y
+    (phi^k C_kij = 0, as for a concurrent field)."""
     F, P = sc.F, sc.Phi
     a = F**2 * (F - 2 * P) / (F - P) ** 3
     b = F**2 * (F - 4 * P) / (2 * (F - P) ** 4)

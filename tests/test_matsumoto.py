@@ -392,15 +392,15 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     built = []
     init = connections.GeometryJets.__init__
 
-    def counting_init(self, *args):
-        built.append(args[1:])
-        init(self, *args)
+    def counting_init(self, energy, s, y_order, x_order):
+        built.append((y_order, x_order))
+        init(self, energy, s, y_order, x_order)
 
     monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
     batch = _batch(EX, -1.0, 3, 30)
     results = matsumoto.change_identity_suite(EX.oriented(-1), batch, with_curvature)
     assert all(r.note == "" for r in results if r.kind == "identity")
-    assert len(built) == 2 * len(batch)
+    assert built == [(4, 2 if with_curvature else 1)] * (2 * len(batch))
 
 
 def test_hat_geodesic_near_degeneracy_halts_finitely():
