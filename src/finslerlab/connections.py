@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (TangentSample, as_energy, cartan_tensor, metric_tensor,
-                   _require_in_domain, _y_index)
+from .core import (MetricData, TangentSample, as_energy, cartan_tensor,
+                   metric_tensor, read_metric_data, _require_in_domain, _y_index)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
 from .numkit import jet_space
 
@@ -81,6 +81,11 @@ class GeometryJets:
         self.space = jet_space(self.n, y_order + self.energy.y_overhead, x_order)
         self.E = self.energy.energy_jet(s, self.space)
         self.coords = self.space.lift(s.x, s.y)
+
+    @cached_property
+    def md(self) -> MetricData:
+        """Metric data read off this geometry's energy jet (y-order 3 or more)."""
+        return read_metric_data(self.E, self.s)
 
     # -- jet-level fields ----------------------------------------------------
 

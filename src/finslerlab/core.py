@@ -27,6 +27,7 @@ __all__ = [
     "as_energy",
     "make_sample",
     "metric_data",
+    "read_metric_data",
     "metric_tensor",
     "cartan_tensor",
     "homogeneity_report",
@@ -148,16 +149,21 @@ def cartan_tensor(E: Jet) -> np.ndarray:
 
 
 def metric_data(model, s: TangentSample) -> MetricData:
-    """Fundamental tensor, inverse, supporting form, angular metric, Cartan torsion.
+    """Metric data of a fresh energy jet at `s`, valid to y-order 3."""
+    energy = as_energy(model)
+    _require_in_domain(s)
+    space = jet_space(energy.dim, 3 + energy.y_overhead, 0)
+    return read_metric_data(energy.energy_jet(s, space), s)
+
+
+def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
+    """Fundamental tensor, inverse, supporting form, angular metric and Cartan
+    torsion read off an energy jet at `s` valid to y-order 3.
 
     Conventions: g_ij = d^2 E/dy_i dy_j, ell_i = dF/dy_i, hbar = g - ell (x) ell,
     C_ijk = (1/2) d^3 E/dy_i dy_j dy_k.
     """
-    energy = as_energy(model)
-    _require_in_domain(s)
-    n = energy.dim
-    space = jet_space(n, 3 + energy.y_overhead, 0)
-    E = energy.energy_jet(s, space)
+    n = E.space.n
     E0 = E.value
     if not E0 > 0.0:
         raise DomainEscape(f"F^2 = {2 * E0} is not positive at the sample")

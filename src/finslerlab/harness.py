@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import connections, matsumoto, models
-from .core import (ModelEnergy, homogeneity_report, make_sample, metric_data,
-                   sample_batch)
+from .core import ModelEnergy, homogeneity_report, make_sample, sample_batch
 from .errors import DomainEscape
 from .matsumoto import HatEnergy
 from .numkit import fd_derivative, jet_space, _simplex
@@ -98,8 +97,8 @@ def run_core_suite(model, s_batch):
                             "concurrency-probe", "concurrency-vertical-contraction")}
     min_det = math.inf
     for k, s in enumerate(s_batch):
-        md = metric_data(model, s)
         geo = connections.GeometryJets(model, s, 4, 2)
+        md = geo.md
         min_det = min(min_det, md.det_g)
 
         accs["metric-symmetry-and-inverse"].add(s, md.g @ md.ginv, eye)
@@ -436,8 +435,8 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
     """Full object dump at one tangent point (metric, connections, change scalars)."""
     s = make_sample(model, x, y)
-    md = metric_data(model, s)
     geo = connections.GeometryJets(model, s, 4, 2)
+    md = geo.md
     out = {
         "model": model.name,
         "x": [float(v) for v in s.x],
@@ -457,10 +456,10 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
         "curvature": geo.curvature().tolist(),
         "cartan_hcoeffs": geo.cartan().tolist(),
     }
-    hat = HatEnergy(model.oriented(orientation))
+    hat_model = model.oriented(orientation)
     try:
-        sc = matsumoto.change_scalars(hat.model, s)
-        hat_md = metric_data(hat, s)
+        sc = matsumoto._checked_scalars(md, hat_model, s)
+        geo_hat = connections.GeometryJets(HatEnergy(hat_model), s, 3, 1)
         out["change"] = {
             "orientation": orientation,
             "Phi": sc.Phi,
@@ -471,9 +470,9 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
             "Fhat": sc.Fhat,
             "phi_up": sc.phi_up.tolist(),
             "phi_low": sc.phi_low.tolist(),
-            "ghat": hat_md.g.tolist(),
-            "det_ghat": hat_md.det_g,
-            "spray_hat": connections.GeometryJets(hat, s, 2, 1).spray().tolist(),
+            "ghat": geo_hat.md.g.tolist(),
+            "det_ghat": geo_hat.md.det_g,
+            "spray_hat": geo_hat.spray().tolist(),
         }
     except Exception as e:  # noqa: BLE001 - inspection should degrade, not die
         out["change"] = {"error": f"{type(e).__name__}: {e}"}

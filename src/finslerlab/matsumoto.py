@@ -36,6 +36,7 @@ __all__ = [
     "change_scalars",
     "change_identity_suite",
     "concurrency_obstruction",
+    "concurrent_form",
     "lemma_identity_suite",
     "margin_ray_scan",
     "nondegeneracy_scan",
@@ -77,6 +78,18 @@ def _require_hat_domain(F: float, Phi: float, s: TangentSample):
             f"is not safely positive")
 
 
+def concurrent_form(model, s: TangentSample, E: Jet):
+    """Jets of F = sqrt(2E) and Phi = phi^i dE/dy^i from an energy jet at `s`.
+
+    Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only."""
+    space = E.space
+    xs = space.lift(s.x, s.y)[:model.dim]
+    Phi = space.zero()
+    for i, p in enumerate(model.phi_fns):
+        Phi = Phi + p(xs, None) * E.diff_y(i)
+    return (2.0 * E).sqrt(), Phi
+
+
 class HatEnergy:
     """Energy provider of the changed metric; plugs into the ordinary pipeline.
 
@@ -93,70 +106,69 @@ class HatEnergy:
 
     def energy_jet(self, s: TangentSample, space) -> Jet:
         E = self.base.energy_jet(s, space)
-        n = self.dim
-        coords = space.lift(s.x, s.y)
-        Phi = space.zero()
-        for i, p in enumerate(self.model.phi_fns):
-            Phi = Phi + p(coords[:n], None) * E.diff_y(i)
-        F = (2.0 * E).sqrt()
+        F, Phi = concurrent_form(self.model, s, E)
         _require_hat_domain(F.value, Phi.value, s)
         Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
 
     def f_value(self, x, y) -> float:
         s = make_sample(self.model, x, y)
-        sc = _scalar_values(self.model, s)
+        sc = _scalar_values(metric_data(self.model, s), self.model, s)
         _require_hat_domain(sc.F, sc.Phi, s)
         return sc.F ** 2 / (sc.F - sc.Phi)
 
     def in_domain(self, x, y) -> bool:
         if not self.model.in_domain(x, y):
             return False
-        sc = _scalar_values(self.model, make_sample(self.model, x, y))
+        s = make_sample(self.model, x, y)
+        sc = _scalar_values(metric_data(self.model, s), self.model, s)
         return _inside_hat_fence(sc.F, sc.Phi)
 
 
 @dataclass
 class ChangeScalars:
-    """Scalar data of the change at one sample."""
+    """Scalar data of the change at one sample, as floats (`change_scalars`)
+    or as jets (`ChangeJets.scalars`); one copy of each formula serves both.
+    `md` is the base metric data at the sample."""
 
     md: MetricData
-    F: float
-    Phi: float
-    phi_up: np.ndarray   # phi^i
-    phi_low: np.ndarray  # phi_i = g_ij phi^j
-    p2: float
-    margin: float        # F(1 + 2 p^2) - 3 Phi
+    F: object
+    Phi: object
+    phi_up: object   # phi^i
+    phi_low: object  # phi_i = g_ij phi^j
+    p2: object
 
-    @property
-    def f1(self) -> float:
+    @cached_property
+    def margin(self):
+        return self.F * (1.0 + 2.0 * self.p2) - 3.0 * self.Phi
+
+    @cached_property
+    def f1(self):
         return self.F * (4.0 * self.Phi - self.F) / self.margin
 
-    @property
-    def f2(self) -> float:
+    @cached_property
+    def f2(self):
         return 2.0 * self.F**3 / self.margin
 
     @property
-    def Fhat(self) -> float:
+    def Fhat(self):
         return self.F * self.F / (self.F - self.Phi)
 
 
-def _scalar_values(model, s: TangentSample) -> ChangeScalars:
-    """Value-level F, Phi, p^2, margin without raising on degeneracy (scan use)."""
-    md = metric_data(model, s)
+def _scalar_values(md: MetricData, model, s: TangentSample) -> ChangeScalars:
+    """Value-level scalars from the base metric data at `s`, through g:
+    phi_low = g phi, Phi = phi_low . y; does not raise on degeneracy (scan use)."""
     phi_up = phi_values(model, s.x)
     phi_low = md.g @ phi_up
-    Phi = float(phi_low @ s.y)
-    p2 = float(phi_low @ phi_up)
-    margin = md.F * (1.0 + 2.0 * p2) - 3.0 * Phi
-    return ChangeScalars(md=md, F=md.F, Phi=Phi, phi_up=phi_up, phi_low=phi_low,
-                         p2=p2, margin=margin)
+    return ChangeScalars(md=md, F=md.F, Phi=float(phi_low @ s.y), phi_up=phi_up,
+                         phi_low=phi_low, p2=float(phi_low @ phi_up))
 
 
-def _checked_scalars(sc: ChangeScalars, s: TangentSample) -> ChangeScalars:
-    """`sc`, once it passes the checks: raises OutsideHatDomain past the hat
-    fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2 carry
-    the margin in denominators)."""
+def _checked_scalars(md: MetricData, model, s: TangentSample) -> ChangeScalars:
+    """`_scalar_values`, once they pass the checks: raises OutsideHatDomain past
+    the hat fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2
+    carry the margin in denominators)."""
+    sc = _scalar_values(md, model, s)
     _require_hat_domain(sc.F, sc.Phi, s)
     if abs(sc.margin) <= MARGIN_EPS * sc.F:
         raise DegenerateMargin(f"|margin| = {abs(sc.margin)} <= {MARGIN_EPS} * F")
@@ -165,7 +177,7 @@ def _checked_scalars(sc: ChangeScalars, s: TangentSample) -> ChangeScalars:
 
 def change_scalars(model, s: TangentSample) -> ChangeScalars:
     """Phi, p^2, the non-degeneracy margin and the spray-change scalars f1, f2."""
-    return _checked_scalars(_scalar_values(model, s), s)
+    return _checked_scalars(metric_data(model, s), model, s)
 
 
 # --------------------------------------------------------------------------
@@ -237,57 +249,26 @@ class ChangeJets:
         self.space = geo.space
 
     @cached_property
-    def phi_up_jets(self):
-        n = self.n
-        xs = self.geo.coords[:n]
-        return [_as_jet(self.space, p(xs, None)) for p in self.geo.energy.model.phi_fns]
-
-    @cached_property
-    def phi_low_jets(self):
-        g = self.geo.g_jets
-        return [
-            sum((g[i][j] * self.phi_up_jets[j] for j in range(1, self.n)),
-                g[i][0] * self.phi_up_jets[0])
-            for i in range(self.n)
-        ]
-
-    @cached_property
-    def Phi_jet(self):
-        E = self.geo.E
-        acc = self.space.zero()
-        for i in range(self.n):
-            acc = acc + self.phi_up_jets[i] * E.diff_y(i)
-        return acc
-
-    @cached_property
-    def F_jet(self):
-        return (2.0 * self.geo.E).sqrt()
-
-    @cached_property
-    def p2_jet(self):
-        acc = self.space.zero()
-        for i in range(self.n):
-            acc = acc + self.phi_low_jets[i] * self.phi_up_jets[i]
-        return acc
-
-    @cached_property
-    def margin_jet(self):
-        return self.F_jet * (1.0 + 2.0 * self.p2_jet) - 3.0 * self.Phi_jet
-
-    @cached_property
-    def f1_jet(self):
-        return self.F_jet * (4.0 * self.Phi_jet - self.F_jet) / self.margin_jet
-
-    @cached_property
-    def f2_jet(self):
-        return 2.0 * self.F_jet**3 / self.margin_jet
+    def scalars(self) -> ChangeScalars:
+        geo, n = self.geo, self.n
+        model = geo.energy.model
+        F, Phi = concurrent_form(model, geo.s, geo.E)
+        phi_up = [_as_jet(self.space, p(geo.coords[:n], None)) for p in model.phi_fns]
+        g = geo.g_jets
+        phi_low = [sum((g[i][j] * phi_up[j] for j in range(1, n)), g[i][0] * phi_up[0])
+                   for i in range(n)]
+        p2 = self.space.zero()
+        for i in range(n):
+            p2 = p2 + phi_low[i] * phi_up[i]
+        return ChangeScalars(md=geo.md, F=F, Phi=Phi, phi_up=phi_up, phi_low=phi_low,
+                             p2=p2)
 
     @cached_property
     def spray_pred_jets(self):
         yc = self.geo.coords[self.n:]
+        sc = self.scalars
         return [
-            self.geo.spray_jets[i] + 0.5 * self.f1_jet * yc[i]
-            - 0.5 * self.f2_jet * self.phi_up_jets[i]
+            self.geo.spray_jets[i] + 0.5 * sc.f1 * yc[i] - 0.5 * sc.f2 * sc.phi_up[i]
             for i in range(self.n)
         ]
 
@@ -297,14 +278,15 @@ class ChangeJets:
         Nhat^i_j = N^i_j + (1/2)(f1 delta^i_j + (df1/dy^j) y^i - (df2/dy^j) phi^i)."""
         n = self.n
         yc = self.geo.coords[n:]
-        df1 = [self.f1_jet.diff_y(j) for j in range(n)]
-        df2 = [self.f2_jet.diff_y(j) for j in range(n)]
+        sc = self.scalars
+        df1 = [sc.f1.diff_y(j) for j in range(n)]
+        df2 = [sc.f2.diff_y(j) for j in range(n)]
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                term = 0.5 * (df1[j] * yc[i] - df2[j] * self.phi_up_jets[i])
+                term = 0.5 * (df1[j] * yc[i] - df2[j] * sc.phi_up[i])
                 if i == j:
-                    term = term + 0.5 * self.f1_jet
+                    term = term + 0.5 * sc.f1
                 out[i][j] = self.geo.nonlinear_jets[i][j] + term
         return out
 
@@ -330,16 +312,15 @@ def concurrency_obstruction(model, s: TangentSample) -> np.ndarray:
     O^i_j = [df1/dy^j - phi^k d2f2/dy^k dy^j] phi^i
             - (phi^k df1/dy^k) delta^i_j + (phi^k d2f1/dy^k dy^j) y^i.
     Generically nonzero; identically zero iff the change preserves concurrency."""
-    geo = GeometryJets(model, s, 4, 0)
-    cj = ChangeJets(geo)
+    sc = ChangeJets(GeometryJets(model, s, 4, 0)).scalars
     n = model.dim
-    ph = np.array([p.value for p in cj.phi_up_jets])
-    df1 = np.array([cj.f1_jet.diff_y(j).value for j in range(n)])
+    ph = np.array([p.value for p in sc.phi_up])
+    df1 = np.array([sc.f1.diff_y(j).value for j in range(n)])
     d2f1 = np.empty((n, n))
     d2f2 = np.empty((n, n))
     for k in range(n):
-        d1k = cj.f1_jet.diff_y(k)
-        d2k = cj.f2_jet.diff_y(k)
+        d1k = sc.f1.diff_y(k)
+        d2k = sc.f2.diff_y(k)
         for j in range(n):
             d2f1[k, j] = d1k.diff_y(j).value
             d2f2[k, j] = d2k.diff_y(j).value
@@ -392,14 +373,15 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
 
     One base geometry (with its change jets) and one hat geometry, both at
     order (4, 2) with curvature and (4, 1) without, feed every law."""
-    sc = change_scalars(model, s)
-    md = sc.md
+    order = (4, 2 if with_curvature else 1)
+    geo = GeometryJets(model, s, *order)
+    md = geo.md
+    sc = _checked_scalars(md, model, s)
     y = s.y
     n = model.dim
-    order = (4, 2 if with_curvature else 1)
-    cj = ChangeJets(GeometryJets(model, s, *order))
+    cj = ChangeJets(geo)
     geo_hat = GeometryJets(HatEnergy(model), s, *order)
-    mdh = metric_data(geo_hat.energy, s)
+    mdh = geo_hat.md
 
     ellhat = predicted_supporting_form(sc, md)
     ghat = predicted_metric(sc, md)
@@ -408,7 +390,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
     nhat_from_spray = np.array(
         [[cj.spray_pred_jets[i].diff_y(j).value for j in range(n)] for i in range(n)])
     out = {
-        "concurrent-form-two-routes": ([cj.Phi_jet.value], [sc.Phi]),
+        "concurrent-form-two-routes": ([cj.scalars.Phi.value], [sc.Phi]),
         "supporting-form-pairing-of-phi": ([float(md.ell @ sc.phi_up)], [sc.Phi / sc.F]),
         "supporting-form-change": (ellhat, mdh.ell),
         "supporting-form-normalization": ([float(ellhat @ y)], [sc.Fhat]),
@@ -418,7 +400,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
         "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
         "cartan-torsion-change": (predicted_cartan(sc, md), mdh.cartanC),
-        "spray-change": (predicted_spray(sc, cj.geo.spray(), y), geo_hat.spray()),
+        "spray-change": (predicted_spray(sc, geo.spray(), y), geo_hat.spray()),
         "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),
         "berwald-change": (predicted_berwald(cj), geo_hat.berwald()),
@@ -430,37 +412,37 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
 
 
 def _check_lemma(model, s: TangentSample):
-    sc = change_scalars(model, s)
-    md = sc.md
+    geo = GeometryJets(model, s, 3, 1)
+    md = geo.md
+    sc = _checked_scalars(md, model, s)
+    jets = ChangeJets(geo).scalars
     y = s.y
     n = model.dim
-    cj = ChangeJets(GeometryJets(model, s, 3, 1))
-    geo = cj.geo
     N = geo.nonlinear()
     G = geo.spray()
     F = sc.F
     m = sc.margin
     Phi, p2 = sc.Phi, sc.p2
 
-    dyPhi = np.array([cj.Phi_jet.diff_y(j).value for j in range(n)])
-    dxPhi = np.array([cj.Phi_jet.diff_x(j).value for j in range(n)])
+    dyPhi = np.array([jets.Phi.diff_y(j).value for j in range(n)])
+    dxPhi = np.array([jets.Phi.diff_x(j).value for j in range(n)])
     deltaPhi = dxPhi - N.T @ dyPhi
     dPhi_G = float(y @ dxPhi - 2.0 * G @ dyPhi)
 
-    dxF = np.array([cj.F_jet.diff_x(j).value for j in range(n)])
-    dyF = np.array([cj.F_jet.diff_y(j).value for j in range(n)])
+    dxF = np.array([jets.F.diff_x(j).value for j in range(n)])
+    dyF = np.array([jets.F.diff_y(j).value for j in range(n)])
     deltaF = dxF - N.T @ dyF
 
     dell = np.empty((n, n))
     for i in range(n):
-        di = cj.F_jet.diff_y(i)
+        di = jets.F.diff_y(i)
         for j in range(n):
             dell[i, j] = di.diff_y(j).value
 
-    dp2 = np.array([cj.p2_jet.diff_y(k).value for k in range(n)])
+    dp2 = np.array([jets.p2.diff_y(k).value for k in range(n)])
 
-    df1 = np.array([cj.f1_jet.diff_y(j).value for j in range(n)])
-    df2 = np.array([cj.f2_jet.diff_y(j).value for j in range(n)])
+    df1 = np.array([jets.f1.diff_y(j).value for j in range(n)])
+    df2 = np.array([jets.f2.diff_y(j).value for j in range(n)])
     df1_dF = (4 * Phi - 2 * F) / m - F * (4 * Phi - F) * (1 + 2 * p2) / m**2
     df1_dP = (4 * F * m + 3 * F * (4 * Phi - F)) / m**2
     df2_dF = 6 * F**2 / m - 2 * F**3 * (1 + 2 * p2) / m**2
@@ -541,7 +523,7 @@ def hat_sample_predicate(model):
     relative gap to its boundary, and a healthy |margin|."""
 
     def ok(s: TangentSample) -> bool:
-        sc = _scalar_values(model, s)
+        sc = _scalar_values(metric_data(model, s), model, s)
         return _clear_of_hat_boundary(sc) and abs(sc.margin) > HEALTHY_MARGIN * sc.F
 
     return ok
@@ -576,7 +558,7 @@ def nondegeneracy_scan(model, s_batch) -> NondegeneracyScan:
     hat = HatEnergy(model)
     count = 0
     for s in s_batch:
-        sc = _scalar_values(model, s)
+        sc = _scalar_values(metric_data(model, s), model, s)
         if not _clear_of_hat_boundary(sc):
             continue
         count += 1
@@ -612,7 +594,8 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
         return make_sample(model, x, np.array([math.cos(theta), math.sin(theta)]))
 
     def margin_at(theta):
-        return _scalar_values(model, sample(theta)).margin
+        s = sample(theta)
+        return _scalar_values(metric_data(model, s), model, s).margin
 
     def det_at(theta):
         return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric()))
@@ -731,12 +714,11 @@ def rational_decomposition_check(model, s_batch):
     acc_hat = PairAccumulator("rational-decomposition-hat", 1e-9)
     skipped = 0
     for s in s_batch:
-        sc = _scalar_values(model, s)
-        md = sc.md
+        md = metric_data(model, s)
         theta, a = base_forms(s.x, s.y)
         acc_base.add(s, theta * a, md.g)
         try:
-            _checked_scalars(sc, s)
+            sc = _checked_scalars(md, model, s)
             mdh = metric_data(HatEnergy(model), s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1

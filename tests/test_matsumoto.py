@@ -1,5 +1,6 @@
 """The metric change: scalars, predicted laws vs direct recomputation, scans."""
 
+import collections
 import math
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def test_chain_rule_trivial_function():
     geo = connections.GeometryJets(EX.oriented(+1), P0, 3, 0)
     cj = matsumoto.ChangeJets(geo)
     md = metric_data(EX, P0)
-    got = np.array([cj.F_jet.diff_y(j).value for j in range(3)])
+    got = np.array([cj.scalars.F.diff_y(j).value for j in range(3)])
     assert np.allclose(got, md.ell, atol=1e-14)
 
 
@@ -244,7 +245,7 @@ def test_obstruction_second_derivatives_match_finite_differences():
     s = core.make_sample(EU, [0.3, -0.1], [1.1, 0.6])
     geo = connections.GeometryJets(EU.oriented(+1), s, 4, 0)
     cj = matsumoto.ChangeJets(geo)
-    jet_d2 = np.array([[cj.f2_jet.diff_y(k).diff_y(j).value for j in range(2)]
+    jet_d2 = np.array([[cj.scalars.f2.diff_y(k).diff_y(j).value for j in range(2)]
                        for k in range(2)])
 
     def f2_of(x, y):
@@ -386,9 +387,46 @@ def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
     assert res[identity].passed is False
 
 
+@pytest.mark.parametrize("name", ["margin", "f1", "f2"])
+def test_shared_change_scalars_fail_a_mutated_formula(name, monkeypatch):
+    """The value and jet routes share the ChangeScalars formulas; scaled by
+    1 + 1e-3, each still fails the recomputation on Fhat and its chain rule."""
+    batch = _batch(EX, -1.0, 8, 29)
+    original = vars(matsumoto.ChangeScalars)[name].func
+    monkeypatch.setattr(matsumoto.ChangeScalars, name,
+                        property(lambda sc: (1.0 + 1e-3) * original(sc)))
+    model = EX.oriented(-1)
+    results = (matsumoto.change_identity_suite(model, batch)
+               + matsumoto.lemma_identity_suite(model, batch))
+    failed = {r.name for r in results if r.passed is False}
+    assert "spray-change" in failed
+    assert failed & {"chain-rule-f1", "chain-rule-f2"}
+
+
+def _count_calls(monkeypatch):
+    """Counts energy jets per provider and metric_data builds, wherever bound."""
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (core.ModelEnergy, HatEnergy):
+        monkeypatch.setattr(cls, "energy_jet",
+                            counting(f"{cls.__name__}.energy_jet", cls.energy_jet))
+    wrapped = counting("metric_data", core.metric_data)
+    for mod in (core, connections, matsumoto, harness):
+        if getattr(mod, "metric_data", None) is core.metric_data:
+            monkeypatch.setattr(mod, "metric_data", wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("with_curvature", [True, False])
 def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypatch):
-    """One base and one changed-metric GeometryJets per change sample."""
+    """One base and one changed-metric GeometryJets per change sample, one
+    energy jet each, and the metric data read off them."""
     built = []
     init = connections.GeometryJets.__init__
 
@@ -396,11 +434,18 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
         built.append((y_order, x_order))
         init(self, energy, s, y_order, x_order)
 
-    monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
     batch = _batch(EX, -1.0, 3, 30)
+    monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
+    calls = _count_calls(monkeypatch)
     results = matsumoto.change_identity_suite(EX.oriented(-1), batch, with_curvature)
     assert all(r.note == "" for r in results if r.kind == "identity")
     assert built == [(4, 2 if with_curvature else 1)] * (2 * len(batch))
+    assert calls == {"ModelEnergy.energy_jet": 2 * len(batch),
+                     "HatEnergy.energy_jet": len(batch)}
+
+    calls.clear()
+    matsumoto.lemma_identity_suite(EX.oriented(-1), batch)
+    assert calls == {"ModelEnergy.energy_jet": len(batch)}
 
 
 def test_hat_geodesic_near_degeneracy_halts_finitely():
