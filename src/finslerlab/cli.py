@@ -206,7 +206,7 @@ def cmd_geodesic(ns) -> int:
     traj.write_csv(buf)
     _emit(buf.getvalue(), ns.out)
     if traj.escaped:
-        sys.stderr.write(f"trajectory left the domain at t = {traj.exit_time!r}\n")
+        sys.stderr.write(f"trajectory stopped ({traj.escape_reason}) at t = {traj.exit_time!r}\n")
     return EXIT_PASS
 
 

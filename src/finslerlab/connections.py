@@ -272,18 +272,23 @@ MAX_GEODESIC_STEPS = 1_000_000
 class Trajectory:
     """RK4 solution of x' = y, y' = -2G(x, y) with the metric value along it.
 
-    `escaped` is set when the state left the model domain or when the fixed
-    step stopped resolving the flow (state blow-up, spray evaluation failure,
-    or a single-step jump of the conserved metric value far above the drift
-    budget); the recorded stretch is always finite and trustworthy.
+    `escape_reason` is None for a full run, else why it stopped early: "left
+    the domain", or the fixed step no longer resolving the flow ("state
+    blow-up", "first-integral jump" for a single-step jump of the conserved
+    metric value far above the drift budget, or the name of the exception a
+    step raised).  The recorded stretch is always finite and trustworthy.
     """
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     F: np.ndarray
-    escaped: bool
+    escape_reason: str | None
     exit_time: float | None
+
+    @property
+    def escaped(self) -> bool:
+        return self.escape_reason is not None
 
     def metric_drift(self) -> float:
         """max |F(t) - F(0)| / F(0) along the trajectory."""
@@ -326,9 +331,9 @@ def _spray_rhs(energy, space, x, y):
 def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> Trajectory:
     """Fixed-step RK4 integration of the geodesic equation of the model's metric.
 
-    Halts early (escaped=True, exit_time set) when the state leaves the model
-    domain.  The metric value F is a first integral of its own geodesic flow,
-    so its drift along the result measures integration quality.
+    Halts early (escape_reason and exit_time set) when the state leaves the
+    domain or the step stops resolving the flow.  The metric value F is a first
+    integral of its own geodesic flow, so its drift measures integration quality.
     """
     for name, v in (("step", step), ("t_end", t_end)):
         if not 0.0 < v < np.inf:
@@ -346,8 +351,7 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
     ys = [s0.y.copy()]
     Fs = [energy.f_value(s0.x, s0.y)]
     z = np.concatenate([s0.x, s0.y])
-    escaped = False
-    exit_time = None
+    escape_reason = None
     # beyond this the flow has left any region a fixed step can track (e.g. a
     # changed spray blowing up toward its degeneracy surface)
     state_cap = 1e9 * max(1.0, float(np.max(np.abs(z))))
@@ -357,31 +361,30 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
 
     for k in range(nsteps):
         h = step
+        t = (k + 1) * h
         try:
             k1 = rhs(z)
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
             k4 = rhs(z + h * k3)
             z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = (k + 1) * h
-            if (not np.all(np.isfinite(z_new))
-                    or np.max(np.abs(z_new)) > state_cap
-                    or not energy.in_domain(z_new[:n], z_new[n:])):
-                escaped = True
-                exit_time = t
-                break
-            F_new = energy.f_value(z_new[:n], z_new[n:])
+            if not np.all(np.isfinite(z_new)) or np.max(np.abs(z_new)) > state_cap:
+                escape_reason = "state blow-up"
+            elif not energy.in_domain(z_new[:n], z_new[n:]):
+                escape_reason = "left the domain"
+            else:
+                # a single-step jump of F far above the drift budget means the
+                # fixed step stopped resolving the flow (e.g. a changed spray
+                # stiffening toward its degeneracy surface)
+                F_new = energy.f_value(z_new[:n], z_new[n:])
+                budget = max(1e-5 * h, 1e-12) * max(abs(Fs[0]), abs(Fs[-1]))
+                if abs(F_new - Fs[-1]) > budget:
+                    escape_reason = "first-integral jump"
         except (SingularMetric, EvalError, DomainEscape, OutsideHatDomain,
-                np.linalg.LinAlgError, FloatingPointError, OverflowError):
-            escaped = True
-            exit_time = ts[-1] + h
-            break
-        # the metric value is a first integral: a single-step jump far above
-        # the drift budget means the fixed step stopped resolving the flow
-        # (e.g. a changed spray stiffening toward its degeneracy surface)
-        if abs(F_new - Fs[-1]) > max(1e-5 * h, 1e-12) * max(abs(Fs[0]), abs(Fs[-1])):
-            escaped = True
-            exit_time = t
+                np.linalg.LinAlgError, FloatingPointError, OverflowError) as e:
+            escape_reason = type(e).__name__
+            t = ts[-1] + h
+        if escape_reason is not None:
             break
         z = z_new
         ts.append(t)
@@ -391,5 +394,5 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
 
     return Trajectory(
         t=np.array(ts), x=np.array(xs), y=np.array(ys), F=np.array(Fs),
-        escaped=escaped, exit_time=exit_time,
+        escape_reason=escape_reason, exit_time=None if escape_reason is None else t,
     )

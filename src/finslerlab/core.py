@@ -161,8 +161,7 @@ def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
     torsion read off an energy jet at `s` valid to y-order 3.
 
     Conventions: g_ij = d^2 E/dy_i dy_j, ell_i = dF/dy_i, hbar = g - ell (x) ell,
-    C_ijk = (1/2) d^3 E/dy_i dy_j dy_k.
-    """
+    C_ijk = (1/2) d^3 E/dy_i dy_j dy_k."""
     n = E.space.n
     E0 = E.value
     if not E0 > 0.0:

@@ -265,20 +265,20 @@ def run_geodesic_suite(model, cfg: RunConfig):
             if elapsed < 20 * GEODESIC_STEP:
                 continue  # left the domain almost immediately; try another start
             rate = traj.metric_drift() / elapsed
-            best = (s, rate, elapsed, traj.escaped)
+            best = (s, rate, elapsed, traj.escape_reason)
             break
         if best is None:
             out.append(IdentityResult(
                 name=name, kind="skipped",
                 note="no sampled start stayed in the domain long enough"))
             continue
-        s, rate, elapsed, escaped = best
+        s, rate, elapsed, reason = best
         out.append(IdentityResult(
             name=name, kind="identity", residual=rate,
             tolerance=CORE_TOLERANCES[name], n_samples=1,
             worst_sample={"x": s.x.tolist(), "y": s.y.tolist(), "residual": rate},
             note=f"drift per unit time over t={elapsed!r}"
-                 + (" (left domain, partial run)" if escaped else "")))
+                 + (f" ({reason}, partial run)" if reason else "")))
     return out
 
 
@@ -456,10 +456,10 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
         "curvature": geo.curvature().tolist(),
         "cartan_hcoeffs": geo.cartan().tolist(),
     }
-    hat_model = model.oriented(orientation)
+    hat = HatEnergy(model.oriented(orientation))
     try:
-        sc = matsumoto._checked_scalars(md, hat_model, s)
-        geo_hat = connections.GeometryJets(HatEnergy(hat_model), s, 3, 1)
+        sc = matsumoto._checked_scalars(md, hat.model, s)
+        geo_hat = connections.GeometryJets(hat, s, 3, 1)
         out["change"] = {
             "orientation": orientation,
             "Phi": sc.Phi,

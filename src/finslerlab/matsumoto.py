@@ -27,7 +27,7 @@ from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets
                           phi_values)
 from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
 from .errors import DegenerateMargin, OutsideHatDomain
-from .numkit import Jet
+from .numkit import Jet, jet_space
 from .report import IdentityResult, PairAccumulator
 
 __all__ = [
@@ -82,9 +82,8 @@ def concurrent_form(model, s: TangentSample, E: Jet):
     """Jets of F = sqrt(2E) and Phi = phi^i dE/dy^i from an energy jet at `s`.
 
     Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only."""
-    space = E.space
-    xs = space.lift(s.x, s.y)[:model.dim]
-    Phi = space.zero()
+    xs = E.space.lift(s.x, s.y)[:model.dim]
+    Phi = E.space.zero()
     for i, p in enumerate(model.phi_fns):
         Phi = Phi + p(xs, None) * E.diff_y(i)
     return (2.0 * E).sqrt(), Phi
@@ -111,25 +110,29 @@ class HatEnergy:
         Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
 
-    def f_value(self, x, y) -> float:
+    def _form_values(self, x, y):
+        """The sample and the values of F and Phi, off a y-order-1 base jet."""
         s = make_sample(self.model, x, y)
-        sc = _scalar_values(metric_data(self.model, s), self.model, s)
-        _require_hat_domain(sc.F, sc.Phi, s)
-        return sc.F ** 2 / (sc.F - sc.Phi)
+        F, Phi = concurrent_form(self.model, s,
+                                 self.base.energy_jet(s, jet_space(self.dim, 1, 0)))
+        return s, F.value, Phi.value
+
+    def f_value(self, x, y) -> float:
+        s, F, Phi = self._form_values(x, y)
+        _require_hat_domain(F, Phi, s)
+        return F ** 2 / (F - Phi)
 
     def in_domain(self, x, y) -> bool:
         if not self.model.in_domain(x, y):
             return False
-        s = make_sample(self.model, x, y)
-        sc = _scalar_values(metric_data(self.model, s), self.model, s)
-        return _inside_hat_fence(sc.F, sc.Phi)
+        _, F, Phi = self._form_values(x, y)
+        return _inside_hat_fence(F, Phi)
 
 
 @dataclass
 class ChangeScalars:
-    """Scalar data of the change at one sample, as floats (`change_scalars`)
-    or as jets (`ChangeJets.scalars`); one copy of each formula serves both.
-    `md` is the base metric data at the sample."""
+    """Scalar data of the change at one sample, as floats (`change_scalars`) or
+    as jets (`ChangeJets.scalars`), with the base metric data `md` there."""
 
     md: MetricData
     F: object
@@ -165,9 +168,8 @@ def _scalar_values(md: MetricData, model, s: TangentSample) -> ChangeScalars:
 
 
 def _checked_scalars(md: MetricData, model, s: TangentSample) -> ChangeScalars:
-    """`_scalar_values`, once they pass the checks: raises OutsideHatDomain past
-    the hat fence and DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2
-    carry the margin in denominators)."""
+    """`_scalar_values`, checked: raises OutsideHatDomain past the hat fence and
+    DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2 divide by it)."""
     sc = _scalar_values(md, model, s)
     _require_hat_domain(sc.F, sc.Phi, s)
     if abs(sc.margin) <= MARGIN_EPS * sc.F:
@@ -246,20 +248,17 @@ class ChangeJets:
     def __init__(self, geo: GeometryJets):
         self.geo = geo
         self.n = geo.n
-        self.space = geo.space
 
     @cached_property
     def scalars(self) -> ChangeScalars:
         geo, n = self.geo, self.n
         model = geo.energy.model
         F, Phi = concurrent_form(model, geo.s, geo.E)
-        phi_up = [_as_jet(self.space, p(geo.coords[:n], None)) for p in model.phi_fns]
+        phi_up = [_as_jet(geo.space, p(geo.coords[:n], None)) for p in model.phi_fns]
         g = geo.g_jets
         phi_low = [sum((g[i][j] * phi_up[j] for j in range(1, n)), g[i][0] * phi_up[0])
                    for i in range(n)]
-        p2 = self.space.zero()
-        for i in range(n):
-            p2 = p2 + phi_low[i] * phi_up[i]
+        p2 = sum((phi_low[i] * phi_up[i] for i in range(n)), geo.space.zero())
         return ChangeScalars(md=geo.md, F=F, Phi=Phi, phi_up=phi_up, phi_low=phi_low,
                              p2=p2)
 

@@ -225,6 +225,17 @@ def test_geodesic_cli_hat_route(tmp_path):
     assert max(abs(v - F[0]) for v in F) / F[0] <= 1e-6
 
 
+def test_geodesic_cli_names_the_stop_reason(capsys):
+    """The seed-7 changed-metric start stops on the first-integral guard, not
+    at the domain; stderr says so."""
+    code = run(["geodesic", "--model", "matsumoto_example",
+                "--x=0.5548324327150851,0.9373017478152068,0.8533551219719229",
+                "--y=1.7746496409649863,1.1982643214792568,0.923060004053722",
+                "--t-end", "0.4", "--which", "hat"])
+    assert code == 0
+    assert "stopped (first-integral jump) at t = 0.385" in capsys.readouterr().err
+
+
 def test_geodesic_rejects_orientation_for_base_flow(capsys):
     """The base flow does not read phi, so a sign for it is refused, not ignored."""
     with pytest.raises(SystemExit) as exc:

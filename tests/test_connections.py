@@ -181,6 +181,7 @@ def test_geodesic_preconditions_and_escape():
                    "domain = 1 - x1\n")
     s0 = core.make_sample(m, [0.0, 0.0], [1.0, 0.0])
     traj = connections.integrate_geodesic(m, s0, 2.0, 1e-3)
+    assert traj.escape_reason == "left the domain"
     assert traj.escaped and traj.exit_time == pytest.approx(1.0, abs=2e-3)
     assert traj.t[-1] < 2.0
 

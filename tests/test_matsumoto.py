@@ -416,10 +416,10 @@ def _count_calls(monkeypatch):
     for cls in (core.ModelEnergy, HatEnergy):
         monkeypatch.setattr(cls, "energy_jet",
                             counting(f"{cls.__name__}.energy_jet", cls.energy_jet))
-    wrapped = counting("metric_data", core.metric_data)
+    original = core.metric_data
     for mod in (core, connections, matsumoto, harness):
-        if getattr(mod, "metric_data", None) is core.metric_data:
-            monkeypatch.setattr(mod, "metric_data", wrapped)
+        if getattr(mod, "metric_data", None) is original:
+            monkeypatch.setattr(mod, "metric_data", counting("metric_data", original))
     return calls
 
 
@@ -456,6 +456,28 @@ def test_hat_geodesic_near_degeneracy_halts_finitely():
     traj = connections.integrate_geodesic(HatEnergy(EU.oriented(+1)), s0, 1.0, 1e-3)
     assert traj.escaped and traj.exit_time is not None
     assert np.all(np.isfinite(traj.F)) and np.all(np.isfinite(traj.x))
+
+
+def test_hat_geodesic_stop_reason_is_first_integral_jump():
+    """At seed 7 the hat run stops on the single-step F-jump guard, which is
+    checked only once the step passed the model domain and the hat fence; the
+    suite's note names the guard rather than the domain."""
+    model = EX.oriented(+1)
+    res = {r.name: r for r in harness.run_geodesic_suite(model, harness.RunConfig(seed=7))}
+    hat = res["geodesic-first-integral-hat"]
+    assert hat.note.endswith("(first-integral jump, partial run)")
+    s0 = core.make_sample(EX, hat.worst_sample["x"], hat.worst_sample["y"])
+    traj = connections.integrate_geodesic(HatEnergy(model), s0, 1.0, 1e-3)
+    assert traj.escape_reason == "first-integral jump"
+    assert traj.exit_time == pytest.approx(0.385)
+
+
+def test_hat_geodesic_builds_no_metric_data(monkeypatch):
+    """The hat value path reads F and Phi off a y-order-1 jet: no metric data."""
+    calls = _count_calls(monkeypatch)
+    traj = connections.integrate_geodesic(HatEnergy(EX.oriented(-1)), P0, 0.1, 1e-3)
+    assert traj.t.shape[0] == 101 and not traj.escaped
+    assert calls["metric_data"] == 0
 
 
 def test_vertical_derivative_operator_is_shared():
