@@ -135,11 +135,11 @@ class ChangeScalars:
     as jets (`ChangeJets.scalars`), with the base metric data `md` there."""
 
     md: MetricData
-    F: object
-    Phi: object
-    phi_up: object   # phi^i
-    phi_low: object  # phi_i = g_ij phi^j
-    p2: object
+    F: float | Jet
+    Phi: float | Jet
+    phi_up: np.ndarray | list   # phi^i
+    phi_low: np.ndarray | list  # phi_i = g_ij phi^j
+    p2: float | Jet
 
     @cached_property
     def margin(self):
