@@ -257,6 +257,14 @@ def test_geodesic_bad_step_exits_2(flags, named, capsys):
     assert named in capsys.readouterr().err
 
 
+def test_hat_geodesic_started_past_the_fence_exits_2(capsys):
+    """At x=(2,0), y=(-1,0) the euclid change has F - Phi = -1: the start is
+    outside the changed metric's domain, and the message names it."""
+    assert run(["geodesic", "--model", "euclid_concurrent", "--which", "hat",
+                "--x=2,0", "--y=-1,0"]) == 2
+    assert "x=[2.0, 0.0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("box", ["1:2:3", "2:1", "0:inf", "a:1", "0:1,0:1"])
 def test_verify_bad_box_exits_2(box, capsys):
     assert run(["verify", "--model", "euclid_concurrent", "--samples", "1",
@@ -304,6 +312,9 @@ GOLDEN = Path(__file__).parent / "data"
                   "--x=1,0,1", "--y=1,1,1", "--orientation=-1", "--t-end", "0.05",
                   "--step", "1e-3"],
                  "geodesic_hat_matsumoto_example_P0_orient-1.csv", id="geodesic-hat"),
+    pytest.param(["geodesic", "--model", "matsumoto_example", "--which", "base",
+                  "--x=1,0,1", "--y=1,1,1", "--t-end", "0.05", "--step", "1e-3"],
+                 "geodesic_base_matsumoto_example_P0.csv", id="geodesic-base"),
 ])
 def test_hat_side_output_matches_golden(argv, golden, tmp_path):
     """The changed-metric dump and trajectory at P0 are pinned byte for byte."""
