@@ -67,10 +67,10 @@ def _jet_inverse(M):
 class GeometryJets:
     """Lazily built jets of the geometric fields of one energy at one sample.
 
-    `y_order`/`x_order` are the orders guaranteed valid on the energy jet
-    itself; the provider's construction overhead is added on top.  Minimal
-    orders per consumer: spray values (2,1), nonlinear connection (3,1),
-    Berwald coefficients (4,1), curvature (4,2), Cartan coefficients (3,1).
+    `y_order`/`x_order` are the orders the energy jet is valid to, in a space
+    its provider picks.  Minimal orders per consumer: spray values (2,1),
+    nonlinear connection (3,1), Berwald coefficients (4,1), curvature (4,2),
+    Cartan coefficients (3,1).
     """
 
     def __init__(self, energy, s: TangentSample, y_order: int, x_order: int):
@@ -78,8 +78,8 @@ class GeometryJets:
         _require_in_domain(s)
         self.s = s
         self.n = self.energy.dim
-        self.space = jet_space(self.n, y_order + self.energy.y_overhead, x_order)
-        self.E = self.energy.energy_jet(s, self.space)
+        self.E = self.energy.energy_jet(s, y_order, x_order)
+        self.space = self.E.space
         self.coords = self.space.lift(s.x, s.y)
 
     @cached_property
@@ -321,9 +321,9 @@ def spray_system(E, y) -> np.ndarray:
     return b
 
 
-def _spray_rhs(energy, space, x, y):
+def _spray_rhs(energy, x, y):
     s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
-    E = energy.energy_jet(s, space)
+    E = energy.energy_jet(s, 2, 1)
     G = 0.5 * np.linalg.solve(metric_tensor(E), spray_system(E, y))
     return np.concatenate([y, -2.0 * G])
 
@@ -331,25 +331,30 @@ def _spray_rhs(energy, space, x, y):
 def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> Trajectory:
     """Fixed-step RK4 integration of the geodesic equation of the model's metric.
 
-    Halts early (escape_reason and exit_time set) when the state leaves the
-    domain or the step stops resolving the flow.  The metric value F is a first
-    integral of its own geodesic flow, so its drift measures integration quality.
+    `t_end` must be a whole number of steps.  Halts early (escape_reason and
+    exit_time set) when the metric value F is undefined at a new state or the
+    step stops resolving the flow.  F is a first integral of its own geodesic
+    flow, so its drift measures integration quality.
     """
     for name, v in (("step", step), ("t_end", t_end)):
         if not 0.0 < v < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    if not t_end / step <= MAX_GEODESIC_STEPS:
-        raise ValueError(f"t_end/step = {t_end / step!r} exceeds {MAX_GEODESIC_STEPS} RK4 steps")
+    ratio = t_end / step
+    if not ratio <= MAX_GEODESIC_STEPS:
+        raise ValueError(f"t_end/step = {ratio!r} exceeds {MAX_GEODESIC_STEPS} RK4 steps")
+    nsteps = round(ratio)
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * ratio:
+        raise ValueError(f"t_end/step = {ratio!r} is not a whole number of RK4 steps")
     energy = as_energy(model)
     _require_in_domain(s0)
     n = energy.dim
-    space = jet_space(n, 2 + energy.y_overhead, 1)
-
-    nsteps = max(1, int(round(t_end / step)))
     ts = [0.0]
     xs = [s0.x.copy()]
     ys = [s0.y.copy()]
     Fs = [energy.f_value(s0.x, s0.y)]
+    if Fs[0] is None:
+        raise DomainEscape(f"start x={s0.x.tolist()}, y={s0.y.tolist()} is outside "
+                           f"the domain of the metric")
     z = np.concatenate([s0.x, s0.y])
     escape_reason = None
     # beyond this the flow has left any region a fixed step can track (e.g. a
@@ -357,7 +362,7 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
     state_cap = 1e9 * max(1.0, float(np.max(np.abs(z))))
 
     def rhs(zv):
-        return _spray_rhs(energy, space, zv[:n], zv[n:])
+        return _spray_rhs(energy, zv[:n], zv[n:])
 
     for k in range(nsteps):
         h = step
@@ -370,16 +375,13 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
             z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not np.all(np.isfinite(z_new)) or np.max(np.abs(z_new)) > state_cap:
                 escape_reason = "state blow-up"
-            elif not energy.in_domain(z_new[:n], z_new[n:]):
+            elif (F_new := energy.f_value(z_new[:n], z_new[n:])) is None:
                 escape_reason = "left the domain"
-            else:
+            elif abs(F_new - Fs[-1]) > max(1e-5 * h, 1e-12) * max(abs(Fs[0]), abs(Fs[-1])):
                 # a single-step jump of F far above the drift budget means the
                 # fixed step stopped resolving the flow (e.g. a changed spray
                 # stiffening toward its degeneracy surface)
-                F_new = energy.f_value(z_new[:n], z_new[n:])
-                budget = max(1e-5 * h, 1e-12) * max(abs(Fs[0]), abs(Fs[-1]))
-                if abs(F_new - Fs[-1]) > budget:
-                    escape_reason = "first-integral jump"
+                escape_reason = "first-integral jump"
         except (SingularMetric, EvalError, DomainEscape, OutsideHatDomain,
                 np.linalg.LinAlgError, FloatingPointError, OverflowError) as e:
             escape_reason = type(e).__name__

@@ -30,6 +30,7 @@ __all__ = [
     "read_metric_data",
     "metric_tensor",
     "cartan_tensor",
+    "diagonal_scale",
     "homogeneity_report",
     "sample_batch",
 ]
@@ -61,35 +62,29 @@ def make_sample(model, x, y) -> TangentSample:
 
 
 class ModelEnergy:
-    """Energy-jet provider for the metric as defined by the model file.
+    """Energy provider for the metric as defined by the model file.
 
-    `y_overhead` tells pipeline code how many extra y-orders the provider
-    consumes internally before handing back the energy jet (zero here; one for
-    the changed metric, whose construction differentiates the base energy once).
+    A provider answers `energy_jet(s, y_order, x_order)`, E = F^2/2 valid to
+    those orders in a space it picks (`jet.space`; here exactly those orders),
+    and `f_value(x, y)`, F or None where undefined (here: outside the domain).
     """
-
-    y_overhead = 0
 
     def __init__(self, model):
         self.model = model
         self.dim = model.dim
 
-    def energy_jet(self, s: TangentSample, space) -> Jet:
+    def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
+        space = jet_space(self.dim, y_order, x_order)
         coords = space.lift(s.x, s.y)
-        n = self.dim
-        F2 = self.model.F2_fn(coords[:n], coords[n:])
+        F2 = self.model.F2_fn(coords[:self.dim], coords[self.dim:])
         if not isinstance(F2, Jet):
             F2 = space.constant(F2)
         return 0.5 * F2
 
-    def energy_value(self, x, y) -> float:
-        return 0.5 * self.model.F2_fn(x, y)
-
-    def f_value(self, x, y) -> float:
-        return math.sqrt(max(2.0 * self.energy_value(x, y), 0.0))
-
-    def in_domain(self, x, y) -> bool:
-        return self.model.in_domain(x, y)
+    def f_value(self, x, y) -> float | None:
+        if not self.model.in_domain(x, y):
+            return None
+        return math.sqrt(max(self.model.F2_fn(x, y), 0.0))
 
 
 def as_energy(model_or_energy):
@@ -148,12 +143,16 @@ def cartan_tensor(E: Jet) -> np.ndarray:
     return C
 
 
+def diagonal_scale(g: np.ndarray) -> float:
+    """Geometric mean of |g_ii| (floored at 1e-300), the scale of det g."""
+    n = g.shape[0]
+    return math.prod(max(abs(g[i, i]), 1e-300) for i in range(n)) ** (1.0 / n)
+
+
 def metric_data(model, s: TangentSample) -> MetricData:
     """Metric data of a fresh energy jet at `s`, valid to y-order 3."""
-    energy = as_energy(model)
     _require_in_domain(s)
-    space = jet_space(energy.dim, 3 + energy.y_overhead, 0)
-    return read_metric_data(energy.energy_jet(s, space), s)
+    return read_metric_data(as_energy(model).energy_jet(s, 3, 0), s)
 
 
 def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
@@ -170,7 +169,7 @@ def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
 
     g = metric_tensor(E)
     det_g = float(np.linalg.det(g))
-    scale = math.prod(max(abs(g[i, i]), 1e-300) for i in range(n)) ** (1.0 / n)
+    scale = diagonal_scale(g)
     if abs(det_g) < 1e-12 * scale**n:
         raise SingularMetric(f"|det g| = {abs(det_g)} below 1e-12 * scale^n")
     cond_g = float(np.linalg.cond(g))
@@ -187,9 +186,12 @@ def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
                       cartanC=cartan_tensor(E), det_g=det_g, cond_g=cond_g)
 
 
+# scale factors l of the homogeneity check F(x, ly) = l F(x, y)
+HOMOGENEITY_LAMBDAS = (0.5, 2.0, 3.0)
+
+
 @dataclass
 class HomogeneityReport:
-    lambdas: tuple
     F_residual: float
     g_residual: float
     C_residual: float
@@ -199,12 +201,12 @@ class HomogeneityReport:
         return max(self.F_residual, self.g_residual, self.C_residual)
 
 
-def homogeneity_report(model, s: TangentSample, lambdas=(0.5, 2.0, 3.0)) -> HomogeneityReport:
+def homogeneity_report(model, s: TangentSample) -> HomogeneityReport:
     """Residuals of positive 1-homogeneity: F(x, ly) = l F(x, y) and its
     consequences g(x, ly) = g(x, y), l C(x, ly) = C(x, y)."""
     base = metric_data(model, s)
     rF = rg = rC = 0.0
-    for lam in lambdas:
+    for lam in HOMOGENEITY_LAMBDAS:
         scaled = make_sample(model, s.x, lam * s.y)
         if not scaled.ok:
             raise DomainEscape(f"scaled sample lambda={lam} left the (conic) domain")
@@ -212,22 +214,22 @@ def homogeneity_report(model, s: TangentSample, lambdas=(0.5, 2.0, 3.0)) -> Homo
         rF = max(rF, abs(md.F - lam * base.F) / (lam * base.F))
         rg = max(rg, relmax(md.g, base.g))
         rC = max(rC, relmax(lam * md.cartanC, base.cartanC))
-    return HomogeneityReport(tuple(lambdas), rF, rg, rC)
+    return HomogeneityReport(rF, rg, rC)
 
 
-def sample_batch(model, box, count, rng, predicate=None, max_tries=None):
+def sample_batch(model, box, count, rng, predicate=None):
     """Rejection-sample `count` in-domain points from the box.
 
     `box` is a (2n, 2) array of [low, high] rows for x1..xn, y1..yn.  Points
     failing a domain constraint (or the optional extra predicate) are rejected
-    and counted.  Returns (samples, n_rejected).
+    and counted; after 2000 * count draws it gives up with DomainEscape.
+    Returns (samples, n_rejected).
     """
     box = np.asarray(box, dtype=float)
     n = model.dim
     if box.shape != (2 * n, 2):
         raise ValueError(f"box must have shape ({2 * n}, 2)")
-    if max_tries is None:
-        max_tries = 2000 * count
+    max_tries = 2000 * count
     out = []
     rejected = 0
     tries = 0

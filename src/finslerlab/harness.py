@@ -17,7 +17,7 @@ from . import connections, matsumoto, models
 from .core import ModelEnergy, homogeneity_report, make_sample, sample_batch
 from .errors import DomainEscape
 from .matsumoto import HatEnergy
-from .numkit import fd_derivative, jet_space, _simplex
+from .numkit import fd_derivative, _simplex
 from .report import IdentityResult, PairAccumulator, SuiteReport
 
 __all__ = ["RunConfig", "run_verification", "run_core_suite", "inspect_point"]
@@ -213,18 +213,14 @@ def run_fd_suite(model, s_batch):
     acc = PairAccumulator("jet-vs-fd-oracle", CORE_TOLERANCES["jet-vs-fd-oracle"])
     skipped = 0
 
-    def f2(x, y):
-        return 2.0 * energy.energy_value(x, y)
-
     def fval(x, y):
-        return energy.f_value(x, y)
+        return math.sqrt(max(model.F2_fn(x, y), 0.0))
 
     for s in s_batch:
-        sp = jet_space(n, 3, 3)
-        E = energy.energy_jet(s, sp)
+        E = energy.energy_jet(s, 3, 3)
         F2j = 2.0 * E
         Fj = F2j.sqrt()
-        for fn, jet in ((f2, F2j), (fval, Fj)):
+        for fn, jet in ((model.F2_fn, F2j), (fval, Fj)):
             jets = []
             fds = []
             for m in multi:

@@ -25,9 +25,10 @@ import numpy as np
 
 from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets,
                           phi_values)
-from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
+from .core import (MetricData, ModelEnergy, TangentSample, diagonal_scale, make_sample,
+                   metric_data)
 from .errors import DegenerateMargin, OutsideHatDomain
-from .numkit import Jet, jet_space
+from .numkit import Jet
 from .report import IdentityResult, PairAccumulator
 
 __all__ = [
@@ -92,41 +93,33 @@ def concurrent_form(model, s: TangentSample, E: Jet):
 class HatEnergy:
     """Energy provider of the changed metric; plugs into the ordinary pipeline.
 
-    Construction differentiates the base energy once in y (to form Phi), hence
-    y_overhead = 1: a request for y-order k allocates base jets of order k+1.
-    """
-
-    y_overhead = 1
+    Phi takes one y-derivative of the base energy, so a jet valid to y-order k
+    lives in a base space of y-order k + 1.  Past the hat fence `energy_jet`
+    raises OutsideHatDomain and `f_value` returns None."""
 
     def __init__(self, model):
         self.model = model
         self.dim = model.dim
         self.base = ModelEnergy(model)
 
-    def energy_jet(self, s: TangentSample, space) -> Jet:
-        E = self.base.energy_jet(s, space)
+    def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
+        E = self.base.energy_jet(s, y_order + 1, x_order)
         F, Phi = concurrent_form(self.model, s, E)
         _require_hat_domain(F.value, Phi.value, s)
         Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
 
-    def _form_values(self, x, y):
-        """The sample and the values of F and Phi, off a y-order-1 base jet."""
-        s = make_sample(self.model, x, y)
-        F, Phi = concurrent_form(self.model, s,
-                                 self.base.energy_jet(s, jet_space(self.dim, 1, 0)))
-        return s, F.value, Phi.value
-
-    def f_value(self, x, y) -> float:
-        s, F, Phi = self._form_values(x, y)
-        _require_hat_domain(F, Phi, s)
-        return F ** 2 / (F - Phi)
+    def f_value(self, x, y) -> float | None:
+        """Fhat = F^2/(F - Phi), with F and Phi read off a y-order-1 base jet."""
+        if not self.model.in_domain(x, y):
+            return None
+        s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
+        F, Phi = concurrent_form(self.model, s, self.base.energy_jet(s, 1, 0))
+        F, Phi = F.value, Phi.value
+        return F ** 2 / (F - Phi) if _inside_hat_fence(F, Phi) else None
 
     def in_domain(self, x, y) -> bool:
-        if not self.model.in_domain(x, y):
-            return False
-        _, F, Phi = self._form_values(x, y)
-        return _inside_hat_fence(F, Phi)
+        return self.f_value(x, y) is not None
 
 
 @dataclass
@@ -507,8 +500,9 @@ def select_orientation(model, probe_batches: dict):
         oriented = model.oriented(orient)
         results = change_identity_suite(oriented, batch, with_curvature=False)
         results += lemma_identity_suite(oriented, batch)
-        totals[orient] = float(sum(
-            min(r.residual, 1.0) for r in results if r.residual is not None))
+        # each identity counts at most 1, a non-finite one (residual None) 1
+        totals[orient] = float(sum(1.0 if r.residual is None else min(r.residual, 1.0)
+                                   for r in results if r.kind == "identity"))
     best = min(sorted(totals), key=lambda o: totals[o])
     return best, totals
 
@@ -563,7 +557,7 @@ def nondegeneracy_scan(model, s_batch) -> NondegeneracyScan:
         count += 1
         ghat = GeometryJets(hat, s, 2, 0).metric()
         det = float(np.linalg.det(ghat))
-        scale = math.prod(max(abs(ghat[i, i]), 1e-300) for i in range(n)) ** (1.0 / n)
+        scale = diagonal_scale(ghat)
         rec = {"x": s.x.tolist(), "y": s.y.tolist(),
                "margin": sc.margin, "det": det}
         min_m = min(min_m, abs(sc.margin))

@@ -12,6 +12,7 @@ residual from them on demand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,10 @@ class IdentityResult:
 
 
 class PairAccumulator:
-    """Accumulates per-sample (predicted, direct) pairs for one identity."""
+    """Accumulates per-sample (predicted, direct) pairs for one identity.
+
+    The first sample with a non-finite residual becomes the worst one for
+    good: the identity fails with residual None and names that sample."""
 
     def __init__(self, name: str, tolerance: float):
         self.name = name
@@ -92,7 +96,7 @@ class PairAccumulator:
     def add(self, sample, predicted, direct):
         r = relmax(predicted, direct)
         self.n += 1
-        if self.worst is None or r > self.residual:
+        if self.worst is None or (math.isfinite(self.residual) and not r <= self.residual):
             self.residual = r
             self.worst = (sample, np.asarray(predicted, float), np.asarray(direct, float))
         return r
@@ -100,17 +104,18 @@ class PairAccumulator:
     def result(self, note: str = "") -> IdentityResult:
         worst_sample = None
         pw = dw = None
+        residual = self.residual if math.isfinite(self.residual) else None
         if self.worst is not None:
             s, p, d = self.worst
-            worst_sample = {
-                "x": [float(v) for v in s.x],
-                "y": [float(v) for v in s.y],
-                "residual": self.residual,
-            }
-            pw = [float(v) for v in np.ravel(p)]
-            dw = [float(v) for v in np.ravel(d)]
+            worst_sample = {"x": [float(v) for v in s.x], "y": [float(v) for v in s.y],
+                            "residual": residual}
+            if residual is None:
+                note = "; ".join(filter(None, (note, "non-finite residual at the worst sample")))
+            else:
+                pw = [float(v) for v in np.ravel(p)]
+                dw = [float(v) for v in np.ravel(d)]
         return IdentityResult(
-            name=self.name, kind="identity", residual=self.residual,
+            name=self.name, kind="identity", residual=residual,
             tolerance=self.tolerance, n_samples=self.n,
             worst_sample=worst_sample, predicted_worst=pw, direct_worst=dw,
             note=note,

@@ -250,6 +250,8 @@ def test_geodesic_rejects_orientation_for_base_flow(capsys):
     pytest.param(["--step", "inf"], "step", id="inf-step"),
     pytest.param(["--t-end", "nan"], "t_end", id="nan-t-end"),
     pytest.param(["--t-end", "1e12", "--step", "1"], "t_end/step", id="too-many-steps"),
+    pytest.param(["--t-end", "1", "--step", "0.4"], "t_end/step", id="fractional-steps"),
+    pytest.param(["--t-end", "0.0004", "--step", "0.001"], "t_end/step", id="under-one-step"),
 ])
 def test_geodesic_bad_step_exits_2(flags, named, capsys):
     assert run(["geodesic", "--model", "euclid_concurrent", "--x", "0,0",

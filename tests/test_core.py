@@ -7,6 +7,7 @@ import pytest
 
 from finslerlab import core, expr, models
 from finslerlab.errors import DomainEscape, SingularMetric
+from finslerlab.report import PairAccumulator, SuiteReport
 
 EX = models.builtin_model("matsumoto_example")
 EU = models.builtin_model("euclid_concurrent")
@@ -71,10 +72,10 @@ def test_singular_metric_detected():
 
 
 def test_homogeneity_example_and_euclid():
-    rep = core.homogeneity_report(EX, P0, lambdas=(0.5, 2.0, 3.0))
+    rep = core.homogeneity_report(EX, P0)
     assert rep.max_residual <= 1e-9
     s = core.make_sample(EU, [0.0, 0.0], [0.3, 0.4])
-    rep = core.homogeneity_report(EU, s, lambdas=(3.0,))
+    rep = core.homogeneity_report(EU, s)
     assert rep.max_residual <= 1e-14
 
 
@@ -112,4 +113,25 @@ def test_sample_batch_gives_up_eventually():
     box = models.default_box(EU)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7, 2])))
     with pytest.raises(DomainEscape):
-        core.sample_batch(EU, box, 5, rng, predicate=lambda s: False, max_tries=50)
+        core.sample_batch(EU, box, 5, rng, predicate=lambda s: False)
+
+
+@pytest.mark.parametrize("first, bad", [
+    pytest.param(True, math.nan, id="nan-after-a-finite-sample"),
+    pytest.param(True, math.inf, id="inf-after-a-finite-sample"),
+    pytest.param(False, math.nan, id="nan-first"),
+])
+def test_non_finite_residual_fails_and_names_its_sample(first, bad):
+    """A non-finite pair fails the identity at its sample, whatever came
+    before or after it, and the rendered report holds no NaN or Infinity."""
+    s_bad = core.make_sample(EU, [0.5, 0.0], [1.0, 0.0])
+    acc = PairAccumulator("probe", 1e-9)
+    if first:
+        acc.add(P0, [1.0], [1.0])
+    acc.add(s_bad, [bad], [1.0])
+    acc.add(P0, [2.0], [1.0])
+    res = acc.result()
+    assert res.passed is False and res.residual is None and res.n_samples == 2 + first
+    assert res.worst_sample["x"] == [0.5, 0.0] and "non-finite" in res.note
+    text = SuiteReport("m", "+1", 0, 1, identities=[res]).to_json()
+    assert "NaN" not in text and "Infinity" not in text

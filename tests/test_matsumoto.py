@@ -473,11 +473,13 @@ def test_hat_geodesic_stop_reason_is_first_integral_jump():
 
 
 def test_hat_geodesic_builds_no_metric_data(monkeypatch):
-    """The hat value path reads F and Phi off a y-order-1 jet: no metric data."""
+    """The hat value path reads F and Phi off a y-order-1 jet: no metric data,
+    and one base energy jet per accepted state on top of the four per RK4 step."""
     calls = _count_calls(monkeypatch)
     traj = connections.integrate_geodesic(HatEnergy(EX.oriented(-1)), P0, 0.1, 1e-3)
     assert traj.t.shape[0] == 101 and not traj.escaped
     assert calls["metric_data"] == 0
+    assert calls["ModelEnergy.energy_jet"] == 4 * 100 + 101
 
 
 def test_vertical_derivative_operator_is_shared():
