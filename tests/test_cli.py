@@ -1,5 +1,6 @@
 """CLI behaviour: commands, formats, exit codes, determinism, report shape."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -317,9 +318,28 @@ GOLDEN = Path(__file__).parent / "data"
     pytest.param(["geodesic", "--model", "matsumoto_example", "--which", "base",
                   "--x=1,0,1", "--y=1,1,1", "--t-end", "0.05", "--step", "1e-3"],
                  "geodesic_base_matsumoto_example_P0.csv", id="geodesic-base"),
+    # flat model: its 42 exact zeros (C = 0, N = 0, ...) print a slipped sign as -0.0
+    pytest.param(["inspect", "--model", "euclid_concurrent", "--x=0.3,-0.2",
+                  "--y=1.1,0.7", "--orientation=-1", "--format", "json"],
+                 "inspect_euclid_concurrent_orient-1.json", id="inspect-flat"),
 ])
 def test_hat_side_output_matches_golden(argv, golden, tmp_path):
-    """The changed-metric dump and trajectory at P0 are pinned byte for byte."""
+    """The changed-metric dumps and trajectories are pinned byte for byte."""
     out = tmp_path / golden
     assert run([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# SHA-256 of the full changed-metric geodesic from the criterion-9 start
+# (1,000 RK4 steps, 138,977 bytes of CSV), the benchmark's geodesic-hat run
+GEODESIC_HAT_SHA256 = "1f11cc4f6c56fe114b7d3dbde222c611cad02baa3fbb2871b78c45829e714b92"
+
+
+def test_full_hat_geodesic_output_is_pinned(capsys):
+    """Every bit of the 1,001-row trajectory is pinned, the last rows too."""
+    assert run(["geodesic", "--model", "matsumoto_example", "--which", "hat",
+                "--orientation=-1", "--x=1.0,0.0,1.0", "--y=1.0,1.0,1.0",
+                "--t-end", "1.0", "--step", "0.001"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 138977
+    assert hashlib.sha256(out).hexdigest() == GEODESIC_HAT_SHA256
