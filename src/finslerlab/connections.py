@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (MetricData, TangentSample, as_energy, cartan_tensor,
-                   metric_tensor, read_metric_data, _require_in_domain, _y_index)
+                   metric_tensor, read_metric_data, _require_in_domain)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
 from .numkit import jet_space
 
@@ -85,7 +85,12 @@ class GeometryJets:
     @cached_property
     def md(self) -> MetricData:
         """Metric data read off this geometry's energy jet (y-order 3 or more)."""
-        return read_metric_data(self.E, self.s)
+        return read_metric_data(self.E, self.s, lambda: self.F_jet)
+
+    @cached_property
+    def F_jet(self):
+        """F = sqrt(2E) as a jet: one square root for `md` and the change scalars."""
+        return (2.0 * self.E).sqrt()
 
     # -- jet-level fields ----------------------------------------------------
 
@@ -308,16 +313,10 @@ def spray_system(E, y) -> np.ndarray:
     defining linear system g_lm (2 G^m) = b_l, from an energy jet valid to
     (2, 1)."""
     n = E.space.n
-    b = np.empty(n)
-    for l in range(n):
-        mi = [0] * (2 * n)
-        mi[l] = 1
-        acc = -E.partial(mi)
-        for k in range(n):
-            mk = list(_y_index(n, l))
-            mk[k] = 1
-            acc += y[k] * E.partial(mk)
-        b[l] = acc
+    b = -E.partials(range(n))                     # dE/dx^l
+    dydx = E.partials(range(n, 2 * n), range(n))  # d^2E/dy^l dx^k
+    for k in range(n):
+        b += y[k] * dydx[:, k]
     return b
 
 

@@ -113,34 +113,19 @@ def _require_in_domain(s: TangentSample):
         raise DomainEscape(f"sample x={s.x.tolist()}, y={s.y.tolist()} is outside the domain")
 
 
-def _y_index(n, *idx):
-    mi = [0] * (2 * n)
-    for i in idx:
-        mi[n + i] += 1
-    return tuple(mi)
+def _ys(E: Jet) -> range:
+    """Variable numbers of the y-block of E's space."""
+    return range(E.space.n, 2 * E.space.n)
 
 
 def metric_tensor(E: Jet) -> np.ndarray:
     """g_ij = d^2 E/dy_i dy_j read off an energy jet valid to y-order 2."""
-    n = E.space.n
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = E.partial(_y_index(n, i, j))
-    return g
+    return E.partials(_ys(E), _ys(E))
 
 
 def cartan_tensor(E: Jet) -> np.ndarray:
     """C_ijk = (1/2) d^3 E/dy_i dy_j dy_k read off an energy jet valid to y-order 3."""
-    n = E.space.n
-    C = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = 0.5 * E.partial(_y_index(n, i, j, k))
-                for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                    C[p] = v
-    return C
+    return 0.5 * E.partials(_ys(E), _ys(E), _ys(E))
 
 
 def diagonal_scale(g: np.ndarray) -> float:
@@ -155,9 +140,10 @@ def metric_data(model, s: TangentSample) -> MetricData:
     return read_metric_data(as_energy(model).energy_jet(s, 3, 0), s)
 
 
-def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
+def read_metric_data(E: Jet, s: TangentSample, F_jet=None) -> MetricData:
     """Fundamental tensor, inverse, supporting form, angular metric and Cartan
-    torsion read off an energy jet at `s` valid to y-order 3.
+    torsion read off an energy jet at `s` valid to y-order 3.  `F_jet`, if
+    given, returns the jet (2E).sqrt() for ell, once the checks have passed.
 
     Conventions: g_ij = d^2 E/dy_i dy_j, ell_i = dF/dy_i, hbar = g - ell (x) ell,
     C_ijk = (1/2) d^3 E/dy_i dy_j dy_k."""
@@ -178,8 +164,8 @@ def read_metric_data(E: Jet, s: TangentSample) -> MetricData:
                     cond_g, s.x.tolist(), s.y.tolist())
     ginv = np.linalg.inv(g)
 
-    Fj = (2.0 * E).sqrt()
-    ell = np.array([Fj.partial(_y_index(n, i)) for i in range(n)])
+    Fj = (2.0 * E).sqrt() if F_jet is None else F_jet()
+    ell = Fj.partials(_ys(E))
     hbar = g - np.outer(ell, ell)
 
     return MetricData(F=F, E=E0, g=g, ginv=ginv, ell=ell, hbar=hbar,

@@ -342,6 +342,10 @@ def lower(ast, params=None):
             return lambda xs, ys: fn(a(xs, ys))
         if isinstance(node, Bin):
             op, a, b = _OPERATORS[node.op], low(node.a), low(node.b)
+            if (node.op == "^" and isinstance(node.b, Num) and node.b.value >= 1
+                    and node.b.value.is_integer()):
+                k = int(node.b.value)   # _pow's integer branch, resolved once
+                return lambda xs, ys: a(xs, ys) ** k
             return lambda xs, ys: op(a(xs, ys), b(xs, ys))
         raise EvalError(f"cannot evaluate node {node!r}")
 

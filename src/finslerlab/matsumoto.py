@@ -79,15 +79,20 @@ def _require_hat_domain(F: float, Phi: float, s: TangentSample):
             f"is not safely positive")
 
 
-def concurrent_form(model, s: TangentSample, E: Jet):
-    """Jets of F = sqrt(2E) and Phi = phi^i dE/dy^i from an energy jet at `s`.
+def concurrent_form(model, s: TangentSample, E: Jet) -> Jet:
+    """Jet of Phi = phi^i dE/dy^i from an energy jet at `s`.
 
-    Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only."""
-    xs = E.space.lift(s.x, s.y)[:model.dim]
-    Phi = E.space.zero()
+    Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only.  A
+    phi component that is the number 0 adds no term: it would add +-0.0."""
+    sp = E.space
+    xs = [sp.coordinate(i, v) for i, v in enumerate(s.x)]
+    Phi = sp.zero()
+    Phi.y_valid, Phi.x_valid = E.y_valid - 1, E.x_valid
     for i, p in enumerate(model.phi_fns):
-        Phi = Phi + p(xs, None) * E.diff_y(i)
-    return (2.0 * E).sqrt(), Phi
+        phi = p(xs, None)
+        if isinstance(phi, Jet) or phi != 0.0:
+            Phi = Phi + phi * E.diff_y(i)
+    return Phi
 
 
 class HatEnergy:
@@ -104,7 +109,7 @@ class HatEnergy:
 
     def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
         E = self.base.energy_jet(s, y_order + 1, x_order)
-        F, Phi = concurrent_form(self.model, s, E)
+        Phi, F = concurrent_form(self.model, s, E), (2.0 * E).sqrt()
         _require_hat_domain(F.value, Phi.value, s)
         Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
@@ -114,8 +119,8 @@ class HatEnergy:
         if not self.model.in_domain(x, y):
             return None
         s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
-        F, Phi = concurrent_form(self.model, s, self.base.energy_jet(s, 1, 0))
-        F, Phi = F.value, Phi.value
+        E = self.base.energy_jet(s, 1, 0)
+        Phi, F = concurrent_form(self.model, s, E).value, (2.0 * E).sqrt().value
         return F ** 2 / (F - Phi) if _inside_hat_fence(F, Phi) else None
 
     def in_domain(self, x, y) -> bool:
@@ -246,7 +251,7 @@ class ChangeJets:
     def scalars(self) -> ChangeScalars:
         geo, n = self.geo, self.n
         model = geo.energy.model
-        F, Phi = concurrent_form(model, geo.s, geo.E)
+        Phi, F = concurrent_form(model, geo.s, geo.E), geo.F_jet
         phi_up = [_as_jet(geo.space, p(geo.coords[:n], None)) for p in model.phi_fns]
         g = geo.g_jets
         phi_low = [sum((g[i][j] * phi_up[j] for j in range(1, n)), g[i][0] * phi_up[0])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -65,6 +66,9 @@ class JetSpace:
         self.multi_indices = [bx + ay for bx in x_part for ay in y_part]
         self.size = len(self.multi_indices)
         self._pos = {mi: k for k, mi in enumerate(self.multi_indices)}
+        # position of each coordinate's unit multi-index (None past the orders)
+        self._unit = [self._pos.get(tuple(e)) for e in np.eye(2 * n, dtype=int).tolist()]
+        self._tables = {}
         self._index_arr = np.array(self.multi_indices, dtype=np.int64)
         self._factorials = np.array(
             [math.prod(math.factorial(e) for e in mi) for mi in self.multi_indices],
@@ -114,6 +118,23 @@ class JetSpace:
     def pos(self, multi_index) -> int:
         return self._pos[tuple(multi_index)]
 
+    def _product(self, a, b) -> np.ndarray:
+        """Coefficients of the product of two coefficient vectors: the one
+        product kernel of the ring."""
+        return np.bincount(self._mul_k, weights=a[self._mul_i] * b[self._mul_j],
+                           minlength=self.size)
+
+    def _read_table(self, axes):
+        """Positions and factorials of the partials d/dv_1 ... d/dv_m, one per
+        choice of v_a in axes[a]; built once per space and tuple of axes."""
+        table = self._tables.get(axes)
+        if table is None:
+            pos = np.array([self._pos[tuple(np.bincount(vs, minlength=2 * self.n).tolist())]
+                            for vs in itertools.product(*axes)], dtype=np.intp)
+            pos = pos.reshape([len(a) for a in axes])
+            table = self._tables[axes] = (pos, self._factorials[pos])
+        return table
+
     def zero(self) -> "Jet":
         return Jet(self, np.zeros(self.size))
 
@@ -126,9 +147,7 @@ class JetSpace:
         """Jet of the coordinate function number `var` (x-block first, then y-block)."""
         c = np.zeros(self.size)
         c[0] = float(value)
-        e = [0] * (2 * self.n)
-        e[var] = 1
-        k = self._pos.get(tuple(e))
+        k = self._unit[var]
         if k is not None:
             c[k] = 1.0
         return Jet(self, c)
@@ -148,6 +167,9 @@ class JetSpace:
 @lru_cache(maxsize=None)
 def jet_space(n: int, y_order: int, x_order: int) -> JetSpace:
     return JetSpace(n, y_order, x_order)
+
+
+_SCALARS = (int, float, np.floating, np.integer)
 
 
 class Jet:
@@ -180,6 +202,17 @@ class Jet:
         k = self.space.pos(mi)
         return float(self.coeffs[k] * self.space._factorials[k])
 
+    def partials(self, *axes) -> np.ndarray:
+        """Partial derivatives d/dv_1 ... d/dv_m for every choice of v_a in
+        axes[a], a range of variable numbers inside the x- or the y-block, as
+        an array: one gather, checked once like `partial`."""
+        mi = [0] * (2 * self.space.n)
+        for a in axes:
+            mi[a[0]] += 1
+        self._check_extract(tuple(mi))
+        pos, fact = self.space._read_table(axes)
+        return self.coeffs[pos] * fact
+
     def _check_extract(self, mi):
         n = self.space.n
         xo = sum(mi[:n])
@@ -191,67 +224,65 @@ class Jet:
             )
 
     # -- ring operations ----------------------------------------------------
+    # Fast paths skip the constant jets a scalar or an integer power would
+    # build and give the same bits, sign of zero included: a product's
+    # coefficients are bincount sums started at +0.0, so never -0.0.
 
     def _coerce(self, other):
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise EvalError("jets from different spaces")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _SCALARS):
             return self.space.constant(float(other))
         return NotImplemented
 
-    def __add__(self, other):
+    def _affine(self, other, op):
+        """op(self, other) for + and -.  A scalar c acts as its constant jet:
+        op(value, c) on the value slot, op(coefficient, 0.0) on the others."""
+        if isinstance(other, _SCALARS):
+            c = op(self.coeffs, 0.0)
+            c[0] = op(self.coeffs[0], float(other))
+            return Jet(self.space, c, self.y_valid, self.x_valid)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return Jet(
             self.space,
-            self.coeffs + o.coeffs,
+            op(self.coeffs, o.coeffs),
             min(self.y_valid, o.y_valid),
             min(self.x_valid, o.x_valid),
         )
+
+    def __add__(self, other):
+        return self._affine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Jet(
-            self.space,
-            self.coeffs - o.coeffs,
-            min(self.y_valid, o.y_valid),
-            min(self.x_valid, o.x_valid),
-        )
+        return self._affine(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
+        return self._affine(other, lambda a, b: b - a)
 
     def __neg__(self):
         return Jet(self.space, -self.coeffs, self.y_valid, self.x_valid)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, Jet):
+            sp = self.space
+            if other.space is not sp:
+                raise EvalError("jets from different spaces")
+            return Jet(sp, sp._product(self.coeffs, other.coeffs),
+                       min(self.y_valid, other.y_valid), min(self.x_valid, other.x_valid))
+        if isinstance(other, _SCALARS):
             return Jet(self.space, self.coeffs * float(other), self.y_valid, self.x_valid)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        sp = self.space
-        prod = np.bincount(
-            sp._mul_k,
-            weights=self.coeffs[sp._mul_i] * o.coeffs[sp._mul_j],
-            minlength=sp.size,
-        )
-        return Jet(sp, prod, min(self.y_valid, o.y_valid), min(self.x_valid, o.x_valid))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _SCALARS):
             if abs(other) < 1e-300:
                 raise EvalError("division by ~0")
             return self * (1.0 / float(other))
@@ -273,15 +304,21 @@ class Jet:
             k = int(exponent)
             if k < 0:
                 return (self ** (-k))._reciprocal()
-            out = self.space.constant(1.0)
-            out.y_valid, out.x_valid = self.y_valid, self.x_valid
-            base = self
-            while k:
+            if k == 0:
+                out = self.space.constant(1.0)
+                out.y_valid, out.x_valid = self.y_valid, self.x_valid
+                return out
+            if k == 1:
+                return self + 0.0  # = 1 * self: a -0.0 coefficient reads +0.0
+            # square and multiply, from the lowest set bit of k
+            out, base = None, self
+            while True:
                 if k & 1:
-                    out = out * base
-                base = base * base if k > 1 else base
+                    out = base if out is None else out * base
                 k >>= 1
-            return out
+                if not k:
+                    return out
+                base = base * base
         # real exponent: principal branch, positive base only
         v = self.value
         if v <= 0.0:
@@ -306,17 +343,22 @@ class Jet:
         K = self._terms()
         if K < 0:
             raise EvalError("composition on a jet with exhausted valid orders")
-        h = self - self.value
         try:
             cs = [taylor_coeff(k) for k in range(K + 1)]
         except (OverflowError, ZeroDivisionError) as e:
             raise EvalError(f"series coefficient overflow at value {self.value!r} "
                             f"(too close to a singularity)") from e
-        acc = self.space.constant(cs[K])
-        acc.y_valid, acc.x_valid = self.y_valid, self.x_valid
+        sp = self.space
+        if K == 0:
+            return Jet(sp, sp.constant(cs[0]).coeffs, self.y_valid, self.x_valid)
+        h = self.coeffs.copy()
+        h[0] = 0.0
+        acc = h * cs[K] + 0.0   # the first product, constant(cs[K]) * h
         for k in range(K - 1, -1, -1):
-            acc = acc * h + cs[k]
-        return acc
+            acc[0] += cs[k]
+            if k:
+                acc = sp._product(acc, h)
+        return Jet(sp, acc, self.y_valid, self.x_valid)
 
     def _reciprocal(self) -> "Jet":
         v = self.value

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import connections, core, expr, harness, matsumoto, models
+from finslerlab import connections, core, expr, harness, matsumoto, models, numkit
 from finslerlab.core import metric_data, sample_batch
 from finslerlab.errors import DegenerateMargin, OutsideHatDomain
 from finslerlab.matsumoto import HatEnergy, change_scalars
@@ -426,7 +426,9 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize("with_curvature", [True, False])
 def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypatch):
     """One base and one changed-metric GeometryJets per change sample, one
-    energy jet each, and the metric data read off them."""
+    energy jet each, and the metric data read off them.  The base geometry
+    takes one square root of its energy jet for ell and the change scalars;
+    the changed metric takes one for Fhat and one for its own ell."""
     built = []
     init = connections.GeometryJets.__init__
 
@@ -434,18 +436,29 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
         built.append((y_order, x_order))
         init(self, energy, s, y_order, x_order)
 
-    batch = _batch(EX, -1.0, 3, 30)
+    roots = []
+    sqrt = numkit.Jet.sqrt
+
+    def counting_sqrt(self):
+        roots.append(self.space)
+        return sqrt(self)
+
+    batch = [P0, *_batch(EX, -1.0, 3, 30)]
     monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
+    monkeypatch.setattr(numkit.Jet, "sqrt", counting_sqrt)
     calls = _count_calls(monkeypatch)
     results = matsumoto.change_identity_suite(EX.oriented(-1), batch, with_curvature)
     assert all(r.note == "" for r in results if r.kind == "identity")
     assert built == [(4, 2 if with_curvature else 1)] * (2 * len(batch))
     assert calls == {"ModelEnergy.energy_jet": 2 * len(batch),
                      "HatEnergy.energy_jet": len(batch)}
+    assert len(roots) == 3 * len(batch)
 
     calls.clear()
+    roots.clear()
     matsumoto.lemma_identity_suite(EX.oriented(-1), batch)
     assert calls == {"ModelEnergy.energy_jet": len(batch)}
+    assert len(roots) == len(batch)
 
 
 def test_hat_geodesic_near_degeneracy_halts_finitely():

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finslerlab.connections import spray_system
+from finslerlab.core import cartan_tensor, metric_tensor
 from finslerlab.errors import DomainEscape, EvalError
-from finslerlab.numkit import fd_derivative, jet_space
+from finslerlab.numkit import Jet, fd_derivative, jet_space
 
 
 def test_lift_seeding():
@@ -153,3 +156,171 @@ def test_fd_step_scale_must_be_positive():
             fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1), step_scale=scale)
     assert fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1),
                          step_scale=0.1) == pytest.approx(2.0, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# bit identity of the ring's fast paths against the generic routes, written
+# out here: scalars enter as constant jets, integer powers start from the
+# constant 1, Horner steps are a full product plus a constant jet, and
+# coefficients are read one partial() at a time
+# --------------------------------------------------------------------------
+
+SPACES = [(2, 3, 1), (3, 3, 1), (3, 4, 2), (3, 1, 0)]
+SCALARS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                    st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def jets(draw, spaces=SPACES, value=None):
+    """A jet with random coefficients and valid orders in one of `spaces`;
+    about a quarter of its coefficients are exact +0.0 or -0.0."""
+    sp = jet_space(*draw(st.sampled_from(spaces)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(sp.size) * 10.0 ** rng.integers(-3, 4, sp.size)
+    zero = rng.random(sp.size) < 0.25
+    c[zero] = np.where(rng.random(sp.size) < 0.5, 0.0, -0.0)[zero]
+    if value is not None:
+        c[0] = draw(value)
+    return Jet(sp, c, draw(st.integers(0, sp.y_order)), draw(st.integers(0, sp.x_order)))
+
+
+def _same(a, b):
+    assert a.space is b.space
+    assert (a.y_valid, a.x_valid) == (b.y_valid, b.x_valid)
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def _ref_mul(a, b):
+    sp = a.space
+    prod = np.bincount(sp._mul_k, weights=a.coeffs[sp._mul_i] * b.coeffs[sp._mul_j],
+                       minlength=sp.size)
+    return Jet(sp, prod, min(a.y_valid, b.y_valid), min(a.x_valid, b.x_valid))
+
+
+def _ref_const(j, c, valid=None):
+    y_valid, x_valid = valid or (j.space.y_order, j.space.x_order)
+    return Jet(j.space, j.space.constant(c).coeffs, y_valid, x_valid)
+
+
+def _ref_add(a, b, sign=1.0):
+    coeffs = a.coeffs + b.coeffs if sign > 0 else a.coeffs - b.coeffs
+    return Jet(a.space, coeffs, min(a.y_valid, b.y_valid), min(a.x_valid, b.x_valid))
+
+
+def _ref_pow(j, k):
+    out, base = _ref_const(j, 1.0, (j.y_valid, j.x_valid)), j
+    while k:
+        if k & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+def _ref_compose(j, taylor_coeff):
+    K = j.y_valid + j.x_valid
+    h = _ref_add(j, _ref_const(j, j.value), -1.0)
+    acc = _ref_const(j, taylor_coeff(K), (j.y_valid, j.x_valid))
+    for k in range(K - 1, -1, -1):
+        acc = _ref_add(_ref_mul(acc, h), _ref_const(acc, taylor_coeff(k)))
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets(value=SCALARS), SCALARS)
+def test_scalar_add_and_subtract_match_the_constant_jet_route(j, c):
+    _same(j + c, _ref_add(j, _ref_const(j, c)))
+    _same(c + j, _ref_add(j, _ref_const(j, c)))
+    _same(j - c, _ref_add(j, _ref_const(j, c), -1.0))
+    _same(c - j, _ref_add(_ref_const(j, c), j, -1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(value=SCALARS))
+def test_integer_powers_match_square_and_multiply_from_one(j):
+    for k in range(6):
+        _same(j ** k, _ref_pow(j, k))
+        _same(j ** float(k), _ref_pow(j, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(value=st.floats(0.1, 50.0)))
+def test_compositions_match_the_unfused_horner_steps(j):
+    v = j.value
+    _same(j.sqrt(), _ref_compose(j, lambda k: _binom(0.5, k) * v ** (0.5 - k)))
+    _same(j._reciprocal(), _ref_compose(j, lambda k: (-1.0) ** k / v ** (k + 1)))
+
+
+def _binom(p, k):
+    c = 1.0
+    for i in range(k):
+        c *= (p - i) / (i + 1)
+    return c
+
+
+def _y(n, *idx):
+    mi = [0] * (2 * n)
+    for i in idx:
+        mi[n + i] += 1
+    return mi
+
+
+def _outcome(read):
+    """The bytes a read returns, or the message of the EvalError it raises."""
+    try:
+        return read().tobytes()
+    except EvalError as e:
+        return str(e)
+
+
+def _ref_metric(E):
+    n = E.space.n
+    return np.array([[E.partial(_y(n, i, j)) for j in range(n)] for i in range(n)])
+
+
+def _ref_cartan(E):
+    n = E.space.n
+    return np.array([[[0.5 * E.partial(_y(n, i, j, k)) for k in range(n)]
+                      for j in range(n)] for i in range(n)])
+
+
+def _ref_spray_system(E, y):
+    n = E.space.n
+    b = np.empty(n)
+    for l in range(n):
+        mi = [0] * (2 * n)
+        mi[l] = 1
+        acc = -E.partial(mi)
+        for k in range(n):
+            mk = _y(n, l)
+            mk[k] = 1
+            acc += y[k] * E.partial(mk)
+        b[l] = acc
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(spaces=[s for s in SPACES if s[1] >= 2]))
+def test_metric_and_cartan_reads_match_partial_loops(E):
+    assert _outcome(lambda: metric_tensor(E)) == _outcome(lambda: _ref_metric(E))
+    if E.space.y_order >= 3:
+        assert _outcome(lambda: cartan_tensor(E)) == _outcome(lambda: _ref_cartan(E))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(spaces=[s for s in SPACES if s[2] >= 1]),
+       st.lists(SCALARS, min_size=3, max_size=3))
+def test_spray_system_matches_its_partial_loop(E, y):
+    y = np.array(y[:E.space.n])
+    assert (_outcome(lambda: spray_system(E, y))
+            == _outcome(lambda: _ref_spray_system(E, y)))
+
+
+def test_reads_past_the_valid_orders_raise():
+    E = jet_space(3, 3, 1).lift([1.0, 0.5, 2.0], [1.0, 1.0, 1.0])[3] ** 3
+    with pytest.raises(EvalError, match=r"coefficient \(0, 0, 0, 2, 0, 0\)"):
+        metric_tensor(E.diff_y(0).diff_y(0))      # y_valid 1
+    with pytest.raises(EvalError, match=r"coefficient \(1, 0, 0, 0, 0, 0\)"):
+        spray_system(E.diff_x(0), np.ones(3))     # x_valid 0
+    with pytest.raises(EvalError, match=r"coefficient \(0, 0, 2, 0\)"):
+        metric_tensor(jet_space(2, 1, 0).constant(1.0))   # past the space's orders
