@@ -9,7 +9,8 @@
                         [--which base | --which hat [--orientation +1|-1]]
                         [--out PATH]
 
-Exit codes: 0 pass, 1 identity failure, 2 domain error, 3 parse/model error.
+Exit codes: 0 pass, 1 identity failure, 2 domain or usage error (a bad flag
+value, an --out that cannot be written), 3 parse/model error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -53,16 +55,34 @@ def _int_at_least(lo: int):
 
 
 def _tolerance(text: str) -> tuple:
-    """NAME=V with V a finite real >= 0."""
+    """NAME=V with a non-empty NAME and V a finite real >= 0."""
     name, _, value = text.partition("=")
     try:
         tol = float(value)
     except ValueError:
         tol = np.nan
-    if not 0.0 <= tol < np.inf:
+    if not name or not 0.0 <= tol < np.inf:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not NAME=V with a finite V >= 0")
+            f"{text!r} is not NAME=V with a non-empty NAME and a finite V >= 0")
     return name, tol
+
+
+def _out_path(text: str) -> str:
+    """A file path in an existing, writable directory, checked before the run."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder!r}"
+    elif not os.access(folder, os.W_OK):
+        problem = f"directory {folder!r} is not writable"
+    else:
+        return text
+    raise argparse.ArgumentTypeError(f"cannot write {text!r}: {problem}")
+
+
+class OutputError(Exception):
+    """The report could not be written to --out."""
 
 
 def _parse_box(text: str, dim2: int) -> np.ndarray:
@@ -92,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True,
                         help="model file path or builtin name")
-    common.add_argument("--out", default=None, help="write the report here")
+    common.add_argument("--out", default=None, type=_out_path,
+                        help="write the report here")
 
     coord_help = "comma-separated reals; use --x=-1,0,... when a value is negative"
     p_inspect = sub.add_parser("inspect", parents=[common],
@@ -130,8 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise OutputError(f"cannot write --out {out_path!r}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -223,6 +247,9 @@ def main(argv=None) -> int:
         if ns.command == "geodesic":
             return cmd_geodesic(ns)
         raise AssertionError(f"unhandled command {ns.command!r}")
+    except OutputError as e:
+        sys.stderr.write(f"output error: {e}\n")
+        return EXIT_DOMAIN
     except (ModelSyntaxError, ModelValidationError, FileNotFoundError) as e:
         sys.stderr.write(f"model error: {e}\n")
         return EXIT_PARSE

@@ -278,10 +278,10 @@ class Trajectory:
     """RK4 solution of x' = y, y' = -2G(x, y) with the metric value along it.
 
     `escape_reason` is None for a full run, else why it stopped early: "left
-    the domain", or the fixed step no longer resolving the flow ("state
-    blow-up", "first-integral jump" for a single-step jump of the conserved
-    metric value far above the drift budget, or the name of the exception a
-    step raised).  The recorded stretch is always finite and trustworthy.
+    the domain", or the step no longer resolving the flow ("state blow-up",
+    "first-integral jump" for a single-step jump of the conserved metric value
+    far above the drift budget, or the name of the exception a step raised).
+    The recorded stretch is always finite and trustworthy.
     """
 
     t: np.ndarray
@@ -327,13 +327,43 @@ def _spray_rhs(energy, x, y):
     return np.concatenate([y, -2.0 * G])
 
 
-def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> Trajectory:
-    """Fixed-step RK4 integration of the geodesic equation of the model's metric.
+def _rk4_step(rhs, z, h, embedded):
+    """One classic RK4 step from z, and with `embedded` also the third-order
+    companion of Zonneveld's 4(3) pair, from one more stage at c = 3/4
+    (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., Table II.4.2)."""
+    k1 = rhs(z)
+    k2 = rhs(z + 0.5 * h * k1)
+    k3 = rhs(z + 0.5 * h * k2)
+    k4 = rhs(z + h * k3)
+    z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not embedded:
+        return z_new, None
+    k5 = rhs(z + h * (5 / 32 * k1 + 7 / 32 * k2 + 13 / 32 * k3 - 1 / 32 * k4))
+    z3 = z + h * (-0.5 * k1 + 7 / 3 * k2 + 7 / 3 * k3 + 13 / 6 * k4 - 16 / 3 * k5)
+    return z_new, z3
 
-    `t_end` must be a whole number of steps.  Halts early (escape_reason and
-    exit_time set) when the metric value F is undefined at a new state or the
-    step stops resolving the flow.  F is a first integral of its own geodesic
-    flow, so its drift measures integration quality.
+
+def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
+                       tol: float | None = None) -> Trajectory:
+    """RK4 integration of the geodesic equation of the model's metric.
+
+    With `tol` None every step is `step` long and `t_end` must be a whole
+    number of them.  With `tol` set, the step is chosen by local error: a step
+    longer than `step` carries Zonneveld's third-order companion, is accepted
+    when max_i |z_rk4 - z3|_i / (tol (1 + |z_i|)) <= 1 and is retried shorter
+    otherwise (or when it trips a guard below); a step of at most `step`,
+    the floor, is a plain RK4 step that is never retried.  The RK4 update is
+    the one kept; the next step grows by min(5, 0.9 err^(-1/4)), fivefold
+    after a floor step, and the last step lands on `t_end`.  A retry that
+    falls to the floor makes the next longer attempt wait 1, 2, 4, ... floor
+    steps, until one is accepted, so a flow the pair cannot resolve runs at
+    about the fixed-step cost instead of alternating floor steps with
+    rejected attempts.
+
+    Halts early (escape_reason and exit_time set) when a step at the floor
+    meets a state where the metric value F is undefined or stops resolving
+    the flow.  F is a first integral of its own geodesic flow, so its drift
+    measures integration quality.
     """
     for name, v in (("step", step), ("t_end", t_end)):
         if not 0.0 < v < np.inf:
@@ -356,35 +386,49 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
                            f"the domain of the metric")
     z = np.concatenate([s0.x, s0.y])
     escape_reason = None
-    # beyond this the flow has left any region a fixed step can track (e.g. a
+    # beyond this the flow has left any region a floor step can track (e.g. a
     # changed spray blowing up toward its degeneracy surface)
     state_cap = 1e9 * max(1.0, float(np.max(np.abs(z))))
 
     def rhs(zv):
         return _spray_rhs(energy, zv[:n], zv[n:])
 
-    for k in range(nsteps):
-        h = step
-        t = (k + 1) * h
+    h = step
+    floor_left, backoff = 0, 1  # floor steps before the next longer attempt
+    while len(ts) <= nsteps if tol is None else ts[-1] < t_end:
+        if tol is None:
+            t = len(ts) * step
+        elif (t := ts[-1] + h) >= t_end:
+            h, t = t_end - ts[-1], t_end
+        embedded = tol is not None and h > step
+        err = 0.0
         try:
-            k1 = rhs(z)
-            k2 = rhs(z + 0.5 * h * k1)
-            k3 = rhs(z + 0.5 * h * k2)
-            k4 = rhs(z + h * k3)
-            z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            z_new, z3 = _rk4_step(rhs, z, h, embedded)
             if not np.all(np.isfinite(z_new)) or np.max(np.abs(z_new)) > state_cap:
                 escape_reason = "state blow-up"
+            elif embedded and not (err := float(np.max(
+                    np.abs(z_new - z3) / (tol * (1.0 + np.abs(z)))))) <= 1.0:
+                pass  # too long a step: retried below
             elif (F_new := energy.f_value(z_new[:n], z_new[n:])) is None:
                 escape_reason = "left the domain"
             elif abs(F_new - Fs[-1]) > max(1e-5 * h, 1e-12) * max(abs(Fs[0]), abs(Fs[-1])):
                 # a single-step jump of F far above the drift budget means the
-                # fixed step stopped resolving the flow (e.g. a changed spray
+                # step stopped resolving the flow (e.g. a changed spray
                 # stiffening toward its degeneracy surface)
                 escape_reason = "first-integral jump"
         except (SingularMetric, EvalError, DomainEscape, OutsideHatDomain,
                 np.linalg.LinAlgError, FloatingPointError, OverflowError) as e:
             escape_reason = type(e).__name__
             t = ts[-1] + h
+        if embedded and (escape_reason is not None or not err <= 1.0):
+            # retry shorter: by the error estimate, or by the largest cut past
+            # a guard or a non-finite estimate; the floor is never retried
+            cut = 0.2 if escape_reason or not err < np.inf else max(0.2, 0.9 * err ** -0.25)
+            h = max(step, h * cut)
+            if h == step:
+                floor_left, backoff = backoff, 2 * backoff
+            escape_reason = None
+            continue
         if escape_reason is not None:
             break
         z = z_new
@@ -392,6 +436,11 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float) -> T
         xs.append(z[:n].copy())
         ys.append(z[n:].copy())
         Fs.append(F_new)
+        if embedded:
+            h *= min(5.0, 0.9 * err ** -0.25) if err > 0.0 else 5.0
+            backoff = 1
+        elif tol is not None and (floor_left := floor_left - 1) <= 0:
+            h *= 5.0
 
     return Trajectory(
         t=np.array(ts), x=np.array(xs), y=np.array(ys), F=np.array(Fs),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,9 @@ CORE_TOLERANCES = {
 # core-batch samples that also get the FD oracle / the homogeneity check
 FD_SAMPLES = 20
 HOMOGENEITY_SAMPLES = 10
-# RK4 step and duration of the geodesic first-integral check
+# geodesic first-integral check: the step-controlled RK4 run's local-error
+# tolerance, its first and shortest step, and its duration
+GEODESIC_TOL = 1e-9
 GEODESIC_STEP = 1e-3
 GEODESIC_TIME = 1.0
 # Ridders refinement: initial step scale, tableau size, step contraction
@@ -244,9 +247,14 @@ def run_fd_suite(model, s_batch):
 
 def run_geodesic_suite(model, cfg: RunConfig):
     """First-integral drift of base and changed geodesic flows; the change is
-    built on the model's phi as given (the base flow does not use phi)."""
+    built on the model's phi as given (the base flow does not use phi).
+
+    A start that leaves the domain within 20 floor steps is passed over for
+    the next one; when no start runs that long and some stopped for another
+    reason, the flow is not resolved and the identity fails, naming it."""
     rng = _rng(cfg.seed, _STREAM_GEODESIC)
     box = _box(model, cfg)
+    min_time = 20 * GEODESIC_STEP
     out = []
     for name, energy, predicate in (
         ("geodesic-first-integral-base", model, None),
@@ -255,18 +263,31 @@ def run_geodesic_suite(model, cfg: RunConfig):
     ):
         batch, _ = sample_batch(model, box, 8, rng, predicate=predicate)
         best = None
+        stops = []
         for s in batch:
-            traj = connections.integrate_geodesic(energy, s, GEODESIC_TIME, GEODESIC_STEP)
-            elapsed = float(traj.t[-1]) if traj.t.shape[0] > 1 else 0.0
-            if elapsed < 20 * GEODESIC_STEP:
-                continue  # left the domain almost immediately; try another start
-            rate = traj.metric_drift() / elapsed
-            best = (s, rate, elapsed, traj.escape_reason)
-            break
+            traj = connections.integrate_geodesic(energy, s, GEODESIC_TIME, GEODESIC_STEP,
+                                                  GEODESIC_TOL)
+            elapsed = float(traj.t[-1])
+            if elapsed >= min_time:
+                best = (s, traj.metric_drift() / elapsed, elapsed, traj.escape_reason)
+                break
+            stops.append((s, traj.escape_reason))
         if best is None:
+            unresolved = [s for s, r in stops if r != "left the domain"]
+            if not unresolved:
+                out.append(IdentityResult(
+                    name=name, kind="skipped",
+                    note="no sampled start stayed in the domain long enough"))
+                continue
+            counts = Counter(r for _, r in stops)
+            s = unresolved[0]
             out.append(IdentityResult(
-                name=name, kind="skipped",
-                note="no sampled start stayed in the domain long enough"))
+                name=name, kind="identity", residual=None,
+                tolerance=CORE_TOLERANCES[name], n_samples=len(stops),
+                worst_sample={"x": s.x.tolist(), "y": s.y.tolist(), "residual": None},
+                note=f"no sampled start ran to t={min_time!r}: "
+                     + ", ".join(f"{r} ({c} of {len(stops)})"
+                                 for r, c in sorted(counts.items()))))
             continue
         s, rate, elapsed, reason = best
         out.append(IdentityResult(

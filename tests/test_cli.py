@@ -151,15 +151,59 @@ def test_verify_rejects_negative_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "=1"])
 def test_verify_rejects_non_finite_or_negative_tolerance(value, capsys):
-    item = f"metric-change={value}"
+    """A bad V, or (given as "=V") an empty NAME, fails at parse time."""
+    item = value if value.startswith("=") else f"metric-change={value}"
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--model", "euclid_concurrent", "--samples", "1",
              "--tolerance", item])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--tolerance" in err and item in err
+
+
+OUT_ARGV = {
+    "inspect": ["inspect", "--model", "euclid_concurrent", "--x", "0.2,0.1", "--y", "1,0.3"],
+    "verify": ["verify", "--model", "euclid_concurrent", "--samples", "3"],
+    "geodesic": ["geodesic", "--model", "euclid_concurrent", "--x", "0.2,0.1",
+                 "--y", "1,0.3", "--t-end", "0.1", "--step", "0.01"],
+}
+# the call each command makes before it writes its output
+OUT_STAGE = {"inspect": (cli.harness, "inspect_point"),
+             "verify": (cli.harness, "run_verification"),
+             "geodesic": (cli.connections, "integrate_geodesic")}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_unwritable_out_exits_2_before_the_run(command, tmp_path, capsys, monkeypatch):
+    """An --out in a missing directory, or naming a directory, is rejected at
+    parse time, before any model is loaded."""
+    monkeypatch.setattr(cli.models, "load_model", None)  # the run must not start
+    for out in (tmp_path / "missing" / "x.out", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run([*OUT_ARGV[command], "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_out_write_failure_exits_2_naming_out(command, tmp_path, capsys, monkeypatch):
+    """A write that fails after the run (here the directory goes away while
+    the command runs) exits 2 with a message naming --out, not a model error."""
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    owner, name = OUT_STAGE[command]
+    inner = getattr(owner, name)
+
+    def remove_folder_then(*args):
+        folder.rmdir()
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, remove_folder_then)
+    assert run([*OUT_ARGV[command], "--out", str(folder / "x.out")]) == 2
+    assert capsys.readouterr().err.startswith("output error: cannot write --out")
 
 
 @pytest.mark.parametrize("argv", [

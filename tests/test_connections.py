@@ -7,6 +7,7 @@ import pytest
 
 from finslerlab import connections, core, expr, models
 from finslerlab.errors import DomainEscape
+from finslerlab.matsumoto import HatEnergy
 from finslerlab.numkit import fd_derivative
 
 EX = models.builtin_model("matsumoto_example")
@@ -195,3 +196,90 @@ def test_trajectory_csv_columns():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,x1,x2,y1,y2,F"
     assert len(lines) == traj.t.shape[0] + 1
+
+
+def _count_spray_calls(monkeypatch):
+    calls = [0]
+    spray_rhs = connections._spray_rhs
+
+    def counting(*args):
+        calls[0] += 1
+        return spray_rhs(*args)
+
+    monkeypatch.setattr(connections, "_spray_rhs", counting)
+    return calls
+
+
+# the criterion-9 starts: P0 with phi negated, and a generic flat start
+@pytest.mark.parametrize("energy, s0, share", [
+    pytest.param(HatEnergy(EX.oriented(-1)), P0, 1 / 3, id="example-hat-P0"),
+    pytest.param(HatEnergy(EU.oriented(+1)),
+                 core.make_sample(EU, [0.2, 0.1], [1.0, 0.3]), 1 / 5, id="flat-hat"),
+])
+def test_step_controlled_geodesic_takes_fewer_spray_evaluations(energy, s0, share,
+                                                                 monkeypatch):
+    """With a local-error tolerance the run still reaches t = 1 and conserves
+    the metric value, on a fraction of the fixed-step run's spray calls (the
+    example flow's acceleration is large enough that it needs about 0.29)."""
+    calls = _count_spray_calls(monkeypatch)
+    fixed = connections.integrate_geodesic(energy, s0, 1.0, 1e-3)
+    fixed_calls, calls[0] = calls[0], 0
+    traj = connections.integrate_geodesic(energy, s0, 1.0, 1e-3, tol=1e-9)
+    assert not fixed.escaped and not traj.escaped
+    assert traj.t[-1] == 1.0 and np.all(np.diff(traj.t) >= 1e-3)
+    assert fixed_calls == 4000 and calls[0] < share * fixed_calls
+    assert traj.metric_drift() <= 1e-9
+
+
+def test_embedded_pair_orders():
+    """On a smooth system, halving h cuts the one-step error of the RK4 update
+    about 32-fold (order 4) and of its companion about 16-fold (order 3)."""
+    def f(z):
+        return np.array([z[1], -math.sin(z[0]) + 0.3 * z[0] * z[1]])
+
+    z0 = np.array([0.7, 0.4])
+
+    def reference(h):
+        z = z0
+        for _ in range(2000):
+            z, _ = connections._rk4_step(f, z, h / 2000, False)
+        return z
+
+    errs = []
+    for h in (0.2, 0.1, 0.05):
+        z4, z3 = connections._rk4_step(f, z0, h, True)
+        zr = reference(h)
+        errs.append((np.max(np.abs(z4 - zr)), np.max(np.abs(z3 - zr))))
+    for (e4, e3), (f4, f3) in zip(errs, errs[1:]):
+        assert 28 <= e4 / f4 <= 36
+        assert 14 <= e3 / f3 <= 18
+
+
+def test_step_controlled_geodesic_stops_at_a_wall_on_the_floor_step():
+    """A step that would cross the domain wall is retried shorter down to the
+    floor, so the exit is found to within one floor step, as with fixed steps."""
+    m = expr.parse("name = walled\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
+                   "phi1 = -x1\nphi2 = -x2\ndomain = y1^2 + y2^2\n"
+                   "domain = 1 - x1\n")
+    s0 = core.make_sample(m, [0.0, 0.0], [1.0, 0.0])
+    traj = connections.integrate_geodesic(m, s0, 2.0, 1e-3, tol=1e-9)
+    assert traj.escape_reason == "left the domain"
+    assert traj.exit_time == pytest.approx(1.0, abs=1e-3) and traj.t[-1] < 1.0
+    assert traj.exit_time - traj.t[-1] == pytest.approx(1e-3)
+
+
+def test_step_controlled_geodesic_costs_no_more_near_the_hat_degeneracy(monkeypatch):
+    """The seed-42 changed-metric start at +1 runs into the degeneracy, where
+    retries fall to the floor: it stops on the same guard as the fixed-step
+    run, at about the same time, on fewer spray evaluations, because longer
+    steps are tried again only after a growing number of floor steps."""
+    s0 = core.make_sample(EX, [0.5157737551187723, 0.9799626422102767, 1.3376096710950822],
+                          [0.505451882186293, 0.6758014313418661, 1.8937552173927672])
+    energy = HatEnergy(EX.oriented(+1))
+    calls = _count_spray_calls(monkeypatch)
+    fixed = connections.integrate_geodesic(energy, s0, 1.0, 1e-3)
+    fixed_calls, calls[0] = calls[0], 0
+    traj = connections.integrate_geodesic(energy, s0, 1.0, 1e-3, tol=1e-9)
+    assert traj.escape_reason == fixed.escape_reason == "first-integral jump"
+    assert traj.exit_time == pytest.approx(fixed.exit_time, abs=2e-3)
+    assert calls[0] < 0.8 * fixed_calls

@@ -461,12 +461,14 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     assert len(roots) == len(batch)
 
 
-def test_hat_geodesic_near_degeneracy_halts_finitely():
+@pytest.mark.parametrize("tol", [None, harness.GEODESIC_TOL],
+                         ids=["fixed-step", "step-control"])
+def test_hat_geodesic_near_degeneracy_halts_finitely(tol):
     """A changed-metric geodesic aimed at the margin-zero cone must flag a
     breakdown instead of diverging or raising raw overflow errors."""
     theta = math.acos(-0.95) - 0.01  # margin ~ 0.008 at the start
     s0 = core.make_sample(EU, [0.8, 0.0], [math.cos(theta), math.sin(theta)])
-    traj = connections.integrate_geodesic(HatEnergy(EU.oriented(+1)), s0, 1.0, 1e-3)
+    traj = connections.integrate_geodesic(HatEnergy(EU.oriented(+1)), s0, 1.0, 1e-3, tol)
     assert traj.escaped and traj.exit_time is not None
     assert np.all(np.isfinite(traj.F)) and np.all(np.isfinite(traj.x))
 
@@ -483,6 +485,52 @@ def test_hat_geodesic_stop_reason_is_first_integral_jump():
     traj = connections.integrate_geodesic(HatEnergy(model), s0, 1.0, 1e-3)
     assert traj.escape_reason == "first-integral jump"
     assert traj.exit_time == pytest.approx(0.385)
+
+
+def _scale_acceleration(monkeypatch, factor):
+    """Scale the acceleration half of every spray evaluation: a wrong spray."""
+    spray_rhs = connections._spray_rhs
+
+    def scaled(energy, x, y):
+        out = spray_rhs(energy, x, y)
+        out[len(x):] *= factor
+        return out
+
+    monkeypatch.setattr(connections, "_spray_rhs", scaled)
+
+
+def test_geodesic_suite_fails_a_flow_no_start_can_follow(monkeypatch):
+    """A spray off by 1e-4 trips the first-integral guard on the first step of
+    every start; the suite fails those flows and names the guard instead of
+    skipping them as if every start had left the domain.  The flat base
+    spray is zero, so scaling leaves it right."""
+    _scale_acceleration(monkeypatch, 1 + 1e-4)
+    for model, failing in ((EX.oriented(-1), ("base", "hat")), (EU.oriented(+1), ("hat",))):
+        res = {r.name: r for r in harness.run_geodesic_suite(model, harness.RunConfig(seed=42))}
+        assert res["geodesic-first-integral-base"].passed is ("base" not in failing)
+        for which in failing:
+            r = res[f"geodesic-first-integral-{which}"]
+            assert r.kind == "identity" and r.passed is False and r.residual is None
+            assert r.note == "no sampled start ran to t=0.02: first-integral jump (8 of 8)"
+
+
+@pytest.mark.parametrize("tol", [None, harness.GEODESIC_TOL],
+                         ids=["fixed-step", "step-control"])
+def test_geodesic_suite_fails_a_spray_off_by_1e5_in_both_modes(tol, monkeypatch):
+    """The step-controlled check is no weaker at its gate: a spray off by
+    1e-5 fails the same flows with the same drift as with fixed steps."""
+    monkeypatch.setattr(harness, "GEODESIC_TOL", tol)
+    _scale_acceleration(monkeypatch, 1 + 1e-5)
+    expected = {("matsumoto_example", "base"): 9.57e-6,
+                ("matsumoto_example", "hat"): 1.36e-6,
+                ("euclid_concurrent", "hat"): 6.67e-6}
+    for model in (EX.oriented(-1), EU.oriented(+1)):
+        for r in harness.run_geodesic_suite(model, harness.RunConfig(seed=42)):
+            want = expected.get((model.name, r.name.rsplit("-", 1)[1]))
+            if want is None:
+                assert r.passed and r.residual == 0.0
+            else:
+                assert r.passed is False and r.residual == pytest.approx(want, rel=1e-2)
 
 
 def test_hat_geodesic_builds_no_metric_data(monkeypatch):
