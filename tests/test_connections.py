@@ -226,7 +226,7 @@ def test_step_controlled_geodesic_takes_fewer_spray_evaluations(energy, s0, shar
     fixed_calls, calls[0] = calls[0], 0
     traj = connections.integrate_geodesic(energy, s0, 1.0, 1e-3, tol=1e-9)
     assert not fixed.escaped and not traj.escaped
-    assert traj.t[-1] == 1.0 and np.all(np.diff(traj.t) >= 1e-3)
+    assert traj.t[-1] == 1.0 and np.all(np.diff(traj.t)[:-1] >= 1e-3)
     assert fixed_calls == 4000 and calls[0] < share * fixed_calls
     assert traj.metric_drift() <= 1e-9
 
