@@ -24,9 +24,9 @@ from .core import (MetricData, TangentSample, as_energy, cartan_tensor,
                    metric_tensor, read_metric_data, _require_in_domain)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
 from .numkit import jet_space
+from .report import IdentityResult
 
 __all__ = [
-    "CovariantReport",
     "GeometryJets",
     "Trajectory",
     "berwald_from_njets",
@@ -34,6 +34,7 @@ __all__ = [
     "curvature_from_njets",
     "integrate_geodesic",
     "spray_system",
+    "PROBE_TOLERANCES",
 ]
 
 
@@ -213,27 +214,19 @@ def phi_jacobian(model, x) -> np.ndarray:
     return out
 
 
-@dataclass
-class CovariantReport:
+PROBE_TOLERANCES = {
+    "concurrency-probe": 1e-8,
+    "concurrency-vertical-contraction": 1e-10,
+}
+
+
+def concurrency_probe(model, s_batch):
     """Cartan-covariant behaviour of the model's phi field over a batch.
 
-    A concurrent field has hcov_phi = sigma * identity with sigma = -1 under
-    the sign convention nabla phi = -id; the probe fits sigma instead of
-    asserting the sign and reports the worst deviation across the batch.
-    `defect` measures the distance to the nearer of the two unit signs, so a
-    parallel field (hcov = 0) shows defect 1 even though sigma = 0 fits it.
-    """
-
-    sigma: float
-    residual: float
-    defect: float
-    vcov_max: float
-    hcov_phi: np.ndarray
-    vcov_phi_contraction: np.ndarray
-    n_samples: int
-
-
-def concurrency_probe(model, s_batch) -> CovariantReport:
+    A concurrent field has hcov_phi = sigma * identity with sigma = +-1; the
+    probe fits sigma instead of asserting the sign and reports the worst
+    deviation across the batch, plus the worst |phi^k C_kij|.  Returns the
+    two report entries and the fitted sigma."""
     hcovs = []
     vcovs = []
     for s in s_batch:
@@ -242,27 +235,25 @@ def concurrency_probe(model, s_batch) -> CovariantReport:
         C = geo.cartan_torsion()
         ph = phi_values(model, s.x)
         dph = phi_jacobian(model, s.x)
-        hcov = dph + np.einsum("k,ikj->ij", ph, gamma)
-        vcov = np.einsum("k,kij->ij", ph, C)
-        hcovs.append(hcov)
-        vcovs.append(vcov)
+        hcovs.append(dph + np.einsum("k,ikj->ij", ph, gamma))
+        vcovs.append(np.einsum("k,kij->ij", ph, C))
     n = model.dim
     sigma = float(np.mean([np.trace(h) / n for h in hcovs]))
     resid = [float(np.max(np.abs(h - sigma * np.eye(n)))) for h in hcovs]
-    vmax = [float(np.max(np.abs(v))) for v in vcovs]
-    defect = min(
-        max(float(np.max(np.abs(h - sgn * np.eye(n)))) for h in hcovs)
-        for sgn in (1.0, -1.0))
     worst = int(np.argmax(resid))
-    return CovariantReport(
-        sigma=sigma,
-        residual=max(resid),
-        defect=defect,
-        vcov_max=max(vmax),
-        hcov_phi=hcovs[worst],
-        vcov_phi_contraction=vcovs[int(np.argmax(vmax))],
-        n_samples=len(hcovs),
-    )
+    return [
+        IdentityResult(
+            name="concurrency-probe", kind="identity", residual=max(resid),
+            tolerance=PROBE_TOLERANCES["concurrency-probe"], n_samples=len(hcovs),
+            predicted_worst=[float(v) for v in hcovs[worst].ravel()],
+            direct_worst=[float(v) for v in (sigma * np.eye(n)).ravel()],
+            note=f"fitted sigma = {sigma!r}"),
+        IdentityResult(
+            name="concurrency-vertical-contraction", kind="identity",
+            residual=max(float(np.max(np.abs(v))) for v in vcovs),
+            tolerance=PROBE_TOLERANCES["concurrency-vertical-contraction"],
+            n_samples=len(hcovs), note="max |phi^k C_kij| over the batch"),
+    ], sigma
 
 
 # --------------------------------------------------------------------------

@@ -46,8 +46,6 @@ CORE_TOLERANCES = {
     "berwald-symmetry": 1e-10,
     "curvature-antisymmetry": 1e-10,
     "cartan-metric-compatibility": 1e-8,
-    "concurrency-probe": 1e-8,
-    "concurrency-vertical-contraction": 1e-10,
     "jet-vs-fd-oracle": 1e-5,
     "geodesic-first-integral-base": 1e-6,
     "geodesic-first-integral-hat": 1e-6,
@@ -96,8 +94,7 @@ def run_core_suite(model, s_batch):
     eye = np.eye(n)
     accs = {name: PairAccumulator(name, tol) for name, tol in CORE_TOLERANCES.items()
             if name not in ("jet-vs-fd-oracle", "geodesic-first-integral-base",
-                            "geodesic-first-integral-hat",
-                            "concurrency-probe", "concurrency-vertical-contraction")}
+                            "geodesic-first-integral-hat")}
     min_det = math.inf
     for k, s in enumerate(s_batch):
         geo = connections.GeometryJets(model, s, 4, 2)
@@ -149,22 +146,9 @@ def run_core_suite(model, s_batch):
         accs["cartan-metric-compatibility"].add(
             s, compat / gscale, np.zeros_like(compat))
 
-    results = [accs[k].result() for k in sorted(accs)]
-
-    probe = connections.concurrency_probe(model, s_batch)
-    results.append(IdentityResult(
-        name="concurrency-probe", kind="identity", residual=probe.residual,
-        tolerance=CORE_TOLERANCES["concurrency-probe"], n_samples=probe.n_samples,
-        predicted_worst=[float(v) for v in probe.hcov_phi.ravel()],
-        direct_worst=[float(v) for v in (probe.sigma * eye).ravel()],
-        note=f"fitted sigma = {probe.sigma!r}"))
-    results.append(IdentityResult(
-        name="concurrency-vertical-contraction", kind="identity",
-        residual=probe.vcov_max,
-        tolerance=CORE_TOLERANCES["concurrency-vertical-contraction"],
-        n_samples=probe.n_samples,
-        note="max |phi^k C_kij| over the batch"))
-    return results, {"min_det_g": min_det, "probe_sigma": probe.sigma}
+    probe, sigma = connections.concurrency_probe(model, s_batch)
+    return ([accs[k].result() for k in sorted(accs)] + probe,
+            {"min_det_g": min_det, "probe_sigma": sigma})
 
 
 # --------------------------------------------------------------------------
@@ -362,50 +346,9 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 
     scan_batch, _ = sample_batch(model, _box(model, cfg),
                                  min(cfg.samples, 50), _rng(cfg.seed, _STREAM_SCAN))
-    scan = matsumoto.nondegeneracy_scan(hat_model, scan_batch)
-    results.append(IdentityResult(
-        name="nondegeneracy-margin-scan", kind="identity",
-        residual=float(len(scan.falsifying) + len(scan.suspicious)), tolerance=0.5,
-        n_samples=scan.n_samples,
-        note=f"{len(scan.falsifying)} healthy-margin/vanishing-det and "
-             f"{len(scan.suspicious)} tiny-margin/healthy-det samples; "
-             f"min |margin| = {scan.min_abs_margin!r}, min |det ghat| = {scan.min_abs_det!r}"))
-
-    if model.dim == 2:
-        ray, scanned = None, 0
-        for xtry in ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1]):
-            try:
-                ray = matsumoto.margin_ray_scan(hat_model, xtry)
-            except DomainEscape:
-                continue  # a ray direction at this base point is outside the domain
-            scanned += 1
-            if ray is not None:
-                break
-        if ray is None:
-            results.append(IdentityResult(
-                name="nondegeneracy-ray-profile", kind="skipped",
-                note="margin does not change sign on the probed rays" if scanned
-                else "every probed base point has rays outside the model domain"))
-        else:
-            lv = ray["levels"]
-            ratio = abs(lv[1e-6]["det"]) / max(abs(lv[0.5]["det"]), 1e-300)
-            results.append(IdentityResult(
-                name="nondegeneracy-ray-profile", kind="identity",
-                residual=ratio, tolerance=1e-3, n_samples=1,
-                note=f"theta* = {ray['theta_star']!r}, det at |margin|=1e-6 / 0.5 = "
-                     f"{lv[1e-6]['det']!r} / {lv[0.5]['det']!r}"))
-    else:
-        results.append(IdentityResult(
-            name="nondegeneracy-ray-profile", kind="skipped",
-            note="direction sweep is implemented for dim-2 models"))
-
-    proj = matsumoto.projective_check(hat_model, main_batch)
-    results.append(IdentityResult(
-        name="projective-impossibility", kind="identity",
-        residual=proj.threshold / max(proj.min_ratio, 1e-300),
-        tolerance=1.0, n_samples=proj.n_checked,
-        note=f"min orthogonal-component ratio {proj.min_ratio!r}; "
-             f"{proj.n_parallel} parallel and {proj.n_degenerate} degenerate samples skipped"))
+    results.append(matsumoto.nondegeneracy_scan(hat_model, scan_batch))
+    results.append(matsumoto.ray_profile(hat_model))
+    results.append(matsumoto.projective_check(hat_model, main_batch))
 
     obs_max = 0.0
     for s in main_batch[: max(8, cfg.samples // 8)]:

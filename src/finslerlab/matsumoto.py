@@ -27,7 +27,7 @@ from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets
                           phi_values)
 from .core import (MetricData, ModelEnergy, TangentSample, diagonal_scale, make_sample,
                    metric_data)
-from .errors import DegenerateMargin, OutsideHatDomain
+from .errors import DegenerateMargin, DomainEscape, OutsideHatDomain
 from .numkit import Jet
 from .report import IdentityResult, PairAccumulator
 
@@ -50,6 +50,7 @@ __all__ = [
     "predicted_supporting_form",
     "projective_check",
     "rational_decomposition_check",
+    "ray_profile",
     "select_orientation",
     "hat_sample_predicate",
     "CHANGE_TOLERANCES",
@@ -64,8 +65,12 @@ HAT_FENCE = 1e-10
 HAT_GAP_FRACTION = 0.05
 # a margin above this fraction of F counts as healthy (far from degeneracy)
 HEALTHY_MARGIN = 0.1
-# directions swept around the circle by the margin ray scan
+# directions swept around the circle by the margin ray scan, and the base
+# points the ray profile tries in turn
 RAY_THETA_STEPS = 720
+RAY_BASE_POINTS = ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1])
+# orthogonal-component ratio the projective check must stay above
+PROJECTIVE_THRESHOLD = 1e-8
 
 
 def _inside_hat_fence(F: float, Phi: float) -> bool:
@@ -531,30 +536,14 @@ def hat_sample_predicate(model):
 # theorem-level checks
 # --------------------------------------------------------------------------
 
-@dataclass
-class NondegeneracyScan:
+def nondegeneracy_scan(model, s_batch) -> IdentityResult:
     """Margin-vs-determinant census: the changed metric must degenerate exactly
-    on the margin-zero set."""
-
-    n_samples: int
-    falsifying: list        # healthy margin but vanishing det (would refute)
-    suspicious: list        # near-zero margin but healthy det
-    min_abs_margin: float
-    min_abs_det: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.falsifying and not self.suspicious
-
-
-def nondegeneracy_scan(model, s_batch) -> NondegeneracyScan:
-    falsifying = []
-    suspicious = []
-    min_m = math.inf
-    min_d = math.inf
+    on the margin-zero set, so a healthy margin with a vanishing det ghat
+    (falsifying) or a tiny margin with a healthy det (suspicious) fails."""
+    falsifying = suspicious = count = 0
+    min_m = min_d = math.inf
     n = model.dim
     hat = HatEnergy(model)
-    count = 0
     for s in s_batch:
         sc = _scalar_values(metric_data(model, s), model, s)
         if not _clear_of_hat_boundary(sc):
@@ -563,17 +552,16 @@ def nondegeneracy_scan(model, s_batch) -> NondegeneracyScan:
         ghat = GeometryJets(hat, s, 2, 0).metric()
         det = float(np.linalg.det(ghat))
         scale = diagonal_scale(ghat)
-        rec = {"x": s.x.tolist(), "y": s.y.tolist(),
-               "margin": sc.margin, "det": det}
         min_m = min(min_m, abs(sc.margin))
         min_d = min(min_d, abs(det))
-        if abs(sc.margin) > HEALTHY_MARGIN * sc.F and abs(det) < 1e-10 * scale**n:
-            falsifying.append(rec)
-        if abs(sc.margin) < 1e-6 * sc.F and abs(det) > 1e-6 * scale**n:
-            suspicious.append(rec)
-    return NondegeneracyScan(n_samples=count, falsifying=falsifying,
-                             suspicious=suspicious,
-                             min_abs_margin=min_m, min_abs_det=min_d)
+        falsifying += abs(sc.margin) > HEALTHY_MARGIN * sc.F and abs(det) < 1e-10 * scale**n
+        suspicious += abs(sc.margin) < 1e-6 * sc.F and abs(det) > 1e-6 * scale**n
+    return IdentityResult(
+        name="nondegeneracy-margin-scan", kind="identity",
+        residual=float(falsifying + suspicious), tolerance=0.5, n_samples=count,
+        note=f"{falsifying} healthy-margin/vanishing-det and "
+             f"{suspicious} tiny-margin/healthy-det samples; "
+             f"min |margin| = {min_m!r}, min |det ghat| = {min_d!r}")
 
 
 def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
@@ -644,26 +632,41 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
             "det_at_star": det_at(theta_star), "levels": levels}
 
 
-@dataclass
-class ProjectiveReport:
+def ray_profile(model) -> IdentityResult:
+    """Ray profile of the non-degeneracy theorem: at the first of a few base
+    points whose direction circle crosses a margin zero, |det ghat| at
+    |margin| = 1e-6 must be below 1e-3 of its value at |margin| = 0.5."""
+    if model.dim != 2:
+        return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped",
+                              note="direction sweep is implemented for dim-2 models")
+    ray, scanned = None, 0
+    for x in RAY_BASE_POINTS:
+        try:
+            ray = margin_ray_scan(model, x)
+        except DomainEscape:
+            continue  # a ray direction at this base point is outside the domain
+        scanned += 1
+        if ray is not None:
+            break
+    if ray is None:
+        return IdentityResult(
+            name="nondegeneracy-ray-profile", kind="skipped",
+            note="margin does not change sign on the probed rays" if scanned
+            else "every probed base point has rays outside the model domain")
+    lv = ray["levels"]
+    return IdentityResult(
+        name="nondegeneracy-ray-profile", kind="identity",
+        residual=abs(lv[1e-6]["det"]) / max(abs(lv[0.5]["det"]), 1e-300),
+        tolerance=1e-3, n_samples=1,
+        note=f"theta* = {ray['theta_star']!r}, det at |margin|=1e-6 / 0.5 = "
+             f"{lv[1e-6]['det']!r} / {lv[0.5]['det']!r}")
+
+
+def projective_check(model, s_batch) -> IdentityResult:
     """Pointwise witness that the change is never a pure reparametrization:
-    the non-radial part of the spray difference stays g-orthogonal to y."""
-
-    n_checked: int
-    n_parallel: int
-    n_degenerate: int
-    min_ratio: float
-    threshold: float = 1e-8
-
-    @property
-    def ok(self) -> bool:
-        return self.n_checked == 0 or self.min_ratio > self.threshold
-
-
-def projective_check(model, s_batch) -> ProjectiveReport:
-    checked = 0
-    parallel = 0
-    degenerate = 0
+    the non-radial part of the spray difference stays g-orthogonal to y, with
+    ratio above PROJECTIVE_THRESHOLD at every checked sample."""
+    checked = parallel = degenerate = 0
     min_ratio = math.inf
     for s in s_batch:
         try:
@@ -685,9 +688,12 @@ def projective_check(model, s_batch) -> ProjectiveReport:
             continue
         checked += 1
         min_ratio = min(min_ratio, nw / nv)
-    return ProjectiveReport(n_checked=checked, n_parallel=parallel,
-                            n_degenerate=degenerate,
-                            min_ratio=min_ratio if checked else math.inf)
+    return IdentityResult(
+        name="projective-impossibility", kind="identity",
+        residual=PROJECTIVE_THRESHOLD / max(min_ratio, 1e-300),
+        tolerance=1.0, n_samples=checked,
+        note=f"min orthogonal-component ratio {min_ratio!r}; "
+             f"{parallel} parallel and {degenerate} degenerate samples skipped")
 
 
 def rational_decomposition_check(model, s_batch):

@@ -64,15 +64,15 @@ def test_criterion_01_example_reproduction():
 def test_criterion_02_concurrency_probe():
     """sigma = +1 on the example (residual <= 1e-8, phi.C <= 1e-10);
     sigma = -1 exactly on the flat companion (<= 1e-12)."""
-    rep_ex = connections.concurrency_probe(EX, _batch(EX, 20, 102))
-    rep_eu = connections.concurrency_probe(EU, _batch(EU, 20, 103))
-    ok = (abs(rep_ex.sigma - 1.0) <= 1e-8 and rep_ex.residual <= 1e-8
-          and rep_ex.vcov_max <= 1e-10
-          and abs(rep_eu.sigma + 1.0) <= 1e-12 and rep_eu.residual <= 1e-12)
+    (probe_ex, phic_ex), sigma_ex = connections.concurrency_probe(EX, _batch(EX, 20, 102))
+    (probe_eu, _), sigma_eu = connections.concurrency_probe(EU, _batch(EU, 20, 103))
+    ok = (abs(sigma_ex - 1.0) <= 1e-8 and probe_ex.residual <= 1e-8
+          and phic_ex.residual <= 1e-10 and probe_ex.passed and phic_ex.passed
+          and abs(sigma_eu + 1.0) <= 1e-12 and probe_eu.residual <= 1e-12)
     _report(2, ok,
-            f"example sigma {rep_ex.sigma!r} resid {rep_ex.residual:.3e} "
-            f"phiC {rep_ex.vcov_max:.3e}; flat sigma {rep_eu.sigma!r} "
-            f"resid {rep_eu.residual:.3e}")
+            f"example sigma {sigma_ex!r} resid {probe_ex.residual:.3e} "
+            f"phiC {phic_ex.residual:.3e}; flat sigma {sigma_eu!r} "
+            f"resid {probe_eu.residual:.3e}")
 
 
 def test_criterion_03_master_change_suite_flat_model():
@@ -120,21 +120,21 @@ def test_criterion_05_nondegeneracy_theorem():
         ratio = abs(scan["levels"][1e-6]["det"]) / abs(scan["levels"][0.5]["det"])
     batch = _batch(EU, 50, 105)
     census = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
-    ok = scan is not None and ratio <= 1e-3 and not census.falsifying
+    ok = scan is not None and ratio <= 1e-3 and census.passed
     _report(5, ok,
             f"theta* = {scan['theta_star']:.6f}, det collapse ratio {ratio:.3e} "
-            f"(tol 1e-3), {len(census.falsifying)} falsifying samples")
+            f"(tol 1e-3); census: {census.note}")
 
 
 def test_criterion_06_projective_impossibility():
     """Non-radial part of the spray change stays g-orthogonal to y (> 1e-8)."""
     rep_ex = matsumoto.projective_check(EX.oriented(-1), _batch(EX, 50, 106, -1.0))
     rep_eu = matsumoto.projective_check(EU.oriented(+1), _batch(EU, 50, 107, +1.0))
-    ok = (rep_ex.ok and rep_eu.ok
-          and rep_ex.min_ratio > 1e-8 and rep_eu.min_ratio > 1e-8)
+    ok = (rep_ex.passed and rep_eu.passed
+          and rep_ex.n_samples == 50 and rep_eu.n_samples > 0)
     _report(6, ok,
-            f"min orthogonal ratios: example {rep_ex.min_ratio:.3e}, "
-            f"flat {rep_eu.min_ratio:.3e} (floor 1e-8)")
+            f"threshold / min orthogonal ratio: example {rep_ex.residual:.3e}, "
+            f"flat {rep_eu.residual:.3e} (must stay below 1)")
 
 
 def test_criterion_07_lemma_suite():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import cli, harness
+from finslerlab import cli, connections, harness
 
 BROKEN_MODEL = """
 name = broken
@@ -237,7 +237,7 @@ def test_report_covers_every_identity_exactly_once(tmp_path):
     rep = json.loads(out.read_text())
     names = [r["name"] for r in rep["identities"]]
     assert len(names) == len(set(names))
-    expected = set(harness.CORE_TOLERANCES) | set(
+    expected = set(harness.CORE_TOLERANCES) | set(connections.PROBE_TOLERANCES) | set(
         __import__("finslerlab.matsumoto", fromlist=["x"]).CHANGE_TOLERANCES) | set(
         __import__("finslerlab.matsumoto", fromlist=["x"]).LEMMA_TOLERANCES) | {
         "vertical-berwald-invariance", "nondegeneracy-margin-scan",

@@ -130,19 +130,20 @@ def test_cartan_metric_compatibility():
 def test_concurrency_probe_example_sigma_plus_one():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 0])))
     batch, _ = core.sample_batch(EX, models.default_box(EX), 20, rng)
-    rep = connections.concurrency_probe(EX, batch)
-    assert rep.sigma == pytest.approx(1.0, abs=1e-10)
-    assert rep.residual <= 1e-8
-    assert rep.vcov_max <= 1e-10
-    assert rep.defect <= 1e-8
+    (probe, phic), sigma = connections.concurrency_probe(EX, batch)
+    assert sigma == pytest.approx(1.0, abs=1e-10)
+    assert probe.name == "concurrency-probe" and probe.passed
+    assert probe.residual <= 1e-8 and probe.n_samples == 20
+    assert phic.name == "concurrency-vertical-contraction" and phic.passed
+    assert phic.residual <= 1e-10
 
 
 def test_concurrency_probe_euclid_sigma_minus_one_exact():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 1])))
     batch, _ = core.sample_batch(EU, models.default_box(EU), 10, rng)
-    rep = connections.concurrency_probe(EU, batch)
-    assert abs(rep.sigma + 1.0) <= 1e-12
-    assert rep.residual <= 1e-12
+    (probe, _), sigma = connections.concurrency_probe(EU, batch)
+    assert abs(sigma + 1.0) <= 1e-12
+    assert probe.residual <= 1e-12
 
 
 def test_concurrency_probe_constant_field_is_not_concurrent():
@@ -150,8 +151,9 @@ def test_concurrency_probe_constant_field_is_not_concurrent():
                    "phi1 = 1\nphi2 = 0\ndomain = y1^2 + y2^2\n")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 2])))
     batch, _ = core.sample_batch(m, models.default_box(EU), 10, rng)
-    rep = connections.concurrency_probe(m, batch)
-    assert rep.defect == pytest.approx(1.0, abs=1e-12)
+    (probe, phic), sigma = connections.concurrency_probe(m, batch)
+    assert sigma == 0.0
+    assert phic.passed  # phi^k C_kij = 0 holds for any field on a flat metric
 
 
 def test_geodesic_euclid_straight_line():

@@ -265,7 +265,8 @@ def test_nondegeneracy_scan_flags_nothing_healthy():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 20])))
     batch, _ = sample_batch(EU, models.default_box(EU), 40, rng)
     scan = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
-    assert scan.ok and scan.n_samples > 0
+    assert scan.name == "nondegeneracy-margin-scan"
+    assert scan.passed and scan.residual == 0.0 and scan.n_samples > 0
 
 
 def test_nondegeneracy_scan_ignores_phi_free_variant():
@@ -274,9 +275,10 @@ def test_nondegeneracy_scan_ignores_phi_free_variant():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 21])))
     batch, _ = sample_batch(m, models.default_box(EU), 20, rng)
     scan = matsumoto.nondegeneracy_scan(m.oriented(+1), batch)
-    assert scan.ok
+    assert scan.passed and scan.n_samples == 20
     # margin = F > 0 everywhere, ghat = g: nothing near degeneracy
-    assert scan.min_abs_margin > 0.1
+    min_margin = float(scan.note.split("min |margin| = ")[1].split(",")[0])
+    assert min_margin > 0.1
 
 
 def test_margin_ray_scan_finds_root_and_collapsing_determinant():
@@ -312,18 +314,21 @@ def test_margin_ray_scan_none_when_margin_positive():
 def test_projective_check_example_and_parallel_construction():
     batch = _batch(EX, -1.0, 10, 22)
     rep = matsumoto.projective_check(EX.oriented(-1), batch)
-    assert rep.ok and rep.n_checked == 10 and rep.min_ratio > 1e-8
+    assert rep.name == "projective-impossibility"
+    assert rep.passed and rep.n_samples == 10 and 0.0 < rep.residual < 1.0
 
     # phi parallel to y: flagged as parallel, not as a violation
     s = core.make_sample(EU, [0.5, 0.0], [2.0, 0.0])
     rep = matsumoto.projective_check(EU.oriented(+1), [s])
-    assert rep.n_parallel == 1 and rep.n_checked == 0 and rep.ok
+    assert rep.n_samples == 0 and rep.passed
+    assert "1 parallel and 0 degenerate" in rep.note
 
     m = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
                    "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
     s = core.make_sample(m, [0.2, 0.1], [1.0, 0.5])
     rep = matsumoto.projective_check(m.oriented(+1), [s])
-    assert rep.n_degenerate == 1 and rep.ok
+    assert rep.n_samples == 0 and rep.passed
+    assert "0 parallel and 1 degenerate" in rep.note
 
 
 def test_rational_decomposition_example_p0_and_batch():

@@ -116,11 +116,11 @@ def test_concurrency_of_both_shipped_models():
     batch, _ = core.sample_batch(by_name["matsumoto_example"],
                                  models.default_box(by_name["matsumoto_example"]),
                                  10, rng)
-    rep = connections.concurrency_probe(by_name["matsumoto_example"], batch)
-    assert rep.sigma == pytest.approx(1.0, abs=1e-8) and rep.residual <= 1e-8
+    (probe, _), sigma = connections.concurrency_probe(by_name["matsumoto_example"], batch)
+    assert sigma == pytest.approx(1.0, abs=1e-8) and probe.residual <= 1e-8
 
     batch, _ = core.sample_batch(by_name["euclid_concurrent"],
                                  models.default_box(by_name["euclid_concurrent"]),
                                  10, rng)
-    rep = connections.concurrency_probe(by_name["euclid_concurrent"], batch)
-    assert rep.sigma == pytest.approx(-1.0, abs=1e-12) and rep.residual <= 1e-12
+    (probe, _), sigma = connections.concurrency_probe(by_name["euclid_concurrent"], batch)
+    assert sigma == pytest.approx(-1.0, abs=1e-12) and probe.residual <= 1e-12
