@@ -223,10 +223,11 @@ PROBE_TOLERANCES = {
 def concurrency_probe(model, s_batch):
     """Cartan-covariant behaviour of the model's phi field over a batch.
 
-    A concurrent field has hcov_phi = sigma * identity with sigma = +-1; the
-    probe fits sigma instead of asserting the sign and reports the worst
-    deviation across the batch, plus the worst |phi^k C_kij|.  Returns the
-    two report entries and the fitted sigma."""
+    A concurrent field has hcov_phi = +identity or -identity.  The probe
+    measures the worst deviation across the batch from the nearer of the two,
+    so a parallel field (hcov = 0) fails with residual 1, and reports the
+    worst |phi^k C_kij|.  Returns the two report entries and the fitted
+    sigma, the mean of trace(hcov)/n."""
     hcovs = []
     vcovs = []
     for s in s_batch:
@@ -239,14 +240,17 @@ def concurrency_probe(model, s_batch):
         vcovs.append(np.einsum("k,kij->ij", ph, C))
     n = model.dim
     sigma = float(np.mean([np.trace(h) / n for h in hcovs]))
-    resid = [float(np.max(np.abs(h - sigma * np.eye(n)))) for h in hcovs]
+    resids = {sgn: [float(np.max(np.abs(h - sgn * np.eye(n)))) for h in hcovs]
+              for sgn in (1.0, -1.0)}
+    sign = min(resids, key=lambda sgn: max(resids[sgn]))
+    resid = resids[sign]
     worst = int(np.argmax(resid))
     return [
         IdentityResult(
             name="concurrency-probe", kind="identity", residual=max(resid),
             tolerance=PROBE_TOLERANCES["concurrency-probe"], n_samples=len(hcovs),
             predicted_worst=[float(v) for v in hcovs[worst].ravel()],
-            direct_worst=[float(v) for v in (sigma * np.eye(n)).ravel()],
+            direct_worst=[float(v) for v in (sign * np.eye(n)).ravel()],
             note=f"fitted sigma = {sigma!r}"),
         IdentityResult(
             name="concurrency-vertical-contraction", kind="identity",

@@ -152,7 +152,10 @@ def test_concurrency_probe_constant_field_is_not_concurrent():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 2])))
     batch, _ = core.sample_batch(m, models.default_box(EU), 10, rng)
     (probe, phic), sigma = connections.concurrency_probe(m, batch)
+    # hcov = 0 fits sigma = 0 exactly; the probe measures against +-identity
     assert sigma == 0.0
+    assert probe.passed is False
+    assert probe.residual == pytest.approx(1.0, abs=1e-12)
     assert phic.passed  # phi^k C_kij = 0 holds for any field on a flat metric
 
 
