@@ -639,20 +639,26 @@ def ray_profile(model) -> IdentityResult:
     if model.dim != 2:
         return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped",
                               note="direction sweep is implemented for dim-2 models")
-    ray, scanned = None, 0
+    ray, scanned, fenced = None, 0, []
     for x in RAY_BASE_POINTS:
         try:
             ray = margin_ray_scan(model, x)
         except DomainEscape:
             continue  # a ray direction at this base point is outside the domain
+        except OutsideHatDomain:
+            fenced.append(x)  # its margin zero lies on the hat-domain boundary
+            continue
         scanned += 1
         if ray is not None:
             break
     if ray is None:
-        return IdentityResult(
-            name="nondegeneracy-ray-profile", kind="skipped",
-            note="margin does not change sign on the probed rays" if scanned
-            else "every probed base point has rays outside the model domain")
+        note = ("margin does not change sign on the probed rays" if scanned
+                else "no probed base point gives a ray profile" if fenced
+                else "every probed base point has rays outside the model domain")
+        if fenced:
+            note += (f"; at {', '.join(map(str, fenced))} the margin zero lies on "
+                     f"the hat-domain boundary, where ghat is undefined")
+        return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped", note=note)
     lv = ray["levels"]
     return IdentityResult(
         name="nondegeneracy-ray-profile", kind="identity",

@@ -348,6 +348,23 @@ def test_verify_model_with_unevaluable_domain_runs(box, tmp_path):
     assert ray["kind"] == "skipped" and "outside the model domain" in ray["note"]
 
 
+def test_ray_profile_skips_a_margin_zero_on_the_hat_boundary(tmp_path):
+    """With phi constant on a flat metric the margin is 3 (F - Phi), so its
+    zero lies where ghat is undefined: the ray profile is skipped, naming why,
+    and the run reports the failing probe instead of ending with exit 2."""
+    model = tmp_path / "shifted.fmod"
+    model.write_text("name = shifted\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
+                     "phi1 = 1\nphi2 = 0\ndomain = y1^2 + y2^2\n")
+    out = tmp_path / "rep.json"
+    code = run(["verify", "--model", str(model), "--samples", "8",
+                "--format", "json", "--out", str(out)])
+    assert code == 1
+    res = {r["name"]: r for r in json.loads(out.read_text())["identities"]}
+    ray = res["nondegeneracy-ray-profile"]
+    assert ray["kind"] == "skipped" and "hat-domain boundary" in ray["note"]
+    assert res["concurrency-probe"]["passed"] is False
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 
