@@ -628,7 +628,7 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
                     theta_star, theta_star + span)
         levels[target] = {"theta": th, "margin": margin_at(th), "det": det_at(th)}
 
-    return {"theta_star": theta_star, "margin_at_star": margin_at(theta_star),
+    return {"theta_star": float(theta_star), "margin_at_star": margin_at(theta_star),
             "det_at_star": det_at(theta_star), "levels": levels}
 
 

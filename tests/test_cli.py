@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import cli, connections, harness
+from finslerlab import cli, connections, harness, models
 
 BROKEN_MODEL = """
 name = broken
@@ -246,6 +246,15 @@ def test_report_covers_every_identity_exactly_once(tmp_path):
         "rational-decomposition-hat",
     }
     assert set(names) == expected
+
+
+@pytest.mark.parametrize("model", ["euclid_concurrent", "matsumoto_example"])
+def test_report_bodies_hold_no_numpy_reprs(model):
+    """Notes and extras print plain floats: a numpy scalar's repr differs
+    between numpy versions and would leak into the byte-pinned report."""
+    rep = harness.run_verification(models.builtin_model(model),
+                                   harness.RunConfig(samples=8, seed=42))
+    assert "np." not in rep.to_json() + rep.to_table()
 
 
 def test_geodesic_cli_straight_line(capsys):
