@@ -345,8 +345,21 @@ def test_rational_decomposition_example_p0_and_batch():
 
 
 def test_rational_decomposition_skipped_without_closed_forms():
-    res = matsumoto.rational_decomposition_check(EU.oriented(+1), [])
-    assert all(r.kind == "skipped" for r in res)
+    """Without shipped closed forms only the base half is skipped: the hat
+    factorization needs metric data alone."""
+    batch = _batch(EU, +1.0, 20, 30)
+    base, hat = matsumoto.rational_decomposition_check(EU.oriented(+1), batch)
+    assert base.name == "rational-decomposition-base" and base.kind == "skipped"
+    assert hat.name == "rational-decomposition-hat" and hat.passed
+    assert hat.n_samples == 20 and hat.residual <= 1e-12
+
+
+@pytest.mark.parametrize("orient", [+1.0, -1.0])
+def test_negative_control_fails_hat_decomposition(orient):
+    """The hat factorization assumes phi^k C_kij = 0, like the Cartan law."""
+    batch = _batch(RANDERS, orient, 8, 31 + int(orient > 0))
+    _, hat = matsumoto.rational_decomposition_check(RANDERS.oriented(orient), batch)
+    assert hat.passed is False
 
 
 def test_master_change_suite_euclid():
