@@ -182,10 +182,6 @@ class HomogeneityReport:
     g_residual: float
     C_residual: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.F_residual, self.g_residual, self.C_residual)
-
 
 def homogeneity_report(model, s: TangentSample) -> HomogeneityReport:
     """Residuals of positive 1-homogeneity: F(x, ly) = l F(x, y) and its

@@ -4,9 +4,9 @@ Residual convention used everywhere: for a (predicted, direct) pair of arrays,
 
     residual = max_over_samples ||predicted - direct||_inf / max(1, ||direct||_inf)
 
-which is scale-free and stays finite at zeros.  Reports are self-auditing: each
-entry stores the worst sample's predicted/direct values and recomputes its
-residual from them on demand.
+which is scale-free and stays finite at zeros.  Each entry stores the worst
+sample's predicted/direct values, so its residual can be recomputed from the
+report alone with `relmax`.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class IdentityResult:
         if self.kind == "structural":
             return True
         return None  # reported / skipped entries do not gate
-
-    def recomputed_residual(self):
-        """Recompute the headline residual from the stored worst pair."""
-        if self.predicted_worst is None or self.direct_worst is None:
-            return None
-        return relmax(self.predicted_worst, self.direct_worst)
 
     def to_dict(self):
         d = {

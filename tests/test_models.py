@@ -15,7 +15,8 @@ def test_builtin_models_parse_and_pass_homogeneity():
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 0])))
         batch, _ = core.sample_batch(m, box, 5, rng)
         for s in batch:
-            assert core.homogeneity_report(m, s).max_residual <= 1e-9
+            rep = core.homogeneity_report(m, s)
+            assert max(rep.F_residual, rep.g_residual, rep.C_residual) <= 1e-9
 
 
 def test_load_model_by_name_and_path(tmp_path):
