@@ -58,7 +58,7 @@ def _jet_inverse(M):
             if r == col:
                 continue
             f = A[r][col]
-            if not np.any(f.coeffs):
+            if f.is_zero():
                 continue
             A[r] = [a - f * p for a, p in zip(A[r], A[col])]
             inv[r] = [b - f * q for b, q in zip(inv[r], inv[col])]
@@ -220,22 +220,23 @@ PROBE_TOLERANCES = {
 }
 
 
-def concurrency_probe(model, s_batch):
+def concurrency_probe(model, geometries):
     """Cartan-covariant behaviour of the model's phi field over a batch.
 
-    A concurrent field has hcov_phi = +identity or -identity.  The probe
-    measures the worst deviation across the batch from the nearer of the two,
-    so a parallel field (hcov = 0) fails with residual 1, and reports the
-    worst |phi^k C_kij|.  Returns the two report entries and the fitted
-    sigma, the mean of trace(hcov)/n."""
+    `geometries` are the model's `GeometryJets` at the batch's samples, valid
+    to y-order 3 and x-order 1 or more.  A concurrent field has hcov_phi =
+    +identity or -identity.  The probe measures the worst deviation across the
+    batch from the nearer of the two, so a parallel field (hcov = 0) fails with
+    residual 1, and reports the worst |phi^k C_kij|.  Returns the two report
+    entries and the fitted sigma, the mean of trace(hcov)/n."""
     hcovs = []
     vcovs = []
-    for s in s_batch:
-        geo = GeometryJets(model, s, 3, 1)
+    for geo in geometries:
         gamma = geo.cartan()
         C = geo.cartan_torsion()
-        ph = phi_values(model, s.x)
-        dph = phi_jacobian(model, s.x)
+        x = geo.s.x
+        ph = phi_values(model, x)
+        dph = phi_jacobian(model, x)
         hcovs.append(dph + np.einsum("k,ikj->ij", ph, gamma))
         vcovs.append(np.einsum("k,kij->ij", ph, C))
     n = model.dim

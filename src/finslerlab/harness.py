@@ -96,8 +96,10 @@ def run_core_suite(model, s_batch):
             if name not in ("jet-vs-fd-oracle", "geodesic-first-integral-base",
                             "geodesic-first-integral-hat")}
     min_det = math.inf
+    geometries = []   # reused by the concurrency probe
     for k, s in enumerate(s_batch):
         geo = connections.GeometryJets(model, s, 4, 2)
+        geometries.append(geo)
         md = geo.md
         min_det = min(min_det, md.det_g)
 
@@ -146,7 +148,7 @@ def run_core_suite(model, s_batch):
         accs["cartan-metric-compatibility"].add(
             s, compat / gscale, np.zeros_like(compat))
 
-    probe, sigma = connections.concurrency_probe(model, s_batch)
+    probe, sigma = connections.concurrency_probe(model, geometries)
     return ([accs[k].result() for k in sorted(accs)] + probe,
             {"min_det_g": min_det, "probe_sigma": sigma})
 

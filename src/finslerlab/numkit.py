@@ -13,7 +13,10 @@ derivative divided by a!).
 Every jet tracks how many y- and x-orders of its coefficients are still exact
 (`y_valid`, `x_valid`).  Differentiation consumes one order; products and
 compositions propagate the minimum.  Reading a coefficient beyond the valid
-range raises instead of silently returning a truncation artifact.
+range raises.  Products and compositions compute only the coefficients inside
+the result's valid orders and leave +0.0 past them; sums, scalar multiples
+and derivatives carry whatever their operands hold there.  `value` and the
+compositions refuse a jet whose validity fell below 0 in either block.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class JetSpace:
         # position of each coordinate's unit multi-index (None past the orders)
         self._unit = [self._pos.get(tuple(e)) for e in np.eye(2 * n, dtype=int).tolist()]
         self._tables = {}
+        self._masks = {}
+        self._pruned = {}
         self._index_arr = np.array(self.multi_indices, dtype=np.int64)
         self._factorials = np.array(
             [math.prod(math.factorial(e) for e in mi) for mi in self.multi_indices],
@@ -118,11 +123,32 @@ class JetSpace:
     def pos(self, multi_index) -> int:
         return self._pos[tuple(multi_index)]
 
-    def _product(self, a, b) -> np.ndarray:
-        """Coefficients of the product of two coefficient vectors: the one
-        product kernel of the ring."""
-        return np.bincount(self._mul_k, weights=a[self._mul_i] * b[self._mul_j],
-                           minlength=self.size)
+    def _valid_slots(self, y_valid, x_valid) -> np.ndarray:
+        """Mask of the slots whose multi-index lies inside the valid orders;
+        built once per space and validity."""
+        mask = self._masks.get((y_valid, x_valid))
+        if mask is None:
+            idx, n = self._index_arr, self.n
+            mask = self._masks[y_valid, x_valid] = (
+                (idx[:, n:].sum(axis=1) <= y_valid) & (idx[:, :n].sum(axis=1) <= x_valid))
+        return mask
+
+    def _product(self, a, b, y_valid, x_valid) -> np.ndarray:
+        """Coefficients of the product of two coefficient vectors, valid to
+        (y_valid, x_valid): the one product kernel of the ring.  Only the pairs
+        whose target lies inside the valid orders are computed, in the full
+        table's order, so each kept coefficient has the same bits as from the
+        full table; the slots past the valid orders are +0.0."""
+        if y_valid >= self.y_order and x_valid >= self.x_order:
+            i, j, k = self._mul_i, self._mul_j, self._mul_k
+        else:
+            table = self._pruned.get((y_valid, x_valid))
+            if table is None:
+                keep = self._valid_slots(y_valid, x_valid)[self._mul_k]
+                table = self._pruned[y_valid, x_valid] = (
+                    self._mul_i[keep], self._mul_j[keep], self._mul_k[keep])
+            i, j, k = table
+        return np.bincount(k, weights=a[i] * b[j], minlength=self.size)
 
     def _read_table(self, axes):
         """Positions and factorials of the partials d/dv_1 ... d/dv_m, one per
@@ -185,7 +211,18 @@ class Jet:
 
     @property
     def value(self) -> float:
+        self._require_valid("value")
         return float(self.coeffs[0])
+
+    def _require_valid(self, what):
+        """Refuse a jet whose validity fell below 0: none of its slots is exact."""
+        if self.y_valid < 0 or self.x_valid < 0:
+            raise EvalError(f"{what} of a jet with exhausted valid orders "
+                            f"(y_valid={self.y_valid}, x_valid={self.x_valid})")
+
+    def is_zero(self) -> bool:
+        """True when every coefficient inside the valid orders is zero."""
+        return not np.any(self.coeffs[self.space._valid_slots(self.y_valid, self.x_valid)])
 
     # -- coefficient access -------------------------------------------------
 
@@ -273,8 +310,8 @@ class Jet:
             sp = self.space
             if other.space is not sp:
                 raise EvalError("jets from different spaces")
-            return Jet(sp, sp._product(self.coeffs, other.coeffs),
-                       min(self.y_valid, other.y_valid), min(self.x_valid, other.x_valid))
+            yv, xv = min(self.y_valid, other.y_valid), min(self.x_valid, other.x_valid)
+            return Jet(sp, sp._product(self.coeffs, other.coeffs, yv, xv), yv, xv)
         if isinstance(other, _SCALARS):
             return Jet(self.space, self.coeffs * float(other), self.y_valid, self.x_valid)
         return NotImplemented
@@ -335,14 +372,11 @@ class Jet:
 
     # -- analytic functions via univariate Taylor composition ----------------
 
-    def _terms(self) -> int:
-        return self.y_valid + self.x_valid
-
     def _compose(self, taylor_coeff) -> "Jet":
         """f(self) where taylor_coeff(k) = f^(k)(value)/k!  (Horner in h = self - value)."""
-        K = self._terms()
-        if K < 0:
-            raise EvalError("composition on a jet with exhausted valid orders")
+        self._require_valid("composition")
+        yv, xv = self.y_valid, self.x_valid
+        K = yv + xv
         try:
             cs = [taylor_coeff(k) for k in range(K + 1)]
         except (OverflowError, ZeroDivisionError) as e:
@@ -350,15 +384,15 @@ class Jet:
                             f"(too close to a singularity)") from e
         sp = self.space
         if K == 0:
-            return Jet(sp, sp.constant(cs[0]).coeffs, self.y_valid, self.x_valid)
-        h = self.coeffs.copy()
+            return Jet(sp, sp.constant(cs[0]).coeffs, yv, xv)
+        h = np.where(sp._valid_slots(yv, xv), self.coeffs, 0.0)
         h[0] = 0.0
         acc = h * cs[K] + 0.0   # the first product, constant(cs[K]) * h
         for k in range(K - 1, -1, -1):
             acc[0] += cs[k]
             if k:
-                acc = sp._product(acc, h)
-        return Jet(sp, acc, self.y_valid, self.x_valid)
+                acc = sp._product(acc, h, yv, xv)
+        return Jet(sp, acc, yv, xv)
 
     def _reciprocal(self) -> "Jet":
         v = self.value
@@ -419,8 +453,9 @@ class Jet:
         return self.diff(self.space.n + i)
 
     def __repr__(self):
+        value = self.value if min(self.y_valid, self.x_valid) >= 0 else None
         return (
-            f"Jet(value={self.value!r}, y_valid={self.y_valid}, "
+            f"Jet(value={value!r}, y_valid={self.y_valid}, "
             f"x_valid={self.x_valid}, space={self.space!r})"
         )
 

@@ -8,7 +8,7 @@ import pytest
 from finslerlab import connections, core, expr, models
 from finslerlab.errors import DomainEscape
 from finslerlab.matsumoto import HatEnergy
-from finslerlab.numkit import fd_derivative
+from finslerlab.numkit import Jet, fd_derivative, jet_space
 
 EX = models.builtin_model("matsumoto_example")
 EU = models.builtin_model("euclid_concurrent")
@@ -127,10 +127,26 @@ def test_cartan_metric_compatibility():
     assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(dg)))
 
 
+def test_jet_inverse_skips_a_row_whose_valid_slots_are_zero():
+    c = jet_space(1, 2, 0).constant
+    # valid to y-order 1, where it is zero; its y-order-2 slot is not
+    f = Jet(c(0.0).space, np.array([0.0, 0.0, 5.0]), 1, 0)
+    inv = connections._jet_inverse([[c(2.0), c(0.0)], [f, c(4.0)]])
+    assert [[e.value for e in row] for row in inv] == [[0.5, 0.0], [0.0, 0.25]]
+    # a row op would have lowered row 1 to f's validity
+    assert all((e.y_valid, e.x_valid) == (2, 0) for e in inv[1])
+
+
+def _probe(model, batch):
+    """The probe over (4,2) geometries, as the core suite builds them."""
+    return connections.concurrency_probe(
+        model, [connections.GeometryJets(model, s, 4, 2) for s in batch])
+
+
 def test_concurrency_probe_example_sigma_plus_one():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 0])))
     batch, _ = core.sample_batch(EX, models.default_box(EX), 20, rng)
-    (probe, phic), sigma = connections.concurrency_probe(EX, batch)
+    (probe, phic), sigma = _probe(EX, batch)
     assert sigma == pytest.approx(1.0, abs=1e-10)
     assert probe.name == "concurrency-probe" and probe.passed
     assert probe.residual <= 1e-8 and probe.n_samples == 20
@@ -141,7 +157,7 @@ def test_concurrency_probe_example_sigma_plus_one():
 def test_concurrency_probe_euclid_sigma_minus_one_exact():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 1])))
     batch, _ = core.sample_batch(EU, models.default_box(EU), 10, rng)
-    (probe, _), sigma = connections.concurrency_probe(EU, batch)
+    (probe, _), sigma = _probe(EU, batch)
     assert abs(sigma + 1.0) <= 1e-12
     assert probe.residual <= 1e-12
 
@@ -151,7 +167,7 @@ def test_concurrency_probe_constant_field_is_not_concurrent():
                    "phi1 = 1\nphi2 = 0\ndomain = y1^2 + y2^2\n")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 2])))
     batch, _ = core.sample_batch(m, models.default_box(EU), 10, rng)
-    (probe, phic), sigma = connections.concurrency_probe(m, batch)
+    (probe, phic), sigma = _probe(m, batch)
     # hcov = 0 fits sigma = 0 exactly; the probe measures against +-identity
     assert sigma == 0.0
     assert probe.passed is False

@@ -114,14 +114,10 @@ def test_inverse_metric_cross_check_p0():
 def test_concurrency_of_both_shipped_models():
     by_name = {m.name: m for m in models.builtin_models()}
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 1])))
-    batch, _ = core.sample_batch(by_name["matsumoto_example"],
-                                 models.default_box(by_name["matsumoto_example"]),
-                                 10, rng)
-    (probe, _), sigma = connections.concurrency_probe(by_name["matsumoto_example"], batch)
-    assert sigma == pytest.approx(1.0, abs=1e-8) and probe.residual <= 1e-8
-
-    batch, _ = core.sample_batch(by_name["euclid_concurrent"],
-                                 models.default_box(by_name["euclid_concurrent"]),
-                                 10, rng)
-    (probe, _), sigma = connections.concurrency_probe(by_name["euclid_concurrent"], batch)
-    assert sigma == pytest.approx(-1.0, abs=1e-12) and probe.residual <= 1e-12
+    for name, want, tol in (("matsumoto_example", 1.0, 1e-8),
+                            ("euclid_concurrent", -1.0, 1e-12)):
+        m = by_name[name]
+        batch, _ = core.sample_batch(m, models.default_box(m), 10, rng)
+        (probe, _), sigma = connections.concurrency_probe(
+            m, [connections.GeometryJets(m, s, 4, 2) for s in batch])
+        assert sigma == pytest.approx(want, abs=tol) and probe.residual <= tol

@@ -184,10 +184,24 @@ def jets(draw, spaces=SPACES, value=None):
     return Jet(sp, c, draw(st.integers(0, sp.y_order)), draw(st.integers(0, sp.x_order)))
 
 
+def _inside(j):
+    """Mask of the slots of `j` inside its valid orders."""
+    n = j.space.n
+    return np.array([sum(mi[n:]) <= j.y_valid and sum(mi[:n]) <= j.x_valid
+                     for mi in j.space.multi_indices])
+
+
 def _same(a, b):
+    """Same space and validity, and the same bits in every valid slot."""
     assert a.space is b.space
     assert (a.y_valid, a.x_valid) == (b.y_valid, b.x_valid)
-    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    valid = _inside(a)
+    assert a.coeffs[valid].tobytes() == b.coeffs[valid].tobytes()
+
+
+def _past_valid_is_plus_zero(j):
+    past = j.coeffs[~_inside(j)]
+    return past.tobytes() == np.zeros_like(past).tobytes()
 
 
 def _ref_mul(a, b):
@@ -249,6 +263,38 @@ def test_compositions_match_the_unfused_horner_steps(j):
     v = j.value
     _same(j.sqrt(), _ref_compose(j, lambda k: _binom(0.5, k) * v ** (0.5 - k)))
     _same(j._reciprocal(), _ref_compose(j, lambda k: (-1.0) ** k / v ** (k + 1)))
+
+
+@pytest.mark.parametrize("space", SPACES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_products_match_the_full_table_on_the_valid_slots(space, data):
+    a = data.draw(jets(spaces=[space]))
+    b = data.draw(jets(spaces=[space]))
+    _same(a * b, _ref_mul(a, b))
+    assert _past_valid_is_plus_zero(a * b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(value=st.floats(0.1, 50.0)))
+def test_products_and_compositions_leave_past_valid_slots_at_plus_zero(j):
+    results = [j * j, j ** 3, j ** 5, j.sqrt(), j._reciprocal(), j.exp(), j.log(),
+               j.sin(), j.cos(), j ** -2, j ** 1.5]
+    for out in results:
+        assert (out.y_valid, out.x_valid) == (j.y_valid, j.x_valid)
+        assert _past_valid_is_plus_zero(out)
+
+
+def test_value_and_compositions_refuse_exhausted_jets():
+    _, yj = jet_space(1, 0, 2).lift([0.5], [2.0])
+    d = yj.diff_y(0)   # y_valid -1, x_valid 2: no slot is exact
+    assert (d.y_valid, d.x_valid) == (-1, 2)
+    with pytest.raises(EvalError, match="value of a jet with exhausted valid orders"):
+        d.value
+    with pytest.raises(EvalError, match="composition of a jet with exhausted valid orders"):
+        d._compose(lambda k: 1.0)
+    with pytest.raises(EvalError, match="exhausted"):
+        (d * yj).value
 
 
 def _binom(p, k):
