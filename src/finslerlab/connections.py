@@ -31,6 +31,7 @@ __all__ = [
     "Trajectory",
     "berwald_from_njets",
     "concurrency_probe",
+    "phi_covariants",
     "curvature_from_njets",
     "integrate_geodesic",
     "spray_system",
@@ -220,25 +221,26 @@ PROBE_TOLERANCES = {
 }
 
 
-def concurrency_probe(model, geometries):
-    """Cartan-covariant behaviour of the model's phi field over a batch.
+def phi_covariants(model, geo):
+    """hcov_phi = dphi^i/dx^j + phi^k Gamma^i_kj and phi^k C_kij at the sample
+    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more."""
+    x = geo.s.x
+    ph = phi_values(model, x)
+    return (phi_jacobian(model, x) + np.einsum("k,ikj->ij", ph, geo.cartan()),
+            np.einsum("k,kij->ij", ph, geo.cartan_torsion()))
 
-    `geometries` are the model's `GeometryJets` at the batch's samples, valid
-    to y-order 3 and x-order 1 or more.  A concurrent field has hcov_phi =
-    +identity or -identity.  The probe measures the worst deviation across the
-    batch from the nearer of the two, so a parallel field (hcov = 0) fails with
-    residual 1, and reports the worst |phi^k C_kij|.  Returns the two report
-    entries and the fitted sigma, the mean of trace(hcov)/n."""
-    hcovs = []
-    vcovs = []
-    for geo in geometries:
-        gamma = geo.cartan()
-        C = geo.cartan_torsion()
-        x = geo.s.x
-        ph = phi_values(model, x)
-        dph = phi_jacobian(model, x)
-        hcovs.append(dph + np.einsum("k,ikj->ij", ph, gamma))
-        vcovs.append(np.einsum("k,kij->ij", ph, C))
+
+def concurrency_probe(model, covariants):
+    """Cartan-covariant behaviour of the model's phi field over a batch, from
+    the `phi_covariants` pair of each sample.
+
+    A concurrent field has hcov_phi = +identity or -identity.  The probe
+    measures the worst deviation across the batch from the nearer of the two,
+    so a parallel field (hcov = 0) fails with residual 1, and reports the
+    worst |phi^k C_kij|.  Returns the two report entries and the fitted
+    sigma, the mean of trace(hcov)/n."""
+    hcovs = [h for h, _ in covariants]
+    vcovs = [v for _, v in covariants]
     n = model.dim
     sigma = float(np.mean([np.trace(h) / n for h in hcovs]))
     resids = {sgn: [float(np.max(np.abs(h - sgn * np.eye(n)))) for h in hcovs]

@@ -96,10 +96,9 @@ def run_core_suite(model, s_batch):
             if name not in ("jet-vs-fd-oracle", "geodesic-first-integral-base",
                             "geodesic-first-integral-hat")}
     min_det = math.inf
-    geometries = []   # reused by the concurrency probe
+    covariants = []
     for k, s in enumerate(s_batch):
         geo = connections.GeometryJets(model, s, 4, 2)
-        geometries.append(geo)
         md = geo.md
         min_det = min(min_det, md.det_g)
 
@@ -147,8 +146,9 @@ def run_core_suite(model, s_batch):
         gscale = max(1.0, float(np.max(np.abs(dg))))
         accs["cartan-metric-compatibility"].add(
             s, compat / gscale, np.zeros_like(compat))
+        covariants.append(connections.phi_covariants(model, geo))
 
-    probe, sigma = connections.concurrency_probe(model, geometries)
+    probe, sigma = connections.concurrency_probe(model, covariants)
     return ([accs[k].result() for k in sorted(accs)] + probe,
             {"min_det_g": min_det, "probe_sigma": sigma})
 

@@ -64,10 +64,13 @@ def test_criterion_01_example_reproduction():
 def test_criterion_02_concurrency_probe():
     """sigma = +1 on the example (residual <= 1e-8, phi.C <= 1e-10);
     sigma = -1 exactly on the flat companion (<= 1e-12)."""
-    (probe_ex, phic_ex), sigma_ex = connections.concurrency_probe(
-        EX, [connections.GeometryJets(EX, s, 4, 2) for s in _batch(EX, 20, 102)])
-    (probe_eu, _), sigma_eu = connections.concurrency_probe(
-        EU, [connections.GeometryJets(EU, s, 4, 2) for s in _batch(EU, 20, 103)])
+    def probe(model, stream):
+        return connections.concurrency_probe(model, [
+            connections.phi_covariants(model, connections.GeometryJets(model, s, 4, 2))
+            for s in _batch(model, 20, stream)])
+
+    (probe_ex, phic_ex), sigma_ex = probe(EX, 102)
+    (probe_eu, _), sigma_eu = probe(EU, 103)
     ok = (abs(sigma_ex - 1.0) <= 1e-8 and probe_ex.residual <= 1e-8
           and phic_ex.residual <= 1e-10 and probe_ex.passed and phic_ex.passed
           and abs(sigma_eu + 1.0) <= 1e-12 and probe_eu.residual <= 1e-12)

@@ -139,8 +139,9 @@ def test_jet_inverse_skips_a_row_whose_valid_slots_are_zero():
 
 def _probe(model, batch):
     """The probe over (4,2) geometries, as the core suite builds them."""
-    return connections.concurrency_probe(
-        model, [connections.GeometryJets(model, s, 4, 2) for s in batch])
+    return connections.concurrency_probe(model, [
+        connections.phi_covariants(model, connections.GeometryJets(model, s, 4, 2))
+        for s in batch])
 
 
 def test_concurrency_probe_example_sigma_plus_one():

@@ -118,6 +118,7 @@ def test_concurrency_of_both_shipped_models():
                             ("euclid_concurrent", -1.0, 1e-12)):
         m = by_name[name]
         batch, _ = core.sample_batch(m, models.default_box(m), 10, rng)
-        (probe, _), sigma = connections.concurrency_probe(
-            m, [connections.GeometryJets(m, s, 4, 2) for s in batch])
+        (probe, _), sigma = connections.concurrency_probe(m, [
+            connections.phi_covariants(m, connections.GeometryJets(m, s, 4, 2))
+            for s in batch])
         assert sigma == pytest.approx(want, abs=tol) and probe.residual <= tol
