@@ -31,9 +31,9 @@ __all__ = [
     "Trajectory",
     "berwald_from_njets",
     "concurrency_probe",
-    "phi_covariants",
     "curvature_from_njets",
     "integrate_geodesic",
+    "phi_covariants",
     "spray_system",
     "PROBE_TOLERANCES",
 ]
