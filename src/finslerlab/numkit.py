@@ -4,11 +4,20 @@ A jet at a tangent-bundle point carries the Taylor coefficients of a scalar
 field in the 2n coordinates (x1..xn, y1..yn).  The truncation is anisotropic:
 coefficients are kept for every multi-index whose y-part has total degree
 <= y_order and whose x-part has total degree <= x_order.  Direction (y)
-derivatives up to third order drive the metric layer; a single x-order is
-enough for sprays and nonlinear connections, and x-order 2 is needed only to
-differentiate a nonlinear connection once more in x (curvature).  Coefficients
-are stored Taylor-normalized (coefficient of multi-index a equals the partial
-derivative divided by a!).
+derivatives up to fourth order drive the metric and curvature layers, and the
+changed metric asks its base energy for one more, so a curvature check works
+in the (5, 2) space: 560 slots in dim 3.  One x-order is enough for sprays and
+nonlinear connections, and x-order 2 differentiates a nonlinear connection
+once more in x (curvature).  The finite-difference oracle compares every
+partial of total order <= 3, so it works in the (3, 3) space: 400 slots in
+dim 3.  Coefficients are stored Taylor-normalized (coefficient of multi-index
+a equals the partial derivative divided by a!).
+
+Slot (a, b) holds x-block multi-index a and y-block multi-index b.  A space's
+product table lists, row-major in (i, j), every slot pair whose multi-index
+sum is a slot.  Each such pair is one x-block pair times one y-block pair, so
+the table is built from the two block tables in memory and time proportional
+to its pairs, never to size^2.
 
 Every jet tracks how many y- and x-orders of its coefficients are still exact
 (`y_valid`, `x_valid`).  Differentiation consumes one order; products and
@@ -51,6 +60,20 @@ def _simplex(nvars: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _block_pairs(nvars: int, max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions (bi, bj, bk) in `_simplex(nvars, max_order)` of every pair of
+    multi-indices whose sum bk stays inside it, sorted by (bi, bj).  The
+    simplex is graded, so the partners of a degree-d index are its first
+    comb(nvars + max_order - d, nvars) entries."""
+    block = _simplex(nvars, max_order)
+    pos = {mi: k for k, mi in enumerate(block)}
+    pairs = [(bi, bj, pos[tuple(map(operator.add, a, b))])
+             for bi, a in enumerate(block)
+             for bj, b in enumerate(block[:math.comb(nvars + max_order - sum(a), nvars)])]
+    return tuple(np.array(c, dtype=np.intp) for c in zip(*pairs))
+
+
 class JetSpace:
     """Coefficient layout and precomputed tables for one (n, y_order, x_order) config.
 
@@ -79,25 +102,17 @@ class JetSpace:
             [math.prod(math.factorial(e) for e in mi) for mi in self.multi_indices],
             dtype=np.float64,
         )
-        self._build_mul_table()
+        self._build_mul_table(len(y_part))
         self._build_diff_maps()
 
-    def _build_mul_table(self):
-        # Encode each multi-index as an integer; component sums never reach the
-        # base, so key(a) + key(b) == key(a + b).
-        base = 2 * max(self.y_order, self.x_order, 1) + 1
-        basis = base ** np.arange(2 * self.n, dtype=np.int64)
-        keys = self._index_arr @ basis
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        pair = keys[:, None] + keys[None, :]
-        slot = np.searchsorted(sorted_keys, pair)
-        slot[slot >= self.size] = self.size - 1
-        hit = sorted_keys[slot] == pair
-        i_idx, j_idx = np.nonzero(hit)
-        self._mul_i = i_idx.astype(np.intp)
-        self._mul_j = j_idx.astype(np.intp)
-        self._mul_k = order[slot[hit]].astype(np.intp)
+    def _build_mul_table(self, ny):
+        # outer sums of the block tables (slot (a, b) sits at a * ny + b),
+        # then sorted row-major in (i, j)
+        xi, xj, xk = _block_pairs(self.n, self.x_order)
+        yi, yj, yk = _block_pairs(self.n, self.y_order)
+        i, j, k = ((x[:, None] * ny + y).ravel() for x, y in ((xi, yi), (xj, yj), (xk, yk)))
+        order = np.lexsort((j, i))
+        self._mul_i, self._mul_j, self._mul_k = i[order], j[order], k[order]
 
     def _build_diff_maps(self):
         # For g = df/dv: g_beta = (beta_v + 1) * f_{beta + e_v}

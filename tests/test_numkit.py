@@ -1,6 +1,7 @@
 """Jet arithmetic against closed forms, finite differences, and random polynomials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from finslerlab.connections import spray_system
 from finslerlab.core import cartan_tensor, metric_tensor
 from finslerlab.errors import DomainEscape, EvalError
-from finslerlab.numkit import Jet, fd_derivative, jet_space
+from finslerlab.numkit import Jet, JetSpace, _simplex, fd_derivative, jet_space
 
 
 def test_lift_seeding():
@@ -156,6 +157,44 @@ def test_fd_step_scale_must_be_positive():
             fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1), step_scale=scale)
     assert fd_derivative(lambda x, y: y[0] ** 2, [0.0], [1.0], (0, 1),
                          step_scale=0.1) == pytest.approx(2.0, rel=1e-9)
+
+
+def _dense_pair_table(n, y_order, x_order):
+    """Product table of the (n, y_order, x_order) space by a dense search over
+    every slot pair (i, j), row-major: i, j and the slot k of the sum of their
+    multi-indices, for each pair whose sum is a slot.  Each multi-index is
+    encoded as an integer whose digits never carry, so key(a) + key(b) ==
+    key(a + b)."""
+    index = np.array([bx + ay for bx in _simplex(n, x_order) for ay in _simplex(n, y_order)])
+    keys = index @ (2 * max(y_order, x_order, 1) + 1) ** np.arange(2 * n)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    pair = keys[:, None] + keys[None, :]
+    slot = np.minimum(np.searchsorted(sorted_keys, pair), keys.size - 1)
+    hit = sorted_keys[slot] == pair
+    i, j = np.nonzero(hit)
+    return i, j, order[slot[hit]]
+
+
+def test_product_tables_match_a_dense_search():
+    spaces = [(n, y, x) for n in (1, 2, 3) for y in range(6) for x in range(4)] + [(4, 4, 2)]
+    for space in spaces:
+        sp = JetSpace(*space)
+        for got, want in zip((sp._mul_i, sp._mul_j, sp._mul_k), _dense_pair_table(*space)):
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want, err_msg=str(space))
+
+
+def test_building_a_space_holds_no_size_squared_intermediate():
+    """The (4, 5, 2) space has 1,890 slots and 57,915 product pairs; a dense
+    search over its slot pairs peaks near 90 MB of traced memory."""
+    tracemalloc.start()
+    try:
+        JetSpace(4, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --------------------------------------------------------------------------
