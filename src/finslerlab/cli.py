@@ -191,10 +191,9 @@ def cmd_inspect(ns) -> int:
 def _verify_csv(rep) -> str:
     lines = ["identity,kind,residual,tolerance,status"]
     for r in rep.identities:
-        status = {True: "PASS", False: "FAIL", None: r.kind.upper()}[r.passed]
         lines.append(f"{r.name},{r.kind},"
                      f"{'' if r.residual is None else repr(r.residual)},"
-                     f"{'' if r.tolerance is None else repr(r.tolerance)},{status}")
+                     f"{'' if r.tolerance is None else repr(r.tolerance)},{r.status}")
     return "\n".join(lines) + "\n"
 
 

@@ -160,7 +160,7 @@ class GeometryJets:
         return dxg - 2.0 * np.einsum("mk,mij->kij", self.nonlinear(), self.cartan_torsion())
 
     def cartan(self) -> np.ndarray:
-        ginv = np.linalg.inv(self.metric())
+        ginv = self.md.ginv
         dg = self.delta_metric()
         # Gamma^i_jk = (1/2) g^{is} (delta_j g_sk + delta_k g_js - delta_s g_jk)
         return 0.5 * (np.einsum("is,jsk->ijk", ginv, dg)

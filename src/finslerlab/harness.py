@@ -333,7 +333,6 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
         hat_model, cfg, _STREAM_CHANGE, cfg.samples)
     extras["change_batch_rejected"] = rej_main
     results += matsumoto.change_identity_suite(hat_model, main_batch)
-    results += matsumoto.lemma_identity_suite(hat_model, main_batch)
 
     # tabulate the opposite orientation on a smaller batch so a sign clash in
     # the source formulas is isolated per identity rather than guessed
@@ -341,7 +340,6 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
         other_model, cfg, _STREAM_CHANGE_OTHER, max(8, cfg.samples // 4))
     other_results = matsumoto.change_identity_suite(other_model, other_batch,
                                                     with_curvature=False)
-    other_results += matsumoto.lemma_identity_suite(other_model, other_batch)
     extras["other_orientation"] = f"{other:+.0f}"
     extras["other_orientation_residuals"] = {
         r.name: r.residual for r in other_results if r.residual is not None}

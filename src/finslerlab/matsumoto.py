@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -84,19 +84,17 @@ def _require_hat_domain(F: float, Phi: float, s: TangentSample):
             f"is not safely positive")
 
 
-def concurrent_form(model, s: TangentSample, E: Jet) -> Jet:
-    """Jet of Phi = phi^i dE/dy^i from an energy jet at `s`.
+def concurrent_form(phi, E: Jet) -> Jet:
+    """Jet of Phi = phi^i dE/dy^i from the phi components `phi` (floats or jets)
+    and an energy jet at the same sample.
 
     Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only.  A
     phi component that is the number 0 adds no term: it would add +-0.0."""
-    sp = E.space
-    xs = [sp.coordinate(i, v) for i, v in enumerate(s.x)]
-    Phi = sp.zero()
+    Phi = E.space.zero()
     Phi.y_valid, Phi.x_valid = E.y_valid - 1, E.x_valid
-    for i, p in enumerate(model.phi_fns):
-        phi = p(xs, None)
-        if isinstance(phi, Jet) or phi != 0.0:
-            Phi = Phi + phi * E.diff_y(i)
+    for i, p in enumerate(phi):
+        if isinstance(p, Jet) or p != 0.0:
+            Phi = Phi + p * E.diff_y(i)
     return Phi
 
 
@@ -112,9 +110,15 @@ class HatEnergy:
         self.dim = model.dim
         self.base = ModelEnergy(model)
 
+    def _form(self, s: TangentSample, E: Jet):
+        """Jets of Phi and F from a base energy jet at `s`."""
+        xs = [E.space.coordinate(i, v) for i, v in enumerate(s.x)]
+        phi = [p(xs, None) for p in self.model.phi_fns]
+        return concurrent_form(phi, E), (2.0 * E).sqrt()
+
     def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
         E = self.base.energy_jet(s, y_order + 1, x_order)
-        Phi, F = concurrent_form(self.model, s, E), (2.0 * E).sqrt()
+        Phi, F = self._form(s, E)
         _require_hat_domain(F.value, Phi.value, s)
         Fhat = (2.0 * E) / (F - Phi)
         return 0.5 * Fhat * Fhat
@@ -125,7 +129,7 @@ class HatEnergy:
             return None
         s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
         E = self.base.energy_jet(s, 1, 0)
-        Phi, F = concurrent_form(self.model, s, E).value, (2.0 * E).sqrt().value
+        Phi, F = (j.value for j in self._form(s, E))
         return F ** 2 / (F - Phi) if _inside_hat_fence(F, Phi) else None
 
     def in_domain(self, x, y) -> bool:
@@ -241,10 +245,6 @@ def predicted_spray(sc: ChangeScalars, sprayG: np.ndarray, y: np.ndarray) -> np.
 # jet bundle of the change at one sample
 # --------------------------------------------------------------------------
 
-def _as_jet(space, v):
-    return v if isinstance(v, Jet) else space.constant(v)
-
-
 class ChangeJets:
     """Jets of the change scalars and predicted fields, sharing one base geometry."""
 
@@ -256,8 +256,9 @@ class ChangeJets:
     def scalars(self) -> ChangeScalars:
         geo, n = self.geo, self.n
         model = geo.energy.model
-        Phi, F = concurrent_form(model, geo.s, geo.E), geo.F_jet
-        phi_up = [_as_jet(geo.space, p(geo.coords[:n], None)) for p in model.phi_fns]
+        phi = [p(geo.coords[:n], None) for p in model.phi_fns]
+        Phi, F = concurrent_form(phi, geo.E), geo.F_jet
+        phi_up = [p if isinstance(p, Jet) else geo.space.constant(p) for p in phi]
         g = geo.g_jets
         phi_low = [sum((g[i][j] * phi_up[j] for j in range(1, n)), g[i][0] * phi_up[0])
                    for i in range(n)]
@@ -371,10 +372,9 @@ LEMMA_TOLERANCES = {
 
 
 def _check_change(model, s: TangentSample, with_curvature: bool):
-    """Predicted-vs-direct pairs of every transformation law at one sample.
-
-    One base geometry (with its change jets) and one hat geometry, both at
-    order (4, 2) with curvature and (4, 1) without, feed every law."""
+    """Predicted-vs-direct pairs of every transformation law and lemma identity
+    at one sample: one base geometry (with its change jets) and one hat geometry,
+    both at order (4, 2) with curvature and (4, 1) without, feed every pair."""
     order = (4, 2 if with_curvature else 1)
     geo = GeometryJets(model, s, *order)
     md = geo.md
@@ -410,16 +410,16 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
     if with_curvature:
         out["curvature-change"] = (
             curvature_from_njets(cj.nhat_pred_jets), geo_hat.curvature())
+    out.update(_lemma_pairs(geo, sc, cj.scalars))
     return out
 
 
-def _check_lemma(model, s: TangentSample):
-    geo = GeometryJets(model, s, 3, 1)
+def _lemma_pairs(geo: GeometryJets, sc: ChangeScalars, jets: ChangeScalars):
+    """Pairs of the concurrent-field lemma, read off a base geometry valid to
+    (3, 1) or more, its value scalars `sc` and its change jets `jets`."""
     md = geo.md
-    sc = _checked_scalars(md, model, s)
-    jets = ChangeJets(geo).scalars
-    y = s.y
-    n = model.dim
+    y = geo.s.y
+    n = geo.n
     N = geo.nonlinear()
     G = geo.spray()
     F = sc.F
@@ -462,40 +462,40 @@ def _check_lemma(model, s: TangentSample):
     }
 
 
-def _run_suite(model, s_batch, check_fn, tolerances):
+_TOLERANCES = {**CHANGE_TOLERANCES, **LEMMA_TOLERANCES}
+
+
+def change_identity_suite(model, s_batch, with_curvature: bool = True):
+    """Predicted-vs-direct residuals of every transformation law over a batch,
+    then the structural Berwald entry, then the lemma identities."""
     accs = {}
     skipped = 0
     for s in s_batch:
         try:
-            pairs = check_fn(model, s)
+            pairs = _check_change(model, s, with_curvature)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
         for name, (pred, direct) in pairs.items():
             if name not in accs:
-                accs[name] = PairAccumulator(name, tolerances[name])
+                accs[name] = PairAccumulator(name, _TOLERANCES[name])
             accs[name].add(s, pred, direct)
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
         if skipped else ""
-    return [accs[k].result(note) for k in sorted(accs)]
-
-
-def lemma_identity_suite(model, s_batch):
-    """Residuals of the concurrent-field derivative identities over a batch."""
-    return _run_suite(model, s_batch, _check_lemma, LEMMA_TOLERANCES)
-
-
-def change_identity_suite(model, s_batch, with_curvature: bool = True):
-    """Predicted-vs-direct residuals for every transformation law over a batch."""
-    check = partial(_check_change, with_curvature=with_curvature)
-    results = _run_suite(model, s_batch, check, CHANGE_TOLERANCES)
-    results.append(IdentityResult(
+    structural = IdentityResult(
         name="vertical-berwald-invariance", kind="structural", residual=0.0,
         n_samples=len(s_batch),
         note="both routes differentiate with the same vertical operator "
-             "(Jet.diff_y); the invariance holds by construction",
-    ))
-    return results
+             "(Jet.diff_y); the invariance holds by construction")
+    return ([accs[k].result(note) for k in sorted(accs) if k in CHANGE_TOLERANCES]
+            + [structural]
+            + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES])
+
+
+def lemma_identity_suite(model, s_batch):
+    """The lemma entries of `change_identity_suite` without curvature."""
+    return [r for r in change_identity_suite(model, s_batch, with_curvature=False)
+            if r.name in LEMMA_TOLERANCES]
 
 
 def select_orientation(model, probe_batches: dict):
@@ -509,7 +509,6 @@ def select_orientation(model, probe_batches: dict):
     for orient, batch in probe_batches.items():
         oriented = model.oriented(orient)
         results = change_identity_suite(oriented, batch, with_curvature=False)
-        results += lemma_identity_suite(oriented, batch)
         # each identity counts at most 1, a non-finite one (residual None) 1
         totals[orient] = float(sum(1.0 if r.residual is None else min(r.residual, 1.0)
                                    for r in results if r.kind == "identity"))

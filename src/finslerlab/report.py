@@ -56,6 +56,10 @@ class IdentityResult:
             return True
         return None  # reported / skipped entries do not gate
 
+    @property
+    def status(self) -> str:
+        return {True: "PASS", False: "FAIL", None: self.kind.upper()}[self.passed]
+
     def to_dict(self):
         d = {
             "name": self.name,
@@ -164,8 +168,7 @@ class SuiteReport:
         for r in self.identities:
             res = "-" if r.residual is None else f"{r.residual:.3e}"
             tol = "-" if r.tolerance is None else f"{r.tolerance:.1e}"
-            status = {True: "PASS", False: "FAIL", None: r.kind.upper()}[r.passed]
-            lines.append(f"{r.name:<42} {r.kind:<10} {res:>12} {tol:>10} {status:>8}")
+            lines.append(f"{r.name:<42} {r.kind:<10} {res:>12} {tol:>10} {r.status:>8}")
             if r.note:
                 lines.append(f"    note: {r.note}")
         for k in sorted(self.extras):

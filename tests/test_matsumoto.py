@@ -1,6 +1,7 @@
 """The metric change: scalars, predicted laws vs direct recomputation, scans."""
 
 import collections
+import json
 import math
 from pathlib import Path
 
@@ -446,7 +447,8 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     """One base and one changed-metric GeometryJets per change sample, one
     energy jet each, and the metric data read off them.  The base geometry
     takes one square root of its energy jet for ell and the change scalars;
-    the changed metric takes one for Fhat and one for its own ell."""
+    the changed metric takes one for Fhat and one for its own ell.  The lemma
+    entries are read off the same base geometry, with no third build."""
     built = []
     init = connections.GeometryJets.__init__
 
@@ -471,12 +473,45 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     assert calls == {"ModelEnergy.energy_jet": 2 * len(batch),
                      "HatEnergy.energy_jet": len(batch)}
     assert len(roots) == 3 * len(batch)
+    assert set(matsumoto.LEMMA_TOLERANCES) <= {r.name for r in results}
 
-    calls.clear()
-    roots.clear()
-    matsumoto.lemma_identity_suite(EX.oriented(-1), batch)
-    assert calls == {"ModelEnergy.energy_jet": len(batch)}
-    assert len(roots) == len(batch)
+
+def _reference_lemma(model, s_batch):
+    """Lemma entries read off a separate (3, 1) base geometry per sample."""
+    accs, skipped = {}, 0
+    for s in s_batch:
+        geo = connections.GeometryJets(model, s, 3, 1)
+        try:
+            sc = matsumoto._checked_scalars(geo.md, model, s)
+        except (OutsideHatDomain, DegenerateMargin):
+            skipped += 1
+            continue
+        pairs = matsumoto._lemma_pairs(geo, sc, matsumoto.ChangeJets(geo).scalars)
+        for name, (pred, direct) in pairs.items():
+            if name not in accs:
+                accs[name] = report.PairAccumulator(name, matsumoto.LEMMA_TOLERANCES[name])
+            accs[name].add(s, pred, direct)
+    note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
+        if skipped else ""
+    return [accs[k].result(note) for k in sorted(accs)]
+
+
+@pytest.mark.parametrize("orient", [+1.0, -1.0])
+@pytest.mark.parametrize("model, point", [
+    (EX, P0), (EU, core.make_sample(EU, [0.3, -0.2], [1.1, 0.7]))], ids=["example", "flat"])
+def test_lemma_entries_match_a_separate_3_1_geometry(model, point, orient):
+    """The change suite's (4, 2) and (4, 1) base geometries give every lemma
+    entry the bits of a (3, 1) geometry built for it alone."""
+    oriented = model.oriented(orient)
+    for batch in ([point], _batch(model, orient, 4, 31 + int(orient > 0))):
+        ref = [json.dumps(r.to_dict(), sort_keys=True)
+               for r in _reference_lemma(oriented, batch)]
+        assert len(ref) == len(matsumoto.LEMMA_TOLERANCES)
+        for with_curvature in (True, False):
+            got = [json.dumps(r.to_dict(), sort_keys=True)
+                   for r in matsumoto.change_identity_suite(oriented, batch, with_curvature)
+                   if r.name in matsumoto.LEMMA_TOLERANCES]
+            assert got == ref
 
 
 @pytest.mark.parametrize("tol", [None, harness.GEODESIC_TOL],
