@@ -351,12 +351,13 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     results.append(matsumoto.projective_check(hat_model, main_batch))
 
     obs_max = 0.0
-    for s in main_batch[: max(8, cfg.samples // 8)]:
+    obs_batch = main_batch[: max(8, cfg.samples // 8)]
+    for s in obs_batch:
         O = matsumoto.concurrency_obstruction(hat_model, s)
         obs_max = max(obs_max, float(np.max(np.abs(O))))
     extras["obstruction_max_norm"] = obs_max
     results.append(IdentityResult(
-        name="concurrency-obstruction", kind="reported", n_samples=len(main_batch),
+        name="concurrency-obstruction", kind="reported", n_samples=len(obs_batch),
         note=f"max |O| = {obs_max!r}; nonzero means the changed metric does not "
              f"keep phi concurrent (zero would be required for preservation)"))
 
