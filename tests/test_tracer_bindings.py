@@ -1,10 +1,11 @@
-"""The benchmark tracer binds program names; each one must still exist."""
+"""The benchmark tracer binds program names; each one must still exist, and
+the arguments and results its counters read must keep their shapes."""
 
 import functools
 import importlib.util
 from pathlib import Path
 
-import finslerlab.cli  # noqa: F401 - imports every module the tracer binds
+from finslerlab import cli  # imports every module the tracer binds
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -32,3 +33,29 @@ def test_every_traced_binding_resolves():
                                    or isinstance(raw, functools.cached_property)):
                 missing.append((layer, ".".join(b)))
     assert missing == []
+
+
+def _traced(argv):
+    tracer = _load_tracer().Tracer()
+    code = tracer.run(cli.main, argv)
+    assert tracer.missing == []
+    assert tracer.check_additivity() <= 1e-6
+    return code, tracer.metrics()
+
+
+def test_traced_runs_read_their_counters():
+    """A traced `verify` and a traced 10-step hat geodesic: the counters read
+    off `energy_jet`'s sample, `sample_batch`'s (samples, rejected) result,
+    each `Trajectory` and the rendered report are all non-zero."""
+    code, m = _traced(["verify", "--model", "euclid_concurrent", "--samples", "2",
+                       "--format", "json"])
+    assert code == 0
+    for name in ("core.energy_jet.points", "core.sample_batch.draws",
+                 "connections.rk4.steps", "report.bytes"):
+        assert m[name] > 0, name
+    code, m = _traced(["geodesic", "--model", "matsumoto_example", "--which", "hat",
+                       "--orientation=-1", "--x=1,0,1", "--y=1,1,1",
+                       "--t-end", "0.01", "--step", "0.001"])
+    assert code == 0
+    assert m["connections.rk4.steps"] == 10
+    assert m["core.energy_jet.points"] > 0
