@@ -85,8 +85,7 @@ def _require_hat_domain(F: float, Phi: float, s: TangentSample):
 
 
 def concurrent_form(phi, E: Jet) -> Jet:
-    """Jet of Phi = phi^i dE/dy^i from the phi components `phi` (floats or jets)
-    and an energy jet at the same sample.
+    """Jet of Phi = phi^i dE/dy^i from phi values (floats or jets) and an energy jet.
 
     Phi = g(phi, y) by Euler's theorem, so it needs one y-order of E only.  A
     phi component that is the number 0 adds no term: it would add +-0.0."""
