@@ -19,8 +19,9 @@ Expressions are whitespace-insensitive with precedence ^ > unary - > * / > + -
 identifier is a named parameter, except sqrt/abs/sin/cos/exp/log which are
 function calls.  Each expression of a model is lowered once, when its ModelDef
 is built, into a function (xs, ys) -> value made of Python closures; the same
-function runs on floats (sampling, domain tests, the finite-difference oracle)
-and on jets (energy and phi jets).
+function runs on floats (sampling, domain tests, geodesic values), on float64
+arrays holding many points (the finite-difference oracle) and on jets (energy
+and phi jets).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ import operator
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import EvalError, ModelSyntaxError, ModelValidationError
-from .numkit import Jet
+from .numkit import Jet, int_power
 
 __all__ = [
     "Num", "Var", "Param", "Neg", "Bin", "Call",
@@ -254,9 +257,19 @@ def parse_expression(source: str, line: int = 1):
 # evaluation: each AST is lowered once into closures over floats or jets
 # --------------------------------------------------------------------------
 
+def _guard(bad, v, message):
+    """Raise EvalError(message) when `bad` holds at a float, or at any element
+    of an array; `{}` in the message names the (first) offending value."""
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise EvalError(message.format(v[bad].flat[0]))
+    elif bad:
+        raise EvalError(message.format(v))
+
+
 def _div(a, b):
-    if not isinstance(b, Jet) and abs(b) < 1e-300:
-        raise EvalError("division by ~0")
+    if not isinstance(b, Jet):
+        _guard(abs(b) < 1e-300, b, "division by ~0")
     return a / b
 
 
@@ -268,52 +281,60 @@ def _pow(base, exponent):
         if base <= 0:
             raise EvalError(f"{base} ** <expr>: variable power needs a positive base")
         return (exponent * math.log(base)).exp()
+    if isinstance(exponent, np.ndarray):
+        # variable exponent over arrays: the float rule at each element
+        return np.vectorize(_pow, otypes=[float])(base, exponent)
     if float(exponent).is_integer():
         k = int(exponent)
         if isinstance(base, Jet):
             return base ** k
-        if base == 0.0 and k < 0:
-            raise EvalError("0 raised to a negative power")
-        return base ** k
+        if k > 0:
+            return int_power(base, k)
+        if k == 0:
+            return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+        _guard(base == 0.0, base, "0 raised to a negative power")
+        return _div(1.0, int_power(base, -k))
     if isinstance(base, Jet):
         return base ** float(exponent)
-    if base <= 0:
-        raise EvalError(f"{base} ** {exponent}: non-integer power needs a positive base")
+    _guard(base <= 0, base, f"{{}} ** {exponent}: non-integer power needs a positive base")
     return base ** float(exponent)
 
 
 def _sqrt(v):
     if isinstance(v, Jet):
         return v.sqrt()
-    if v < 0:
-        raise EvalError(f"sqrt of negative value {v}")
-    return math.sqrt(v)
+    _guard(v < 0, v, "sqrt of negative value {}")
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def _log(v):
     if isinstance(v, Jet):
         return v.log()
-    if v <= 0:
-        raise EvalError(f"log of non-positive value {v}")
-    return math.log(v)
+    _guard(v <= 0, v, "log of non-positive value {}")
+    return np.log(v) if isinstance(v, np.ndarray) else math.log(v)
+
+
+def _analytic(name):
+    """sin, cos or exp: the jet method, numpy's ufunc on arrays, math's on floats."""
+    on_floats, on_arrays = getattr(math, name), getattr(np, name)
+
+    def fn(v):
+        if isinstance(v, Jet):
+            return getattr(v, name)()
+        return on_arrays(v) if isinstance(v, np.ndarray) else on_floats(v)
+    return fn
 
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": _div, "^": _pow}
 
-_FUNCTIONS = {
-    "sqrt": _sqrt,
-    "abs": abs,
-    "sin": lambda v: v.sin() if isinstance(v, Jet) else math.sin(v),
-    "cos": lambda v: v.cos() if isinstance(v, Jet) else math.cos(v),
-    "exp": lambda v: v.exp() if isinstance(v, Jet) else math.exp(v),
-    "log": _log,
-}
+_FUNCTIONS = {"sqrt": _sqrt, "abs": abs, "log": _log,
+              **{name: _analytic(name) for name in ("sin", "cos", "exp")}}
 
 
 def lower(ast, params=None):
-    """Function (xs, ys) -> value of the AST over floats or jets, where xs holds
-    x1..xn and ys y1..yn.  Built once: parameters become constants and every
+    """Function (xs, ys) -> value of the AST over floats, float arrays or jets,
+    where xs holds x1..xn and ys y1..yn.  Built once: parameters become constants and every
     operator node a closure that evaluates its left operand before its right.
     An unknown parameter or function raises EvalError here, not per call."""
     params = params or {}
@@ -345,7 +366,7 @@ def lower(ast, params=None):
             if (node.op == "^" and isinstance(node.b, Num) and node.b.value >= 1
                     and node.b.value.is_integer()):
                 k = int(node.b.value)   # _pow's integer branch, resolved once
-                return lambda xs, ys: a(xs, ys) ** k
+                return lambda xs, ys: int_power(a(xs, ys), k)
             return lambda xs, ys: op(a(xs, ys), b(xs, ys))
         raise EvalError(f"cannot evaluate node {node!r}")
 

@@ -45,6 +45,7 @@ __all__ = [
     "JetSpace",
     "jet_space",
     "fd_derivative",
+    "int_power",
 ]
 
 
@@ -213,6 +214,24 @@ def jet_space(n: int, y_order: int, x_order: int) -> JetSpace:
 _SCALARS = (int, float, np.floating, np.integer)
 
 
+def int_power(base, k: int):
+    """base ** k for an integer k >= 1 by square and multiply, from the lowest
+    set bit of k.  Floats, float arrays and jets share this rule, so the three
+    agree bit for bit (a float `x ** 2` would go through libm `pow`, which can
+    differ from `x * x` in the last bit).  `base ** 1` is `base + 0.0`: a -0.0
+    reads +0.0, as it does in a product."""
+    if k == 1:
+        return base + 0.0
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 class Jet:
     """One truncated Taylor expansion living in a :class:`JetSpace`."""
 
@@ -360,17 +379,7 @@ class Jet:
                 out = self.space.constant(1.0)
                 out.y_valid, out.x_valid = self.y_valid, self.x_valid
                 return out
-            if k == 1:
-                return self + 0.0  # = 1 * self: a -0.0 coefficient reads +0.0
-            # square and multiply, from the lowest set bit of k
-            out, base = None, self
-            while True:
-                if k & 1:
-                    out = base if out is None else out * base
-                k >>= 1
-                if not k:
-                    return out
-                base = base * base
+            return int_power(self, k)
         # real exponent: principal branch, positive base only
         v = self.value
         if v <= 0.0:

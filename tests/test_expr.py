@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,3 +244,71 @@ def test_real_and_jet_evaluation_agree(x1, y1, y2):
     coords = jet_space(2, 2, 2).lift([x1, 0.0], [y1, y2])
     jval = fn(coords[:2], coords[2:]).value
     assert abs(jval - fval) <= 1e-14 * max(1.0, abs(fval))
+
+
+# --------------------------------------------------------------------------
+# one lowered function over float64 arrays
+# --------------------------------------------------------------------------
+
+def _columns(fn, X, Y):
+    """fn at each point (column) of X and Y, one scalar call per point."""
+    return np.array([fn(X[:, i], Y[:, i]) for i in range(X.shape[1])])
+
+
+@pytest.mark.parametrize("source", [
+    "y1 + y2", "y1 - y2", "y1 * y2", "y1 / y2", "-y1", "abs(y1)", "sqrt(y2)",
+    "y1^1", "y1^2", "y1^3", "y1^4", "y1^5", "y2^-1", "y2^-3", "y1^(x1 - x1 + 2)",
+    "y2^y1", "x1^2*y1/y2 - sqrt(x1^2 + y2^3)",
+])
+def test_array_evaluation_matches_scalar_bit_for_bit(source):
+    """Each operator and the functions that are exact on arrays give, on an
+    array, the bits of a scalar evaluation at each of its elements."""
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-3.0, 3.0, (1, 2000))
+    Y = np.stack([rng.uniform(-3.0, 3.0, 2000), rng.uniform(0.1, 3.0, 2000)])
+    X[0, :4] = Y[0, :4] = [0.0, -0.0, 1.0, -1.0]
+    fn = expr.lower(expr.parse_expression(source))
+    assert fn(X, Y).tobytes() == _columns(fn, X, Y).tobytes()
+
+
+def test_shipped_model_energy_on_arrays_matches_scalar_bit_for_bit():
+    from finslerlab import models
+    rng = np.random.default_rng(11)
+    for name in ("matsumoto_example", "euclid_concurrent"):
+        model = models.load_model(name)
+        X = rng.uniform(0.2, 2.0, (model.dim, 2000))
+        Y = rng.uniform(0.2, 2.0, (model.dim, 2000)) * rng.choice([-1.0, 1.0], (model.dim, 2000))
+        assert model.F2_fn(X, Y).tobytes() == _columns(model.F2_fn, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("source, bad, message", [
+    ("1/y1", 1e-301, "division by ~0"),
+    ("y1^-2", 0.0, "0 raised to a negative power"),
+    ("sqrt(y1)", -0.5, "sqrt of negative value -0.5"),
+    ("log(y1)", -0.0, "log of non-positive value -0.0"),
+    ("y1^0.5", -2.0, "-2.0 \\*\\* 0.5: non-integer power needs a positive base"),
+])
+def test_array_guards_raise_when_any_element_hits_them(source, bad, message):
+    fn = expr.lower(expr.parse_expression(source))
+    Y = np.linspace(0.5, 2.0, 50)[None, :]
+    fn([], Y)
+    Y[0, 37] = bad
+    with pytest.raises(EvalError, match=message):
+        fn([], Y)
+
+
+def test_integer_powers_agree_on_floats_arrays_and_jets():
+    """Floats, arrays and jets share one integer-power rule: the jet's value,
+    each float and each array element carry the same bits, except that a jet
+    product's coefficients are sums started at +0.0, so never -0.0."""
+    from finslerlab.numkit import jet_space
+    rng = np.random.default_rng(3)
+    bases = np.concatenate([rng.uniform(-4.0, 4.0, 300), [0.0, -0.0, 1e-3, -7.5]])
+    sp = jet_space(1, 2, 0)
+    for k in (-3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 11):
+        fn = expr.lower(Bin("^", Var("y", 1), Num(float(k))))
+        nonzero = bases[bases != 0.0] if k < 0 else bases
+        floats = np.array([fn([], [float(b)]) for b in nonzero])
+        jets = np.array([(sp.coordinate(1, float(b)) ** k).value for b in nonzero])
+        assert fn([], nonzero[None, :]).tobytes() == floats.tobytes(), k
+        assert jets.tobytes() == (floats + 0.0).tobytes(), k
