@@ -16,9 +16,9 @@ import numpy as np
 
 from . import connections, matsumoto, models
 from .core import ModelEnergy, homogeneity_report, make_sample, sample_batch
-from .errors import DomainEscape
+from .errors import EvalError
 from .matsumoto import HatEnergy
-from .numkit import fd_derivative, _simplex
+from .numkit import fd_stencils
 from .report import IdentityResult, PairAccumulator, SuiteReport
 
 __all__ = ["RunConfig", "run_verification", "run_core_suite", "inspect_point"]
@@ -157,72 +157,137 @@ def run_core_suite(model, s_batch):
 # jets vs the finite-difference oracle
 # --------------------------------------------------------------------------
 
-def _ridders_fd(fn, x, y, m, in_domain):
-    """Central difference with Ridders-style step refinement.
+def _ridders(est):
+    """Ridders-style step refinement of central differences, for every stencil
+    at once: est[i, j] is stencil j's estimate at level i, on steps contracting
+    by RIDDERS_CON per level.
 
-    Evaluates the stencil at geometrically contracting steps, extrapolates the
-    even error series in a Neville tableau and returns the entry whose internal
-    error estimate is smallest.  This rides out both regimes a fixed step
-    cannot cover at once: indices with steep truncation (the y^-k metric
-    terms) and structurally-zero derivatives of a large function, where only a
-    wide step beats roundoff.
+    A Neville tableau extrapolates the even error series of each column and
+    keeps the entry whose internal error estimate is smallest; a column stops
+    at the first level whose diagonal moves by at least twice that error.
+    This rides out both regimes a fixed step cannot cover at once: indices
+    with steep truncation (the y^-k metric terms) and structurally-zero
+    derivatives of a large function, where only a wide step beats roundoff.
+    Returns each column's best entry and the last level it read; entries at
+    later levels do not influence either.
     """
     con2 = RIDDERS_CON * RIDDERS_CON
     tableau = [[None] * RIDDERS_LEVELS for _ in range(RIDDERS_LEVELS)]
-    best = None
-    err = math.inf
+    best = est[0]
+    err = np.full(est.shape[1], math.inf)
+    last = np.full(est.shape[1], RIDDERS_LEVELS - 1)
+    active = np.ones(est.shape[1], dtype=bool)
     for i in range(RIDDERS_LEVELS):
-        scale = RIDDERS_START_SCALE / RIDDERS_CON**i
-        tableau[0][i] = fd_derivative(fn, x, y, m, in_domain=in_domain,
-                                      step_scale=scale)
+        tableau[0][i] = est[i]
         if i == 0:
-            best = tableau[0][0]
             continue
         fac = con2
         for j in range(1, i + 1):
             tableau[j][i] = (tableau[j - 1][i] * fac - tableau[j - 1][i - 1]) \
                 / (fac - 1.0)
             fac *= con2
-            errt = max(abs(tableau[j][i] - tableau[j - 1][i]),
-                       abs(tableau[j][i] - tableau[j - 1][i - 1]))
-            if errt <= err:
-                err = errt
-                best = tableau[j][i]
-        if abs(tableau[i][i] - tableau[i - 1][i - 1]) >= 2.0 * err:
+            a = np.abs(tableau[j][i] - tableau[j - 1][i])
+            b = np.abs(tableau[j][i] - tableau[j - 1][i - 1])
+            errt = np.where(b > a, b, a)   # max(a, b), NaN handled as max does
+            better = active & (errt <= err)
+            err = np.where(better, errt, err)
+            best = np.where(better, tableau[j][i], best)
+        stop = active & (np.abs(tableau[i][i] - tableau[i - 1][i - 1]) >= 2.0 * err)
+        last[stop] = i
+        active &= ~stop
+        if not active.any():
             break
-    return best
+    return best, last
+
+
+def _stencil_values(model, pts):
+    """F^2 at each stencil point (a row of `pts`, x then y), from one array
+    call over the in-domain rows, and {row: reason} for the rows where a
+    point-by-point evaluation would stop: None outside the domain (the screen
+    is one array evaluation of the constraints), the EvalError where an
+    in-domain point hits a guard.  Those rows read 0.0."""
+    n = model.dim
+    X, Y = pts.T[:n], pts.T[n:]
+    inside = np.ones(len(pts), dtype=bool)
+    try:
+        for c in model.domain_fns:
+            inside &= c(X, Y) > 0.0
+    except EvalError:   # a constraint that raises is violated there: point by point
+        inside = np.array([model.in_domain(p[:n], p[n:]) for p in pts])
+    failed = dict.fromkeys(np.flatnonzero(~inside).tolist())
+    values = np.zeros(len(pts))
+    rows = np.flatnonzero(inside)
+    try:
+        values[rows] = model.F2_fn(X[:, rows], Y[:, rows])
+    except EvalError:   # some in-domain point hits a guard: find which
+        for r in rows.tolist():
+            try:
+                values[r] = model.F2_fn(pts[r, :n], pts[r, n:])
+            except EvalError as e:
+                failed[r] = e
+    return values, failed
 
 
 def run_fd_suite(model, s_batch):
     """Cross-check every jet partial of total order <= 3 of F^2 and F against
-    central differences."""
+    central differences.
+
+    Per sample, every stencil point of every multi-index at every Ridders
+    level is evaluated in one array call of `model.F2_fn` (F is
+    sqrt(max(F^2, 0)) of the same values), and the tableau then runs over
+    the precomputed levels.  A stencil that its tableau reaches at a point
+    outside the domain is skipped; an EvalError at a reached in-domain point
+    propagates."""
     n = model.dim
     energy = ModelEnergy(model)
-    multi = [m for m in _simplex(2 * n, 3) if sum(m) >= 1]
+    levels = [fd_stencils(n, RIDDERS_START_SCALE / RIDDERS_CON**i)
+              for i in range(RIDDERS_LEVELS)]
+    st = levels[0]
+    multi = list(st.index)
+    n_pts = int(st.start[-1])
+    offset = np.concatenate([lv.offset for lv in levels])
+    axis = np.tile(st.axis, (RIDDERS_LEVELS, 1))
+    denominator = np.stack([lv.denominator for lv in levels])
+    # stencil j's points as a row of `gather`, padded with a slot reading 0.0,
+    # so each level's weighted values sum in stencil order, one column a step
+    counts = np.diff(st.start)
+    gather = np.full((len(multi), counts.max()), n_pts)
+    for j, (a, b) in enumerate(zip(st.start[:-1], st.start[1:])):
+        gather[j, :b - a] = np.arange(a, b)
+    weight = np.append(st.weight, 0.0)[gather]
     acc = PairAccumulator("jet-vs-fd-oracle", CORE_TOLERANCES["jet-vs-fd-oracle"])
     skipped = 0
-
-    def fval(x, y):
-        return math.sqrt(max(model.F2_fn(x, y), 0.0))
 
     for s in s_batch:
         E = energy.energy_jet(s, 3, 3)
         F2j = 2.0 * E
         Fj = F2j.sqrt()
-        for fn, jet in ((model.F2_fn, F2j), (fval, Fj)):
-            jets = []
-            fds = []
-            for m in multi:
-                jv = jet.partial(m)
-                try:
-                    fv = _ridders_fd(fn, s.x, s.y, m, model.in_domain)
-                except DomainEscape:
-                    skipped += 1
-                    continue
-                scale = max(1.0, abs(jv))
-                jets.append(jv / scale)
-                fds.append(fv / scale)
-            acc.add(s, np.array(jets), np.array(fds))
+        point = np.concatenate([s.x, s.y])
+        f2, failed = _stencil_values(model, np.where(axis, point + offset, point))
+        # first level (RIDDERS_LEVELS if none) at which each stencil has a
+        # failed point, and that level's first failed point
+        first_fail = np.full(len(multi), RIDDERS_LEVELS)
+        reason = {}
+        for r in sorted(failed):
+            i, j = divmod(r, n_pts)
+            j = int(np.searchsorted(st.start, j, side="right")) - 1
+            if i < first_fail[j]:
+                first_fail[j], reason[j] = i, failed[r]
+        for values, jet in ((f2, F2j), (np.sqrt(np.maximum(f2, 0.0)), Fj)):
+            terms = np.append(values.reshape(RIDDERS_LEVELS, n_pts),
+                              np.zeros((RIDDERS_LEVELS, 1)), axis=1)[:, gather] * weight
+            total = 0.0
+            for c in range(gather.shape[1]):
+                total = total + terms[:, :, c]
+            fd, last = _ridders(total / denominator)
+            keep = first_fail > last
+            for j in np.flatnonzero(~keep):
+                if reason[j] is not None:
+                    raise reason[j]
+            skipped += int(np.count_nonzero(~keep))
+            jv = np.array([jet.partial(m) for m in multi])
+            scale = np.where(np.abs(jv) > 1.0, np.abs(jv), 1.0)
+            acc.add(s, (jv / scale)[keep], (fd / scale)[keep])
     note = f"{skipped} stencil evaluations skipped at the domain boundary" if skipped else ""
     return [acc.result(note)]
 

@@ -34,6 +34,7 @@ import itertools
 import math
 import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,9 @@ __all__ = [
     "Jet",
     "JetSpace",
     "jet_space",
+    "FDStencils",
     "fd_derivative",
+    "fd_stencils",
     "int_power",
 ]
 
@@ -497,13 +500,58 @@ _STENCILS = {
 }
 
 
+class FDStencils(NamedTuple):
+    """The central-difference stencils of every multi-index of total order
+    1..3 over 2*dim coordinates (x first), in graded simplex order, at one
+    step scale.  Stencil j owns the points start[j]:start[j + 1], in the order
+    their weighted values are summed."""
+
+    index: dict              # multi-index -> j
+    start: np.ndarray        # (M + 1,)
+    offset: np.ndarray       # (P, 2*dim) offsets of each point from the base
+    axis: np.ndarray         # (P, 2*dim) True on the coordinates a stencil moves
+    weight: np.ndarray       # (P,) product of the 1-d weights
+    denominator: np.ndarray  # (M,) step ** order, multiplied over the moved axes
+
+
+@lru_cache(maxsize=64)
+def fd_stencils(dim: int, step_scale: float = 1.0) -> FDStencils:
+    """The one table of stencils `fd_derivative` evaluates, cached per
+    dimension and step scale.  Every axis of a stencil uses the step sized for
+    the *total* order: the product of per-axis denominators scales like
+    h^total, and a tight step on one axis of a mixed index would amplify
+    roundoff through the others' h-powers."""
+    nv = 2 * dim
+    multis = [mi for mi in _simplex(nv, 3) if sum(mi)]
+    offsets, axes, weights, start, denominators = [], [], [], [0], []
+    for mi in multis:
+        h = FD_STEP * _FD_WIDEN[sum(mi)] * step_scale
+        moved = [(v, k) for v, k in enumerate(mi) if k]
+        for combo in itertools.product(*[range(len(_STENCILS[k][0])) for _, k in moved]):
+            off, w = np.zeros(nv), 1.0
+            for (v, k), c in zip(moved, combo):
+                offs, wts = _STENCILS[k]
+                off[v] = offs[c] * h
+                w *= wts[c]
+            if w != 0.0:
+                offsets.append(off)
+                axes.append([k > 0 for k in mi])
+                weights.append(w)
+        start.append(len(offsets))
+        denominators.append(math.prod(h**k for _, k in moved))
+    return FDStencils({mi: j for j, mi in enumerate(multis)}, np.array(start),
+                      np.array(offsets), np.array(axes), np.array(weights),
+                      np.array(denominators))
+
+
 def fd_derivative(f, x, y, multi_index, in_domain=None, step_scale: float = 1.0) -> float:
     """Central-difference estimate of a mixed partial of f(x, y).
 
     `multi_index` has length 2n (x-orders first, then y-orders) and total order
     <= 3.  The estimate is a tensor product of 1-d central stencils, each with
-    O(step^2) truncation error.  If `in_domain` is given, every stencil point
-    is screened through it first and a :class:`DomainEscape` is raised when one
+    O(step^2) truncation error, read off :func:`fd_stencils`; f is called once
+    per stencil point.  If `in_domain` is given, every stencil point is
+    screened through it first and a :class:`DomainEscape` is raised when one
     falls outside.  `step_scale` multiplies the widened FD_STEP.
     """
     x = np.asarray(x, dtype=float)
@@ -522,30 +570,14 @@ def fd_derivative(f, x, y, multi_index, in_domain=None, step_scale: float = 1.0)
     if total == 0:
         return float(f(x, y))
 
-    # all stencil axes use the step sized for the *total* order: the product of
-    # per-axis denominators scales like h^total, and a tight step on one axis
-    # of a mixed index would amplify roundoff through the others' h-powers
-    h = FD_STEP * _FD_WIDEN[total] * step_scale
-    axes = []  # (variable, offsets scaled by step, weights, step**order)
-    for v, k in enumerate(mi):
-        if k == 0:
-            continue
-        offs, wts = _STENCILS[k]
-        axes.append((v, [o * h for o in offs], wts, h**k))
-
+    st = fd_stencils(n, step_scale)
+    j = st.index[mi]
     point = np.concatenate([x, y])
     total_est = 0.0
-    for combo in itertools.product(*[range(len(a[1])) for a in axes]):
-        p = point.copy()
-        w = 1.0
-        for (v, offs, wts, _), c in zip(axes, combo):
-            p[v] += offs[c]
-            w *= wts[c]
-        if w == 0.0:
-            continue
+    for r in range(st.start[j], st.start[j + 1]):
+        p = np.where(st.axis[r], point + st.offset[r], point)
         px, py = p[:n], p[n:]
         if in_domain is not None and not in_domain(px, py):
             raise DomainEscape(f"finite-difference stencil point {p} left the domain")
-        total_est += w * float(f(px, py))
-    scale = math.prod(a[3] for a in axes)
-    return total_est / scale
+        total_est += st.weight[r] * float(f(px, py))
+    return float(total_est / st.denominator[j])
