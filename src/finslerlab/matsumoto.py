@@ -606,10 +606,13 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
             fm = f(mid)
             if fm == 0.0:
                 return mid
+            state = (lo, hi, flo)
             if flo * fm < 0.0:
                 hi = mid
             else:
                 lo, flo = mid, fm
+            if (lo, hi, flo) == state:
+                break   # mid is lo or hi: every later iteration repeats this one
         return 0.5 * (lo + hi)
 
     theta_star = bracket[0] if bracket[0] == bracket[1] else \
