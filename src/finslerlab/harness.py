@@ -251,10 +251,10 @@ def run_fd_suite(model, s_batch):
     # stencil j's points as a row of `gather`, padded with a slot reading 0.0,
     # so each level's weighted values sum in stencil order, one column a step
     counts = np.diff(st.start)
-    gather = np.full((len(multi), counts.max()), n_pts)
-    for j, (a, b) in enumerate(zip(st.start[:-1], st.start[1:])):
-        gather[j, :b - a] = np.arange(a, b)
+    cols = np.arange(counts.max())
+    gather = np.where(cols < counts[:, None], st.start[:-1, None] + cols, n_pts)
     weight = np.append(st.weight, 0.0)[gather]
+    stencil_of = np.repeat(np.arange(len(multi)), counts)
     acc = PairAccumulator("jet-vs-fd-oracle", CORE_TOLERANCES["jet-vs-fd-oracle"])
     skipped = 0
 
@@ -270,7 +270,7 @@ def run_fd_suite(model, s_batch):
         reason = {}
         for r in sorted(failed):
             i, j = divmod(r, n_pts)
-            j = int(np.searchsorted(st.start, j, side="right")) - 1
+            j = int(stencil_of[j])
             if i < first_fail[j]:
                 first_fail[j], reason[j] = i, failed[r]
         for values, jet in ((f2, F2j), (np.sqrt(np.maximum(f2, 0.0)), Fj)):

@@ -9,7 +9,7 @@ import pytest
 from finslerlab import core, expr, harness, models
 from finslerlab.core import ModelEnergy
 from finslerlab.errors import DomainEscape, EvalError
-from finslerlab.numkit import FD_STEP, fd_derivative, fd_stencils
+from finslerlab.numkit import FD_STEP, Jet, fd_derivative, fd_stencils
 from finslerlab.report import PairAccumulator
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -182,6 +182,6 @@ def test_fd_suite_makes_one_array_call_per_sample(monkeypatch):
     monkeypatch.setattr(model, "F2_fn", counted)
     batch, _ = core.sample_batch(model, models.default_box(model), 4, harness._rng(42, 0))
     harness.run_fd_suite(model, batch)
-    float_calls = [t for t in calls if t.__name__ != "Jet"]
+    float_calls = [t for t in calls if t is not Jet]
     assert 0 < len(float_calls) <= len(batch)
     assert all(t is np.ndarray for t in float_calls)
