@@ -1,7 +1,8 @@
-"""The finite-difference oracle's batched evaluation against the point-by-point
-Ridders loop it replaced, kept here as the reference."""
+"""The finite-difference oracle's batched evaluation against a point-by-point
+Ridders loop over `fd_derivative`, kept here as the reference."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,22 +151,17 @@ def _pole_model(level):
 @pytest.mark.parametrize("level", range(harness.RIDDERS_LEVELS))
 def test_eval_error_at_a_reached_in_domain_point_propagates(level):
     """A guard at an in-domain stencil point raises the reference's EvalError
-    when the tableau reaches its level, and changes nothing when it does not."""
+    when the tableau reaches its level (level 0 always is), and changes
+    nothing when it does not."""
     model, s = _pole_model(level)
     try:
         want = _reference_fd_suite(model, [s])
     except EvalError as e:
-        with pytest.raises(EvalError, match=str(e)):
+        with pytest.raises(EvalError, match=re.escape(str(e))):
             harness.run_fd_suite(model, [s])
         return
     assert level > 0
     assert harness.run_fd_suite(model, [s]) == want
-
-
-def test_eval_error_at_level_zero_is_reached():
-    model, s = _pole_model(0)
-    with pytest.raises(EvalError, match="division by ~0"):
-        harness.run_fd_suite(model, [s])
 
 
 def test_fd_suite_makes_one_array_call_per_sample(monkeypatch):
