@@ -36,6 +36,7 @@ __all__ = [
     "phi_covariants",
     "spray_system",
     "PROBE_TOLERANCES",
+    "SPRAY_ORDERS",
 ]
 
 
@@ -318,9 +319,13 @@ def spray_system(E, y) -> np.ndarray:
     return b
 
 
+# orders of the energy jet each spray evaluation asks for
+SPRAY_ORDERS = (2, 1)
+
+
 def _spray_rhs(energy, x, y):
     s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
-    E = energy.energy_jet(s, 2, 1)
+    E = energy.energy_jet(s, *SPRAY_ORDERS)
     G = 0.5 * np.linalg.solve(metric_tensor(E), spray_system(E, y))
     return np.concatenate([y, -2.0 * G])
 

@@ -67,19 +67,43 @@ class ModelEnergy:
     A provider answers `energy_jet(s, y_order, x_order)`, E = F^2/2 valid to
     those orders in a space it picks (`jet.space`; here exactly those orders),
     and `f_value(x, y)`, F or None where undefined (here: outside the domain).
+
+    It keeps the last energy jet it built, with the coordinate jets it lifted
+    for it.  A request at the same point (the same bytes of x and y) with
+    orders no higher in either block is served from that jet, by `restrict`,
+    with the bits a fresh build would have; any other request builds and
+    replaces it.  A provider lives as long as the command that made it.
     """
 
     def __init__(self, model):
         self.model = model
         self.dim = model.dim
+        self._last = None   # ((x bytes, y bytes), energy jet, coordinate jets)
 
     def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
+        key = (s.x.tobytes(), s.y.tobytes())
+        last = self._last
+        if last is not None and last[0] == key:
+            E = last[1]
+            if y_order <= E.space.y_order and x_order <= E.space.x_order:
+                return E.restrict(y_order, x_order)
         space = jet_space(self.dim, y_order, x_order)
         coords = space.lift(s.x, s.y)
         F2 = self.model.F2_fn(coords[:self.dim], coords[self.dim:])
         if not isinstance(F2, Jet):
             F2 = space.constant(F2)
-        return 0.5 * F2
+        E = 0.5 * F2
+        self._last = (key, E, coords)
+        return E
+
+    def coordinates(self, s: TangentSample, space) -> list[Jet]:
+        """The 2n coordinate jets at `s` in `space`: those of the last build
+        when it was at `s` in `space`, else freshly lifted."""
+        last = self._last
+        if (last is not None and last[1].space is space
+                and last[0] == (s.x.tobytes(), s.y.tobytes())):
+            return last[2]
+        return space.lift(s.x, s.y)
 
     def f_value(self, x, y) -> float | None:
         if not self.model.in_domain(x, y):

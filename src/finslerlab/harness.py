@@ -243,7 +243,7 @@ def run_fd_suite(model, s_batch):
     levels = [fd_stencils(n, RIDDERS_START_SCALE / RIDDERS_CON**i)
               for i in range(RIDDERS_LEVELS)]
     st = levels[0]
-    multi = list(st.index)
+    multi = tuple(st.index)
     n_pts = int(st.start[-1])
     offset = np.concatenate([lv.offset for lv in levels])
     axis = np.tile(st.axis, (RIDDERS_LEVELS, 1))
@@ -285,7 +285,7 @@ def run_fd_suite(model, s_batch):
                 if reason[j] is not None:
                     raise reason[j]
             skipped += int(np.count_nonzero(~keep))
-            jv = np.array([jet.partial(m) for m in multi])
+            jv = jet.partials_at(multi)
             scale = np.where(np.abs(jv) > 1.0, np.abs(jv), 1.0)
             acc.add(s, (jv / scale)[keep], (fd / scale)[keep])
     note = f"{skipped} stencil evaluations skipped at the domain boundary" if skipped else ""

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .connections import (GeometryJets, berwald_from_njets, curvature_from_njets,
-                          phi_values)
+from .connections import (SPRAY_ORDERS, GeometryJets, berwald_from_njets,
+                          curvature_from_njets, phi_values)
 from .core import (MetricData, ModelEnergy, TangentSample, diagonal_scale, make_sample,
                    metric_data)
 from .errors import DegenerateMargin, DomainEscape, OutsideHatDomain
@@ -102,34 +102,49 @@ class HatEnergy:
 
     Phi takes one y-derivative of the base energy, so a jet valid to y-order k
     lives in a base space of y-order k + 1.  Past the hat fence `energy_jet`
-    raises OutsideHatDomain and `f_value` returns None."""
+    raises OutsideHatDomain and `f_value` returns None.  Like its base
+    provider, it keeps its last answer: the jet and the values of F and Phi
+    at one point (the same bytes of x and y) and one pair of orders."""
 
     def __init__(self, model):
         self.model = model
         self.dim = model.dim
         self.base = ModelEnergy(model)
+        self._last = None   # ((x bytes, y bytes, orders), jet or None, F, Phi)
 
-    def _form(self, s: TangentSample, E: Jet):
-        """Jets of Phi and F from a base energy jet at `s`."""
-        xs = [E.space.coordinate(i, v) for i, v in enumerate(s.x)]
-        phi = [p(xs, None) for p in self.model.phi_fns]
-        return concurrent_form(phi, E), (2.0 * E).sqrt()
+    def _jet_and_values(self, s: TangentSample, y_order: int, x_order: int):
+        """The energy jet at `s` valid to (y_order, x_order), None past the hat
+        fence, and the values of F and Phi there.  F's square root is taken
+        valid to those orders, not to the base jet's; phi is evaluated on the
+        coordinate jets of the base jet's build."""
+        key = (s.x.tobytes(), s.y.tobytes(), y_order, x_order)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1:]
+        E = self.base.energy_jet(s, y_order + 1, x_order)
+        xs = self.base.coordinates(s, E.space)[:self.dim]
+        Phi = concurrent_form([p(xs, None) for p in self.model.phi_fns], E)
+        F = (2.0 * E).truncated(y_order, x_order).sqrt()
+        jet = None
+        if _inside_hat_fence(F.value, Phi.value):
+            Fhat = (2.0 * E) / (F - Phi)
+            jet = 0.5 * Fhat * Fhat
+        self._last = (key, jet, F.value, Phi.value)
+        return self._last[1:]
 
     def energy_jet(self, s: TangentSample, y_order: int, x_order: int) -> Jet:
-        E = self.base.energy_jet(s, y_order + 1, x_order)
-        Phi, F = self._form(s, E)
-        _require_hat_domain(F.value, Phi.value, s)
-        Fhat = (2.0 * E) / (F - Phi)
-        return 0.5 * Fhat * Fhat
+        jet, F, Phi = self._jet_and_values(s, y_order, x_order)
+        _require_hat_domain(F, Phi, s)
+        return jet
 
     def f_value(self, x, y) -> float | None:
-        """Fhat = F^2/(F - Phi), with F and Phi read off a y-order-1 base jet."""
+        """Fhat = F^2/(F - Phi), from the values of F and Phi that come with the
+        energy jet the spray's next stage at (x, y) asks for, which is built
+        here and kept for it."""
         if not self.model.in_domain(x, y):
             return None
         s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
-        E = self.base.energy_jet(s, 1, 0)
-        Phi, F = (j.value for j in self._form(s, E))
-        return F ** 2 / (F - Phi) if _inside_hat_fence(F, Phi) else None
+        jet, F, Phi = self._jet_and_values(s, *SPRAY_ORDERS)
+        return None if jet is None else F ** 2 / (F - Phi)
 
     def in_domain(self, x, y) -> bool:
         return self.f_value(x, y) is not None
@@ -373,15 +388,18 @@ LEMMA_TOLERANCES = {
 def _check_change(model, s: TangentSample, with_curvature: bool):
     """Predicted-vs-direct pairs of every transformation law and lemma identity
     at one sample: one base geometry (with its change jets) and one hat geometry,
-    both at order (4, 2) with curvature and (4, 1) without, feed every pair."""
+    both at order (4, 2) with curvature and (4, 1) without, feed every pair.
+    The hat geometry is built first, so the base geometry's energy jet is the
+    restriction of the one its base provider built for the hat."""
     order = (4, 2 if with_curvature else 1)
-    geo = GeometryJets(model, s, *order)
+    hat = HatEnergy(model)
+    geo_hat = GeometryJets(hat, s, *order)
+    geo = GeometryJets(hat.base, s, *order)   # restricts the hat's base jet
     md = geo.md
     sc = _checked_scalars(md, model, s)
     y = s.y
     n = model.dim
     cj = ChangeJets(geo)
-    geo_hat = GeometryJets(HatEnergy(model), s, *order)
     mdh = geo_hat.md
 
     ellhat = predicted_supporting_form(sc, md)
@@ -543,7 +561,8 @@ def nondegeneracy_scan(model, s_batch) -> IdentityResult:
     n = model.dim
     hat = HatEnergy(model)
     for s in s_batch:
-        sc = _scalar_values(metric_data(model, s), model, s)
+        # the hat geometry's base jet is the one this metric data reads
+        sc = _scalar_values(metric_data(hat.base, s), model, s)
         if not _clear_of_hat_boundary(sc):
             continue
         count += 1
@@ -579,7 +598,7 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
 
     def margin_at(theta):
         s = sample(theta)
-        return _scalar_values(metric_data(model, s), model, s).margin
+        return _scalar_values(metric_data(hat.base, s), model, s).margin
 
     def det_at(theta):
         return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric()))

@@ -25,7 +25,8 @@ compositions propagate the minimum.  Reading a coefficient beyond the valid
 range raises.  Products and compositions compute only the coefficients inside
 the result's valid orders and leave +0.0 past them; sums, scalar multiples
 and derivatives carry whatever their operands hold there.  `value` and the
-compositions refuse a jet whose validity fell below 0 in either block.
+compositions refuse a jet whose validity fell below 0 in either block.  No
+operation writes into a jet's coefficients, so jets may share them.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class JetSpace:
         self._pos = {mi: k for k, mi in enumerate(self.multi_indices)}
         # position of each coordinate's unit multi-index (None past the orders)
         self._unit = [self._pos.get(tuple(e)) for e in np.eye(2 * n, dtype=int).tolist()]
+        units = [(v, k) for v, k in enumerate(self._unit) if k is not None]
+        self._unit_rows = np.array([v for v, _ in units], dtype=np.intp)
+        self._unit_cols = np.array([k for _, k in units], dtype=np.intp)
         self._tables = {}
         self._masks = {}
         self._pruned = {}
@@ -169,6 +173,15 @@ class JetSpace:
             i, j, k = table
         return np.bincount(k, weights=a[i] * b[j], minlength=self.size)
 
+    def _index_table(self, multi_indices, key):
+        """Positions and factorials of the given multi-indices; built once per
+        space and `key`."""
+        table = self._tables.get(key)
+        if table is None:
+            pos = np.array([self._pos[mi] for mi in multi_indices], dtype=np.intp)
+            table = self._tables[key] = (pos, self._factorials[pos])
+        return table
+
     def _read_table(self, axes):
         """Positions and factorials of the partials d/dv_1 ... d/dv_m, one per
         choice of v_a in axes[a]; built once per space and tuple of axes."""
@@ -203,7 +216,10 @@ class JetSpace:
         y = np.asarray(y, dtype=float)
         if x.shape != (self.n,) or y.shape != (self.n,):
             raise ValueError(f"expected x and y of length {self.n}")
-        return [self.coordinate(v, val) for v, val in enumerate(np.concatenate([x, y]))]
+        c = np.zeros((2 * self.n, self.size))
+        c[:, 0] = np.concatenate([x, y])
+        c[self._unit_rows, self._unit_cols] = 1.0
+        return [Jet(self, row) for row in c]
 
     def __repr__(self):
         return f"JetSpace(n={self.n}, y_order={self.y_order}, x_order={self.x_order})"
@@ -286,6 +302,40 @@ class Jet:
         self._check_extract(tuple(mi))
         pos, fact = self.space._read_table(axes)
         return self.coeffs[pos] * fact
+
+    def partials_at(self, multi_indices) -> np.ndarray:
+        """Partial derivatives at each of the given multi-indices, as an array:
+        one gather, checked once like `partial` at the highest x- and y-orders
+        among them."""
+        multi_indices = tuple(map(tuple, multi_indices))
+        n = self.space.n
+        for block in (slice(n, None), slice(None, n)):
+            self._check_extract(max(multi_indices, key=lambda mi: sum(mi[block])))
+        pos, fact = self.space._index_table(multi_indices, multi_indices)
+        return self.coeffs[pos] * fact
+
+    def restrict(self, y_order: int, x_order: int) -> "Jet":
+        """This jet in the (y_order, x_order) space of its dimension, whose
+        orders must be no higher than its own space's: its slots there, in one
+        gather.  A product sums a coefficient over the same pairs in the same
+        order in every space that holds its slot, and a composition's extra
+        Horner steps in a larger space add exact zeros to it, so the result
+        has the bits of the same computation run in the smaller space."""
+        sp = self.space
+        if y_order > sp.y_order or x_order > sp.x_order:
+            raise ValueError(f"cannot restrict {sp!r} to orders ({y_order}, {x_order})")
+        if (y_order, x_order) == (sp.y_order, sp.x_order):
+            return self
+        small = jet_space(sp.n, y_order, x_order)
+        pos, _ = sp._index_table(small.multi_indices, small)
+        return Jet(small, self.coeffs[pos], min(self.y_valid, y_order),
+                   min(self.x_valid, x_order))
+
+    def truncated(self, y_valid: int, x_valid: int) -> "Jet":
+        """The same coefficients, read as valid to at most (y_valid, x_valid):
+        products and compositions with it then compute only those orders."""
+        return Jet(self.space, self.coeffs, min(self.y_valid, y_valid),
+                   min(self.x_valid, x_valid))
 
     def _check_extract(self, mi):
         n = self.space.n

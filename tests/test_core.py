@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import core, expr, models
+from finslerlab import core, expr, models, numkit
 from finslerlab.errors import DomainEscape, SingularMetric
 from finslerlab.report import PairAccumulator, SuiteReport
 
@@ -135,3 +135,75 @@ def test_non_finite_residual_fails_and_names_its_sample(first, bad):
     assert res.worst_sample["x"] == [0.5, 0.0] and "non-finite" in res.note
     text = SuiteReport("m", "+1", 0, 1, identities=[res]).to_json()
     assert "NaN" not in text and "Infinity" not in text
+
+
+# --------------------------------------------------------------------------
+# the energy provider's last jet
+# --------------------------------------------------------------------------
+
+# (built, requested) orders: the change suite's base geometry off the hat's
+# base jet, with and without curvature, and lower reads in one and in both
+# blocks
+RESTRICTIONS = [((5, 2), (4, 2)), ((5, 1), (4, 1)), ((3, 1), (2, 1)), ((5, 2), (3, 0))]
+
+
+def _count_jet_evaluations(model, monkeypatch):
+    """Spaces of the model's F^2 evaluations on jets, as they happen."""
+    builds = []
+    f2 = model.F2_fn
+
+    def counted(xs, ys):
+        if isinstance(xs[0], numkit.Jet):
+            builds.append(xs[0].space)
+        return f2(xs, ys)
+
+    monkeypatch.setattr(model, "F2_fn", counted)
+    return builds
+
+
+@pytest.mark.parametrize("model", [EX, EU], ids=lambda m: m.name)
+def test_restricted_energy_jets_equal_direct_builds_bit_for_bit(model):
+    """A restricted jet has the space, validity and coefficient bits (sign of
+    zero included) of a fresh build at the lower orders."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 0])))
+    batch, _ = core.sample_batch(model, models.default_box(model), 12, rng)
+    for s in batch:
+        for big, small in RESTRICTIONS:
+            got = core.ModelEnergy(model).energy_jet(s, *big).restrict(*small)
+            want = core.ModelEnergy(model).energy_jet(s, *small)
+            assert got.space is want.space
+            assert (got.y_valid, got.x_valid) == (want.y_valid, want.x_valid)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_provider_serves_its_last_jet_at_the_same_point_and_lower_orders(monkeypatch):
+    builds = _count_jet_evaluations(EX, monkeypatch)
+    energy = core.ModelEnergy(EX)
+    E = energy.energy_jet(P0, 5, 2)
+    assert energy.energy_jet(P0, 5, 2) is E
+    for orders in [(4, 2), (5, 0), (3, 1), (0, 0)]:
+        assert (energy.energy_jet(P0, *orders).space.y_order,
+                energy.energy_jet(P0, *orders).space.x_order) == orders
+    assert len(builds) == 1
+    # a request past the kept orders in either block builds anew, and is kept
+    energy.energy_jet(P0, 3, 3)
+    energy.energy_jet(P0, 2, 3)
+    assert [(sp.y_order, sp.x_order) for sp in builds] == [(5, 2), (3, 3)]
+    # so does a point whose bytes differ, if only in the sign of a zero
+    energy.energy_jet(core.make_sample(EX, [1.0, -0.0, 1.0], [1.0, 1.0, 1.0]), 1, 0)
+    assert len(builds) == 3
+    # and a fresh provider keeps nothing
+    core.ModelEnergy(EX).energy_jet(P0, 1, 0)
+    assert len(builds) == 4
+
+
+def test_provider_hands_out_the_coordinate_jets_of_its_last_build():
+    energy = core.ModelEnergy(EX)
+    E = energy.energy_jet(P0, 3, 1)
+    coords = energy.coordinates(P0, E.space)
+    assert energy.coordinates(P0, E.space) is coords
+    fresh = E.space.lift(P0.x, P0.y)
+    assert [c.coeffs.tobytes() for c in coords] == [c.coeffs.tobytes() for c in fresh]
+    other = numkit.jet_space(3, 2, 1)
+    assert energy.coordinates(P0, other) is not coords
+    assert energy.coordinates(P0, other)[0].space is other

@@ -442,13 +442,30 @@ def _count_calls(monkeypatch):
     return calls
 
 
+def _count_jet_evaluations(model, monkeypatch):
+    """Spaces of the model's F^2 evaluations on jets, as they happen."""
+    spaces = []
+    f2 = model.F2_fn
+
+    def counted(xs, ys):
+        if isinstance(xs[0], numkit.Jet):
+            spaces.append(xs[0].space)
+        return f2(xs, ys)
+
+    monkeypatch.setattr(model, "F2_fn", counted)
+    return spaces
+
+
 @pytest.mark.parametrize("with_curvature", [True, False])
 def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypatch):
     """One base and one changed-metric GeometryJets per change sample, one
-    energy jet each, and the metric data read off them.  The base geometry
-    takes one square root of its energy jet for ell and the change scalars;
-    the changed metric takes one for Fhat and one for its own ell.  The lemma
-    entries are read off the same base geometry, with no third build."""
+    energy jet request each, and the metric data read off them.  Both jets
+    come from one evaluation of F^2 on jets: the hat geometry is built first,
+    and the base geometry's request is served from the base jet the hat's
+    provider built one y-order higher.  The base geometry takes one square
+    root of its energy jet for ell and the change scalars; the changed metric
+    takes one for Fhat and one for its own ell.  The lemma entries are read
+    off the same base geometry, with no third build."""
     built = []
     init = connections.GeometryJets.__init__
 
@@ -464,14 +481,18 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
         return sqrt(self)
 
     batch = [P0, *_batch(EX, -1.0, 3, 30)]
+    model = EX.oriented(-1)
     monkeypatch.setattr(connections.GeometryJets, "__init__", counting_init)
     monkeypatch.setattr(numkit.Jet, "sqrt", counting_sqrt)
     calls = _count_calls(monkeypatch)
-    results = matsumoto.change_identity_suite(EX.oriented(-1), batch, with_curvature)
+    evaluations = _count_jet_evaluations(model, monkeypatch)
+    results = matsumoto.change_identity_suite(model, batch, with_curvature)
     assert all(r.note == "" for r in results if r.kind == "identity")
-    assert built == [(4, 2 if with_curvature else 1)] * (2 * len(batch))
+    x_order = 2 if with_curvature else 1
+    assert built == [(4, x_order)] * (2 * len(batch))
     assert calls == {"ModelEnergy.energy_jet": 2 * len(batch),
                      "HatEnergy.energy_jet": len(batch)}
+    assert evaluations == [numkit.jet_space(3, 5, x_order)] * len(batch)
     assert len(roots) == 3 * len(batch)
     assert set(matsumoto.LEMMA_TOLERANCES) <= {r.name for r in results}
 
@@ -587,13 +608,63 @@ def test_geodesic_suite_fails_a_spray_off_by_1e5_in_both_modes(tol, monkeypatch)
 
 
 def test_hat_geodesic_builds_no_metric_data(monkeypatch):
-    """The hat value path reads F and Phi off a y-order-1 jet: no metric data,
-    and one base energy jet per accepted state on top of the four per RK4 step."""
+    """The hat value path reads F and Phi off the energy jet that the next RK4
+    step's first stage asks for, and builds no metric data.  That stage is
+    served the jet the value path built, so each accepted state and each of
+    the last three stages of a step asks the base for one energy jet, and F^2
+    is evaluated on jets four times per step plus once at the start."""
+    model = EX.oriented(-1)
     calls = _count_calls(monkeypatch)
-    traj = connections.integrate_geodesic(HatEnergy(EX.oriented(-1)), P0, 0.1, 1e-3)
+    evaluations = _count_jet_evaluations(model, monkeypatch)
+    traj = connections.integrate_geodesic(HatEnergy(model), P0, 0.1, 1e-3)
     assert traj.t.shape[0] == 101 and not traj.escaped
     assert calls["metric_data"] == 0
-    assert calls["ModelEnergy.energy_jet"] == 4 * 100 + 101
+    assert calls["HatEnergy.energy_jet"] == 4 * 100
+    assert calls["ModelEnergy.energy_jet"] == 3 * 100 + 101
+    y_order, x_order = connections.SPRAY_ORDERS
+    assert evaluations == [numkit.jet_space(3, y_order + 1, x_order)] * (4 * 100 + 1)
+
+
+def test_hat_provider_keeps_its_last_answer(monkeypatch):
+    """The value path's jet is handed to the spray stage at the same point
+    bytes and orders; other orders build anew.  Past the fence the kept
+    answer is None for the value and OutsideHatDomain for the jet."""
+    model = EX.oriented(-1)
+    evaluations = _count_jet_evaluations(model, monkeypatch)
+    hat = HatEnergy(model)
+    assert hat.f_value(P0.x, P0.y) == pytest.approx(10.0 / (SQ10 + 1.0), rel=1e-14)
+    E = hat.energy_jet(P0, *connections.SPRAY_ORDERS)
+    assert hat.energy_jet(P0, *connections.SPRAY_ORDERS) is E
+    assert len(evaluations) == 1
+    hat.energy_jet(P0, 4, 1)
+    assert len(evaluations) == 2
+
+    flat = EU.oriented(-1)
+    fenced = HatEnergy(flat)
+    s = core.make_sample(EU, [1.0 - 5e-13, 0.0], [1.0, 0.0])   # Phi = F - 5e-13
+    assert fenced.f_value(s.x, s.y) is None
+    monkeypatch.setattr(flat, "F2_fn", None)   # a second build would fail
+    with pytest.raises(OutsideHatDomain):
+        fenced.energy_jet(s, *connections.SPRAY_ORDERS)
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (4, 1), (2, 1), (2, 0)])
+def test_hat_energy_jet_keeps_the_bits_of_the_root_at_the_base_orders(orders):
+    """The changed metric takes F's square root valid to the orders it returns,
+    not to its base jet's: the hat energy jet has the bits, every slot
+    included, of the route that roots at the base jet's orders."""
+    model = EX.oriented(-1)
+    y_order, x_order = orders
+    for s in [P0, *_batch(EX, -1.0, 4, 31)]:
+        E = core.ModelEnergy(model).energy_jet(s, y_order + 1, x_order)
+        xs = E.space.lift(s.x, s.y)[:3]
+        Phi = matsumoto.concurrent_form([p(xs, None) for p in model.phi_fns], E)
+        Fhat = (2.0 * E) / ((2.0 * E).sqrt() - Phi)
+        want = 0.5 * Fhat * Fhat
+        got = HatEnergy(model).energy_jet(s, y_order, x_order)
+        assert got.space is want.space
+        assert (got.y_valid, got.x_valid) == (want.y_valid, want.x_valid) == orders
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_vertical_derivative_operator_is_shared():

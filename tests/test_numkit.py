@@ -20,6 +20,17 @@ def test_lift_seeding():
     assert yj.coefficient((0, 1)) == 1.0 and yj.coefficient((1, 0)) == 0.0
 
 
+@pytest.mark.parametrize("space", [(3, 3, 1), (2, 0, 2), (3, 2, 0), (2, 0, 0)])
+def test_lift_matches_one_coordinate_at_a_time(space):
+    sp = jet_space(*space)
+    point = [1.5, -0.0, 0.0, -2.0, 0.25, 3.0][:2 * sp.n]
+    lifted = sp.lift(point[:sp.n], point[sp.n:])
+    for v, jet in enumerate(lifted):
+        ref = sp.coordinate(v, point[v])
+        assert jet.space is sp and (jet.y_valid, jet.x_valid) == (ref.y_valid, ref.x_valid)
+        assert jet.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
 def test_square_polynomial_taylor():
     _, yj = jet_space(1, 3, 3).lift([0.0], [3.0])
     f = yj * yj
@@ -399,6 +410,69 @@ def test_spray_system_matches_its_partial_loop(E, y):
     y = np.array(y[:E.space.n])
     assert (_outcome(lambda: spray_system(E, y))
             == _outcome(lambda: _ref_spray_system(E, y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jets(), st.data())
+def test_partials_at_matches_its_partial_loop(E, data):
+    mis = data.draw(st.lists(st.sampled_from(E.space.multi_indices), min_size=1,
+                             max_size=12))
+    try:
+        want = np.array([E.partial(m) for m in mis])
+    except EvalError:
+        with pytest.raises(EvalError, match="beyond valid truncation"):
+            E.partials_at(mis)
+        return
+    assert E.partials_at(mis).tobytes() == want.tobytes()
+
+
+# (space, orders it is restricted or truncated to)
+LOWER = [((3, 5, 2), (4, 2)), ((3, 5, 1), (4, 1)), ((3, 3, 1), (2, 1)),
+         ((3, 5, 2), (3, 0)), ((2, 4, 2), (1, 1))]
+
+
+@pytest.mark.parametrize("space, lower", LOWER)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_restriction_commutes_with_products_and_compositions(space, lower, data):
+    """Each coefficient is computed from the same pairs in the same order in
+    every space holding its slot: restricting a result gives the bits of the
+    same operations on the restricted operands, every slot included."""
+    full = {"y_valid": space[1], "x_valid": space[2]}
+    a = data.draw(jets(spaces=[space]))
+    b = data.draw(jets(spaces=[space]))
+    p = data.draw(jets(spaces=[space], value=st.floats(0.1, 50.0)))
+    a, b, p = (Jet(j.space, j.coeffs, **full) for j in (a, b, p))
+    ops = [(lambda u, v: u * v, (a, b)), (lambda u: u ** 3, (a,)),
+           (Jet.sqrt, (p,)), (Jet._reciprocal, (p,)), (Jet.exp, (p,))]
+    for op, args in ops:
+        got = op(*args).restrict(*lower)
+        want = op(*(j.restrict(*lower) for j in args))
+        assert got.space is want.space is jet_space(space[0], *lower)
+        assert (got.y_valid, got.x_valid) == (want.y_valid, want.x_valid) == lower
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("space, lower", LOWER)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_truncated_compositions_keep_the_bits_of_the_lower_orders(space, lower, data):
+    """A composition of a jet read as valid to lower orders has, inside them,
+    the bits of the composition at the jet's own orders: the extra Horner
+    terms add exact zeros there."""
+    p = data.draw(jets(spaces=[space], value=st.floats(0.1, 50.0)))
+    p = Jet(p.space, p.coeffs, space[1], space[2])
+    for op in (Jet.sqrt, Jet._reciprocal):
+        _same(op(p.truncated(*lower)), op(p).truncated(*lower))
+
+
+def test_restriction_refuses_higher_orders():
+    j = jet_space(3, 3, 1).constant(2.0)
+    assert j.restrict(3, 1) is j
+    with pytest.raises(ValueError, match=r"to orders \(4, 1\)"):
+        j.restrict(4, 1)
+    with pytest.raises(ValueError, match=r"to orders \(2, 2\)"):
+        j.restrict(2, 2)
 
 
 def test_reads_past_the_valid_orders_raise():
