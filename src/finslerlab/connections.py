@@ -23,7 +23,7 @@ import numpy as np
 from .core import (MetricData, TangentSample, as_energy, cartan_tensor,
                    metric_tensor, read_metric_data, _require_in_domain)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
-from .numkit import jet_space
+from .numkit import Jet, jet_space
 from .report import IdentityResult
 
 __all__ = [
@@ -157,7 +157,8 @@ class GeometryJets:
 
     def delta_metric(self) -> np.ndarray:
         """dg[k, i, j] = delta_k g_ij = d g_ij/dx^k - N^m_k * 2 C_mij."""
-        dxg = np.array([metric_tensor(self.E.diff_x(k)) for k in range(self.n)])
+        n = self.n
+        dxg = self.E.partials(range(n), range(n, 2 * n), range(n, 2 * n))
         return dxg - 2.0 * np.einsum("mk,mij->kij", self.nonlinear(), self.cartan_torsion())
 
     def cartan(self) -> np.ndarray:
@@ -171,9 +172,9 @@ class GeometryJets:
 
 def berwald_from_njets(N_jets) -> np.ndarray:
     """G^i_jk = dN^i_j/dy^k for any nonlinear-connection field given as a matrix
-    of jets valid to one y-order; every entry is differentiated, none copied."""
-    return np.array([[[Nij.diff_y(k).value for k in range(len(N_jets))]
-                      for Nij in row] for row in N_jets])
+    of jets valid to one y-order; every entry is read, no symmetry assumed."""
+    n = len(N_jets)
+    return np.array([[Nij.partials(range(n, 2 * n)) for Nij in row] for row in N_jets])
 
 
 def curvature_from_njets(N_jets) -> np.ndarray:
@@ -181,13 +182,9 @@ def curvature_from_njets(N_jets) -> np.ndarray:
     given as a matrix of jets valid to one y- and one x-order."""
     n = len(N_jets)
     N = np.array([[Nij.value for Nij in row] for row in N_jets])
-    dxN = np.empty((n, n, n))  # dxN[i, k, j] = d N^i_k / dx^j
-    dyN = np.empty((n, n, n))  # dyN[i, k, m] = d N^i_k / dy^m
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                dxN[i, k, j] = N_jets[i][k].diff_x(j).value
-                dyN[i, k, j] = N_jets[i][k].diff_y(j).value
+    # dxN[i, k, j] = d N^i_k / dx^j, dyN[i, k, m] = d N^i_k / dy^m
+    dxN = np.array([[Nik.partials(range(n)) for Nik in row] for row in N_jets])
+    dyN = np.array([[Nik.partials(range(n, 2 * n)) for Nik in row] for row in N_jets])
     # delta[j, i, k] = delta_j N^i_k
     delta = np.einsum("ikj->jik", dxN) - np.einsum("mj,ikm->jik", N, dyN)
     return np.transpose(delta, (1, 0, 2)) - np.transpose(delta, (1, 2, 0))
@@ -206,13 +203,11 @@ def phi_jacobian(model, x) -> np.ndarray:
     n = model.dim
     sp = jet_space(n, 0, 1)
     xjets = [sp.coordinate(j, x[j]) for j in range(n)]
-    out = np.empty((n, n))
+    out = np.zeros((n, n))
     for i, p in enumerate(model.phi_fns):
         v = p(xjets, None)
-        for j in range(n):
-            mi = [0] * (2 * n)
-            mi[j] = 1
-            out[i, j] = v.partial(mi) if hasattr(v, "partial") else 0.0
+        if isinstance(v, Jet):
+            out[i] = v.partials(range(n))
     return out
 
 

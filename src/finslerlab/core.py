@@ -207,10 +207,10 @@ class HomogeneityReport:
     C_residual: float
 
 
-def homogeneity_report(model, s: TangentSample) -> HomogeneityReport:
+def homogeneity_report(model, s: TangentSample, base: MetricData) -> HomogeneityReport:
     """Residuals of positive 1-homogeneity: F(x, ly) = l F(x, y) and its
-    consequences g(x, ly) = g(x, y), l C(x, ly) = C(x, y)."""
-    base = metric_data(model, s)
+    consequences g(x, ly) = g(x, y), l C(x, ly) = C(x, y), against the metric
+    data `base` at `s`."""
     rF = rg = rC = 0.0
     for lam in HOMOGENEITY_LAMBDAS:
         scaled = make_sample(model, s.x, lam * s.y)

@@ -119,7 +119,7 @@ def run_core_suite(model, s_batch):
             s, np.einsum("ijk,i->jk", C, s.y) / cs, np.zeros((n, n)))
 
         if k < HOMOGENEITY_SAMPLES:
-            rep = homogeneity_report(model, s)
+            rep = homogeneity_report(model, s, md)
             accs["metric-homogeneity"].add(
                 s, [rep.F_residual, rep.g_residual, rep.C_residual], [0.0, 0.0, 0.0])
 

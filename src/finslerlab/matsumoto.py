@@ -328,19 +328,14 @@ def concurrency_obstruction(model, s: TangentSample) -> np.ndarray:
     """Obstruction to phi staying concurrent for Fhat:
     O^i_j = [df1/dy^j - phi^k d2f2/dy^k dy^j] phi^i
             - (phi^k df1/dy^k) delta^i_j + (phi^k d2f1/dy^k dy^j) y^i.
-    Generically nonzero; identically zero iff the change preserves concurrency."""
+    Generically nonzero."""
     sc = ChangeJets(GeometryJets(model, s, 4, 0)).scalars
     n = model.dim
+    ys = range(n, 2 * n)
     ph = np.array([p.value for p in sc.phi_up])
-    df1 = np.array([sc.f1.diff_y(j).value for j in range(n)])
-    d2f1 = np.empty((n, n))
-    d2f2 = np.empty((n, n))
-    for k in range(n):
-        d1k = sc.f1.diff_y(k)
-        d2k = sc.f2.diff_y(k)
-        for j in range(n):
-            d2f1[k, j] = d1k.diff_y(j).value
-            d2f2[k, j] = d2k.diff_y(j).value
+    df1 = sc.f1.partials(ys)
+    d2f1 = sc.f1.partials(ys, ys)
+    d2f2 = sc.f2.partials(ys, ys)
     O = np.empty((n, n))
     a = df1 - ph @ d2f2          # a_j
     b = float(ph @ df1)
@@ -406,8 +401,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
     ghat = predicted_metric(sc, md)
     hhat = predicted_angular(sc, md)
     nhat_formula = predicted_nonlinear_connection(cj)
-    nhat_from_spray = np.array(
-        [[cj.spray_pred_jets[i].diff_y(j).value for j in range(n)] for i in range(n)])
+    nhat_from_spray = np.array([G.partials(range(n, 2 * n)) for G in cj.spray_pred_jets])
     out = {
         "concurrent-form-two-routes": ([cj.scalars.Phi.value], [sc.Phi]),
         "supporting-form-pairing-of-phi": ([float(md.ell @ sc.phi_up)], [sc.Phi / sc.F]),
@@ -437,31 +431,24 @@ def _lemma_pairs(geo: GeometryJets, sc: ChangeScalars, jets: ChangeScalars):
     md = geo.md
     y = geo.s.y
     n = geo.n
+    xs, ys = range(n), range(n, 2 * n)
     N = geo.nonlinear()
     G = geo.spray()
     F = sc.F
     m = sc.margin
     Phi, p2 = sc.Phi, sc.p2
 
-    dyPhi = np.array([jets.Phi.diff_y(j).value for j in range(n)])
-    dxPhi = np.array([jets.Phi.diff_x(j).value for j in range(n)])
+    dyPhi = jets.Phi.partials(ys)
+    dxPhi = jets.Phi.partials(xs)
     deltaPhi = dxPhi - N.T @ dyPhi
     dPhi_G = float(y @ dxPhi - 2.0 * G @ dyPhi)
 
-    dxF = np.array([jets.F.diff_x(j).value for j in range(n)])
-    dyF = np.array([jets.F.diff_y(j).value for j in range(n)])
-    deltaF = dxF - N.T @ dyF
+    deltaF = jets.F.partials(xs) - N.T @ jets.F.partials(ys)
+    dell = jets.F.partials(ys, ys)
+    dp2 = jets.p2.partials(ys)
 
-    dell = np.empty((n, n))
-    for i in range(n):
-        di = jets.F.diff_y(i)
-        for j in range(n):
-            dell[i, j] = di.diff_y(j).value
-
-    dp2 = np.array([jets.p2.diff_y(k).value for k in range(n)])
-
-    df1 = np.array([jets.f1.diff_y(j).value for j in range(n)])
-    df2 = np.array([jets.f2.diff_y(j).value for j in range(n)])
+    df1 = jets.f1.partials(ys)
+    df2 = jets.f2.partials(ys)
     df1_dF = (4 * Phi - 2 * F) / m - F * (4 * Phi - F) * (1 + 2 * p2) / m**2
     df1_dP = (4 * F * m + 3 * F * (4 * Phi - F)) / m**2
     df2_dF = 6 * F**2 / m - 2 * F**3 * (1 + 2 * p2) / m**2
@@ -640,7 +627,6 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
     levels = {}
     for target in det_targets:
         # walk from theta_star toward growing |margin| until it crosses `target`
-        lo, hi = theta_star, theta_star
         span = 1e-4
         while abs(margin_at(theta_star + span)) < target and span < math.pi:
             span *= 2.0
@@ -736,14 +722,16 @@ def rational_decomposition_check(model, s_batch):
     acc_base = PairAccumulator("rational-decomposition-base", 1e-9)
     acc_hat = PairAccumulator("rational-decomposition-hat", 1e-9)
     skipped = 0
+    hat = HatEnergy(model)
     for s in s_batch:
-        md = metric_data(model, s)
+        # the hat's metric data below is served from this base energy jet
+        md = GeometryJets(hat.base, s, 4, 0).md
         if base_forms is not None:
             theta, a = base_forms(s.x, s.y)
             acc_base.add(s, theta * a, md.g)
         try:
             sc = _checked_scalars(md, model, s)
-            mdh = metric_data(HatEnergy(model), s)
+            mdh = metric_data(hat, s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue

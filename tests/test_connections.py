@@ -105,6 +105,36 @@ def test_horizontal_derivative_of_n_against_finite_differences():
                 assert abs(dxN[i, k, j] - N_component(i, k, j)) <= 1e-4 * scale
 
 
+@pytest.mark.parametrize("model, x, y", [
+    (EX, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
+    (EU, [0.3, -0.2], [1.1, 0.7]),
+], ids=["matsumoto_example", "euclid_concurrent"])
+@pytest.mark.parametrize("which", ["base", "hat"])
+def test_partials_reads_equal_the_diff_chain_reads(model, x, y, which):
+    """Every derivative the geometry reads with one `Jet.partials` gather has
+    the bits of differentiating with `Jet.diff` and reading the value: first
+    y, first x, second y, and the mixed (1 x, 2 y) read of `delta_metric`."""
+    s = core.make_sample(model, x, y)
+    energy = model if which == "base" else HatEnergy(model.oriented(-1))
+    geo = connections.GeometryJets(energy, s, 4, 2)
+    n = geo.n
+    xs, ys = range(n), range(n, 2 * n)
+
+    def same(got, want):
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    for J in [Nik for row in geo.nonlinear_jets for Nik in row]:
+        same(J.partials(ys), [J.diff_y(j).value for j in range(n)])
+        same(J.partials(xs), [J.diff_x(j).value for j in range(n)])
+    for J in [geo.F_jet, *geo.spray_jets]:
+        same(J.partials(ys, ys), [[J.diff_y(i).diff_y(j).value for j in range(n)]
+                                  for i in range(n)])
+    dxg = np.array([core.metric_tensor(geo.E.diff_x(k)) for k in range(n)])
+    same(geo.E.partials(xs, ys, ys), dxg)
+    same(geo.delta_metric(),
+         dxg - 2.0 * np.einsum("mk,mij->kij", geo.nonlinear(), geo.cartan_torsion()))
+
+
 def test_cartan_coefficients_fixtures_and_compatibility():
     for s in (P0, PA):
         gamma = connections.GeometryJets(EX, s, 3, 1).cartan()

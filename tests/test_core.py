@@ -72,10 +72,10 @@ def test_singular_metric_detected():
 
 
 def test_homogeneity_example_and_euclid():
-    rep = core.homogeneity_report(EX, P0)
+    rep = core.homogeneity_report(EX, P0, core.metric_data(EX, P0))
     assert max(rep.F_residual, rep.g_residual, rep.C_residual) <= 1e-9
     s = core.make_sample(EU, [0.0, 0.0], [0.3, 0.4])
-    rep = core.homogeneity_report(EU, s)
+    rep = core.homogeneity_report(EU, s, core.metric_data(EU, s))
     assert max(rep.F_residual, rep.g_residual, rep.C_residual) <= 1e-14
 
 
@@ -83,7 +83,7 @@ def test_homogeneity_flags_non_homogeneous_metric():
     m = expr.parse("name = broken\ndim = 2\nF = y1^2 + y2^2 + 1\n"
                    "phi1 = 0\nphi2 = 0\n")
     s = core.make_sample(m, [0.0, 0.0], [1.3, 0.7])
-    rep = core.homogeneity_report(m, s)
+    rep = core.homogeneity_report(m, s, core.metric_data(m, s))
     assert rep.F_residual > 1e-2
 
 

@@ -223,6 +223,26 @@ def test_lemma_suite_euclid_and_example():
             assert r.residual <= 1e-8, (model.name, r.name, r.residual)
 
 
+def test_value_reads_differentiate_no_jet(monkeypatch):
+    """Berwald, curvature, delta g and the lemma entries read their
+    derivatives off prebuilt jets in one gather each: with `Jet.diff` (which
+    `diff_x` and `diff_y` call) raising, they still run."""
+    cj = _change_jets(EX, P0, -1.0, 4, 2)
+    geo = cj.geo
+    sc = matsumoto._checked_scalars(geo.md, EX.oriented(-1), P0)
+    N_fields = (geo.nonlinear_jets, cj.nhat_pred_jets)
+
+    def no_diff(self, var):
+        raise AssertionError("a value read differentiated a jet")
+
+    monkeypatch.setattr(numkit.Jet, "diff", no_diff)
+    for N_jets in N_fields:
+        connections.berwald_from_njets(N_jets)
+        connections.curvature_from_njets(N_jets)
+    geo.delta_metric()
+    matsumoto._lemma_pairs(geo, sc, cj.scalars)
+
+
 def test_chain_rule_trivial_function():
     """f(F, Phi) = F: its y-derivative is the supporting form, exactly."""
     geo = connections.GeometryJets(EX.oriented(+1), P0, 3, 0)

@@ -15,7 +15,7 @@ def test_builtin_models_parse_and_pass_homogeneity():
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 0])))
         batch, _ = core.sample_batch(m, box, 5, rng)
         for s in batch:
-            rep = core.homogeneity_report(m, s)
+            rep = core.homogeneity_report(m, s, core.metric_data(m, s))
             assert max(rep.F_residual, rep.g_residual, rep.C_residual) <= 1e-9
 
 
