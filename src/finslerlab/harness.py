@@ -397,14 +397,15 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     main_batch, rej_main = _sample_for_orientation(
         hat_model, cfg, _STREAM_CHANGE, cfg.samples)
     extras["change_batch_rejected"] = rej_main
-    results += matsumoto.change_identity_suite(hat_model, main_batch)
+    change = matsumoto.change_identity_suite(hat_model, main_batch)
+    results += change.entries
 
     # tabulate the opposite orientation on a smaller batch so a sign clash in
     # the source formulas is isolated per identity rather than guessed
     other_batch, _ = _sample_for_orientation(
         other_model, cfg, _STREAM_CHANGE_OTHER, max(8, cfg.samples // 4))
     other_results = matsumoto.change_identity_suite(other_model, other_batch,
-                                                    with_curvature=False)
+                                                    with_curvature=False).entries
     extras["other_orientation"] = f"{other:+.0f}"
     extras["other_orientation_residuals"] = {
         r.name: r.residual for r in other_results if r.residual is not None}
@@ -413,18 +414,9 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
                                  min(cfg.samples, 50), _rng(cfg.seed, _STREAM_SCAN))
     results.append(matsumoto.nondegeneracy_scan(hat_model, scan_batch))
     results.append(matsumoto.ray_profile(hat_model))
-    results.append(matsumoto.projective_check(hat_model, main_batch))
-
-    obs_max = 0.0
-    obs_batch = main_batch[: max(8, cfg.samples // 8)]
-    for s in obs_batch:
-        O = matsumoto.concurrency_obstruction(hat_model, s)
-        obs_max = max(obs_max, float(np.max(np.abs(O))))
-    extras["obstruction_max_norm"] = obs_max
-    results.append(IdentityResult(
-        name="concurrency-obstruction", kind="reported", n_samples=len(obs_batch),
-        note=f"max |O| = {obs_max!r}; nonzero means the changed metric does not "
-             f"keep phi concurrent (zero would be required for preservation)"))
+    results.append(change.projective)
+    extras["obstruction_max_norm"] = change.obstruction_max
+    results.append(change.obstruction)
 
     decomp_batch, _ = sample_batch(model, _box(model, cfg),
                                    min(cfg.samples, 30), _rng(cfg.seed, _STREAM_DECOMP))
@@ -484,7 +476,7 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
     }
     hat = HatEnergy(model.oriented(orientation))
     try:
-        sc = matsumoto._checked_scalars(md, hat.model, s)
+        sc = matsumoto.change_scalars(md, hat.model, s)
         geo_hat = connections.GeometryJets(hat, s, 3, 1)
         out["change"] = {
             "orientation": orientation,

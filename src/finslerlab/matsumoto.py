@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .report import IdentityResult, PairAccumulator
 
 __all__ = [
     "ChangeScalars",
+    "ChangeSuite",
     "HatEnergy",
     "change_scalars",
     "change_identity_suite",
@@ -188,19 +190,15 @@ def _scalar_values(md: MetricData, model, s: TangentSample) -> ChangeScalars:
                          phi_low=phi_low, p2=float(phi_low @ phi_up))
 
 
-def _checked_scalars(md: MetricData, model, s: TangentSample) -> ChangeScalars:
-    """`_scalar_values`, checked: raises OutsideHatDomain past the hat fence and
-    DegenerateMargin when |margin| <= MARGIN_EPS * F (f1, f2 divide by it)."""
+def change_scalars(md: MetricData, model, s: TangentSample) -> ChangeScalars:
+    """Phi, p^2, the margin and f1, f2 from the base metric data at `s`,
+    checked: raises OutsideHatDomain past the hat fence and DegenerateMargin
+    when |margin| <= MARGIN_EPS * F (f1, f2 divide by it)."""
     sc = _scalar_values(md, model, s)
     _require_hat_domain(sc.F, sc.Phi, s)
     if abs(sc.margin) <= MARGIN_EPS * sc.F:
         raise DegenerateMargin(f"|margin| = {abs(sc.margin)} <= {MARGIN_EPS} * F")
     return sc
-
-
-def change_scalars(model, s: TangentSample) -> ChangeScalars:
-    """Phi, p^2, the non-degeneracy margin and the spray-change scalars f1, f2."""
-    return _checked_scalars(metric_data(model, s), model, s)
 
 
 # --------------------------------------------------------------------------
@@ -324,26 +322,18 @@ def predicted_berwald(cj: ChangeJets) -> np.ndarray:
     return berwald_from_njets(cj.nhat_pred_jets)
 
 
-def concurrency_obstruction(model, s: TangentSample) -> np.ndarray:
-    """Obstruction to phi staying concurrent for Fhat:
+def concurrency_obstruction(cj: ChangeJets) -> np.ndarray:
+    """Obstruction to phi staying concurrent for Fhat, read off the change jets
+    of a base geometry valid to y-order 4 at one sample:
     O^i_j = [df1/dy^j - phi^k d2f2/dy^k dy^j] phi^i
             - (phi^k df1/dy^k) delta^i_j + (phi^k d2f1/dy^k dy^j) y^i.
     Generically nonzero."""
-    sc = ChangeJets(GeometryJets(model, s, 4, 0)).scalars
-    n = model.dim
+    sc, n = cj.scalars, cj.n
     ys = range(n, 2 * n)
     ph = np.array([p.value for p in sc.phi_up])
     df1 = sc.f1.partials(ys)
-    d2f1 = sc.f1.partials(ys, ys)
-    d2f2 = sc.f2.partials(ys, ys)
-    O = np.empty((n, n))
-    a = df1 - ph @ d2f2          # a_j
-    b = float(ph @ df1)
-    c = ph @ d2f1                # c_j
-    for i in range(n):
-        for j in range(n):
-            O[i, j] = a[j] * ph[i] - (b if i == j else 0.0) + c[j] * s.y[i]
-    return O
+    return (np.outer(ph, df1 - ph @ sc.f2.partials(ys, ys)) - float(ph @ df1) * np.eye(n)
+            + np.outer(cj.geo.s.y, ph @ sc.f1.partials(ys, ys)))
 
 
 # --------------------------------------------------------------------------
@@ -382,16 +372,16 @@ LEMMA_TOLERANCES = {
 
 def _check_change(model, s: TangentSample, with_curvature: bool):
     """Predicted-vs-direct pairs of every transformation law and lemma identity
-    at one sample: one base geometry (with its change jets) and one hat geometry,
-    both at order (4, 2) with curvature and (4, 1) without, feed every pair.
-    The hat geometry is built first, so the base geometry's energy jet is the
-    restriction of the one its base provider built for the hat."""
+    at one sample, with the value scalars and change jets they read: one base
+    and one hat geometry, both at order (4, 2) with curvature and (4, 1)
+    without.  The hat geometry is built first, so the base geometry's energy
+    jet is the restriction of the one its base provider built for the hat."""
     order = (4, 2 if with_curvature else 1)
     hat = HatEnergy(model)
     geo_hat = GeometryJets(hat, s, *order)
     geo = GeometryJets(hat.base, s, *order)   # restricts the hat's base jet
     md = geo.md
-    sc = _checked_scalars(md, model, s)
+    sc = change_scalars(md, model, s)
     y = s.y
     n = model.dim
     cj = ChangeJets(geo)
@@ -422,7 +412,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         out["curvature-change"] = (
             curvature_from_njets(cj.nhat_pred_jets), geo_hat.curvature())
     out.update(_lemma_pairs(geo, sc, cj.scalars))
-    return out
+    return out, sc, cj
 
 
 def _lemma_pairs(geo: GeometryJets, sc: ChangeScalars, jets: ChangeScalars):
@@ -469,14 +459,29 @@ def _lemma_pairs(geo: GeometryJets, sc: ChangeScalars, jets: ChangeScalars):
 _TOLERANCES = {**CHANGE_TOLERANCES, **LEMMA_TOLERANCES}
 
 
-def change_identity_suite(model, s_batch, with_curvature: bool = True):
+class ChangeSuite(NamedTuple):
+    """`change_identity_suite`'s entries, its projective-impossibility and
+    concurrency-obstruction entries, and the largest |O|."""
+
+    entries: list
+    projective: IdentityResult
+    obstruction: IdentityResult
+    obstruction_max: float
+
+
+def change_identity_suite(model, s_batch, with_curvature: bool = True) -> ChangeSuite:
     """Predicted-vs-direct residuals of every transformation law over a batch,
-    then the structural Berwald entry, then the lemma identities."""
+    then the structural Berwald entry, then the lemma identities.  The same
+    pass reads the projective witness at every sample (a ratio below 1e-10
+    means phi is parallel to y there, no violation) and the concurrency
+    obstruction at the first max(8, len(s_batch) // 8)."""
     accs = {}
     skipped = 0
-    for s in s_batch:
+    ratios = []   # projective_check per sample with change scalars
+    norms = []    # max |O| per obstruction sample
+    for k, s in enumerate(s_batch):
         try:
-            pairs = _check_change(model, s, with_curvature)
+            pairs, sc, cj = _check_change(model, s, with_curvature)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -484,6 +489,9 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True):
             if name not in accs:
                 accs[name] = PairAccumulator(name, _TOLERANCES[name])
             accs[name].add(s, pred, direct)
+        ratios.append(projective_check(sc, s.y))
+        if k < max(8, len(s_batch) // 8):
+            norms.append(float(np.max(np.abs(concurrency_obstruction(cj)))))
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
         if skipped else ""
     structural = IdentityResult(
@@ -491,14 +499,30 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True):
         n_samples=len(s_batch),
         note="both routes differentiate with the same vertical operator "
              "(Jet.diff_y); the invariance holds by construction")
-    return ([accs[k].result(note) for k in sorted(accs) if k in CHANGE_TOLERANCES]
-            + [structural]
-            + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES])
+    checked = [r for r in ratios if r is not None and not r < 1e-10]
+    min_ratio = min([math.inf] + checked)
+    obs_max = max([0.0] + norms)
+    return ChangeSuite(
+        [accs[k].result(note) for k in sorted(accs) if k in CHANGE_TOLERANCES]
+        + [structural]
+        + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES],
+        IdentityResult(
+            name="projective-impossibility", kind="identity",
+            residual=PROJECTIVE_THRESHOLD / max(min_ratio, 1e-300),
+            tolerance=1.0, n_samples=len(checked),
+            note=f"min orthogonal-component ratio {min_ratio!r}; "
+                 f"{len(ratios) - len(checked) - ratios.count(None)} parallel and "
+                 f"{skipped + ratios.count(None)} degenerate samples skipped"),
+        IdentityResult(
+            name="concurrency-obstruction", kind="reported", n_samples=len(norms),
+            note=f"max |O| = {obs_max!r}; nonzero means the changed metric does not "
+                 f"keep phi concurrent (zero would be required for preservation)"),
+        obs_max)
 
 
 def lemma_identity_suite(model, s_batch):
     """The lemma entries of `change_identity_suite` without curvature."""
-    return [r for r in change_identity_suite(model, s_batch, with_curvature=False)
+    return [r for r in change_identity_suite(model, s_batch, with_curvature=False).entries
             if r.name in LEMMA_TOLERANCES]
 
 
@@ -512,7 +536,7 @@ def select_orientation(model, probe_batches: dict):
     totals = {}
     for orient, batch in probe_batches.items():
         oriented = model.oriented(orient)
-        results = change_identity_suite(oriented, batch, with_curvature=False)
+        results = change_identity_suite(oriented, batch, with_curvature=False).entries
         # each identity counts at most 1, a non-finite one (residual None) 1
         totals[orient] = float(sum(1.0 if r.residual is None else min(r.residual, 1.0)
                                    for r in results if r.kind == "identity"))
@@ -674,38 +698,18 @@ def ray_profile(model) -> IdentityResult:
              f"{lv[1e-6]['det']!r} / {lv[0.5]['det']!r}")
 
 
-def projective_check(model, s_batch) -> IdentityResult:
+def projective_check(sc: ChangeScalars, y: np.ndarray) -> float | None:
     """Pointwise witness that the change is never a pure reparametrization:
-    the non-radial part of the spray difference stays g-orthogonal to y, with
-    ratio above PROJECTIVE_THRESHOLD at every checked sample."""
-    checked = parallel = degenerate = 0
-    min_ratio = math.inf
-    for s in s_batch:
-        try:
-            sc = change_scalars(model, s)
-        except (OutsideHatDomain, DegenerateMargin):
-            degenerate += 1
-            continue
-        md = sc.md
-        v = 0.5 * sc.f2 * sc.phi_up
-        nv = math.sqrt(abs(float(v @ md.g @ v)))
-        if nv < 1e-14:
-            degenerate += 1
-            continue
-        # g-orthogonal component of v relative to y
-        w = v - (float(v @ md.g @ s.y) / float(s.y @ md.g @ s.y)) * s.y
-        nw = math.sqrt(abs(float(w @ md.g @ w)))
-        if nw / nv < 1e-10:
-            parallel += 1  # phi parallel to y at this point: not a violation
-            continue
-        checked += 1
-        min_ratio = min(min_ratio, nw / nv)
-    return IdentityResult(
-        name="projective-impossibility", kind="identity",
-        residual=PROJECTIVE_THRESHOLD / max(min_ratio, 1e-300),
-        tolerance=1.0, n_samples=checked,
-        note=f"min orthogonal-component ratio {min_ratio!r}; "
-             f"{parallel} parallel and {degenerate} degenerate samples skipped")
+    the share of the non-radial spray difference (1/2) f2 phi that is
+    g-orthogonal to y, from the value scalars at one sample; None where that
+    difference has no g-length."""
+    g = sc.md.g
+    v = 0.5 * sc.f2 * sc.phi_up
+    nv = math.sqrt(abs(float(v @ g @ v)))
+    if nv < 1e-14:
+        return None
+    w = v - (float(v @ g @ y) / float(y @ g @ y)) * y
+    return math.sqrt(abs(float(w @ g @ w))) / nv
 
 
 def rational_decomposition_check(model, s_batch):
@@ -730,7 +734,7 @@ def rational_decomposition_check(model, s_batch):
             theta, a = base_forms(s.x, s.y)
             acc_base.add(s, theta * a, md.g)
         try:
-            sc = _checked_scalars(md, model, s)
+            sc = change_scalars(md, model, s)
             mdh = metric_data(hat, s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1

@@ -84,7 +84,7 @@ def test_criterion_03_master_change_suite_flat_model():
     """Every transformation law on the flat companion at the definition-
     consistent orientation, 100 samples with |margin| > 0.1 F, <= 1e-6."""
     batch = _batch(EU, 100, 104, orientation=+1.0)
-    results = matsumoto.change_identity_suite(EU.oriented(+1), batch)
+    results = matsumoto.change_identity_suite(EU.oriented(+1), batch).entries
     laws = ["supporting-form-change", "angular-metric-change", "metric-change",
             "cartan-torsion-change", "spray-change",
             "nonlinear-connection-change", "berwald-change", "curvature-change"]
@@ -133,8 +133,10 @@ def test_criterion_05_nondegeneracy_theorem():
 
 def test_criterion_06_projective_impossibility():
     """Non-radial part of the spray change stays g-orthogonal to y (> 1e-8)."""
-    rep_ex = matsumoto.projective_check(EX.oriented(-1), _batch(EX, 50, 106, -1.0))
-    rep_eu = matsumoto.projective_check(EU.oriented(+1), _batch(EU, 50, 107, +1.0))
+    rep_ex = matsumoto.change_identity_suite(
+        EX.oriented(-1), _batch(EX, 50, 106, -1.0)).projective
+    rep_eu = matsumoto.change_identity_suite(
+        EU.oriented(+1), _batch(EU, 50, 107, +1.0)).projective
     ok = (rep_ex.passed and rep_eu.passed
           and rep_ex.n_samples == 50 and rep_eu.n_samples > 0)
     _report(6, ok,

@@ -11,7 +11,7 @@ import pytest
 from finslerlab import connections, core, expr, harness, matsumoto, models, numkit, report
 from finslerlab.core import metric_data, sample_batch
 from finslerlab.errors import DegenerateMargin, OutsideHatDomain
-from finslerlab.matsumoto import HatEnergy, change_scalars
+from finslerlab.matsumoto import HatEnergy
 from finslerlab.numkit import fd_derivative
 
 EX = models.builtin_model("matsumoto_example")
@@ -20,6 +20,9 @@ P0 = core.make_sample(EX, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 # negative control: horizontally but not vertically concurrent
 RANDERS = models.load_model(
     str(Path(__file__).parent / "data" / "randers_not_concurrent.fmod"))
+# phi = 0: the change is the identity, with no obstruction and no projective term
+NOPHI = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
+                   "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
 
 # frozen closed-form values at P0, orientation +1 (plain float arithmetic):
 # F = sqrt(10), Phi = x3 y3 = 1, p2 = x3^2 = 1, margin = 3 (sqrt(10) - 1)
@@ -28,6 +31,11 @@ P0_MARGIN = 3.0 * (SQ10 - 1.0)
 P0_F1 = SQ10 * (4.0 - SQ10) / P0_MARGIN
 P0_F2 = 2.0 * SQ10**3 / P0_MARGIN
 P0_FHAT = 10.0 / (SQ10 - 1.0)
+
+
+def _scalars(model, s):
+    """The checked value-level change scalars off fresh metric data at `s`."""
+    return matsumoto.change_scalars(metric_data(model, s), model, s)
 
 
 def _change_jets(model, s, orientation, y_order, x_order):
@@ -42,7 +50,7 @@ def _batch(model, orientation, count, stream):
 
 
 def test_change_scalars_p0():
-    sc = change_scalars(EX.oriented(+1), P0)
+    sc = _scalars(EX.oriented(+1), P0)
     assert sc.Phi == pytest.approx(1.0, abs=1e-12)
     assert sc.p2 == pytest.approx(1.0, abs=1e-12)
     assert sc.margin == pytest.approx(P0_MARGIN, rel=1e-12)       # ~6.4868
@@ -54,7 +62,7 @@ def test_change_scalars_p0():
 
 def test_change_scalars_euclid_origin_degenerates_to_identity():
     m = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    sc = change_scalars(EU.oriented(+1), m)
+    sc = _scalars(EU.oriented(+1), m)
     assert sc.Phi == 0.0 and sc.p2 == 0.0
     assert sc.margin == pytest.approx(1.0)  # = F
     assert sc.Fhat == pytest.approx(1.0)    # = F
@@ -63,7 +71,7 @@ def test_change_scalars_euclid_origin_degenerates_to_identity():
 def test_change_scalars_boundary_exclusion():
     s = core.make_sample(EU, [1.0 - 5e-13, 0.0], [1.0, 0.0])
     with pytest.raises(OutsideHatDomain):
-        change_scalars(EU.oriented(-1), s)  # Phi = +x.y = F - 5e-13
+        _scalars(EU.oriented(-1), s)  # Phi = +x.y = F - 5e-13
 
 
 def test_change_scalars_degenerate_margin():
@@ -71,12 +79,12 @@ def test_change_scalars_degenerate_margin():
     theta = math.acos(-0.95)
     s = core.make_sample(EU, [0.8, 0.0], [math.cos(theta), math.sin(theta)])
     with pytest.raises(DegenerateMargin):
-        change_scalars(EU.oriented(+1), s)
+        _scalars(EU.oriented(+1), s)
 
 
 def test_scalar_invariants_pairings():
     for s in _batch(EX, -1.0, 5, 0):
-        sc = change_scalars(EX.oriented(-1), s)
+        sc = _scalars(EX.oriented(-1), s)
         md = metric_data(EX, s)
         assert float(sc.phi_low @ s.y) == pytest.approx(sc.Phi, rel=1e-10, abs=1e-12)
         assert float(sc.phi_low @ sc.phi_up) == pytest.approx(sc.p2, rel=1e-10)
@@ -85,7 +93,7 @@ def test_scalar_invariants_pairings():
 
 
 def test_predicted_supporting_form_p0():
-    sc = change_scalars(EX.oriented(+1), P0)
+    sc = _scalars(EX.oriented(+1), P0)
     md = metric_data(EX, P0)
     assert np.allclose(md.ell, np.array([-3.0, 12.0, 1.0]) / SQ10, atol=1e-12)
     lh = matsumoto.predicted_supporting_form(sc, md)
@@ -96,7 +104,7 @@ def test_predicted_supporting_form_p0():
 
 def test_predicted_supporting_form_identity_at_vanishing_phi():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    sc = change_scalars(EU.oriented(+1), s)
+    sc = _scalars(EU.oriented(+1), s)
     md = metric_data(EU, s)
     assert np.allclose(matsumoto.predicted_supporting_form(sc, md), md.ell, atol=1e-14)
     assert np.allclose(matsumoto.predicted_metric(sc, md), md.g, atol=1e-14)
@@ -106,7 +114,7 @@ def test_predicted_supporting_form_identity_at_vanishing_phi():
 def test_predicted_metric_vs_hessian_p0_both_orientations():
     md = metric_data(EX, P0)
     for orient in (+1.0, -1.0):
-        sc = change_scalars(EX.oriented(orient), P0)
+        sc = _scalars(EX.oriented(orient), P0)
         ghat = matsumoto.predicted_metric(sc, md)
         direct = metric_data(HatEnergy(EX.oriented(orient)), P0).g
         assert np.max(np.abs(ghat - direct)) <= 1e-7 * max(1.0, np.max(np.abs(direct)))
@@ -119,7 +127,7 @@ def test_predicted_metric_vs_hessian_p0_both_orientations():
 
 def test_predicted_metric_vs_hessian_euclid_batch():
     for s in _batch(EU, +1.0, 30, 1):
-        sc = change_scalars(EU.oriented(+1), s)
+        sc = _scalars(EU.oriented(+1), s)
         md = metric_data(EU, s)
         direct = metric_data(HatEnergy(EU.oriented(+1)), s).g
         got = matsumoto.predicted_metric(sc, md)
@@ -128,11 +136,11 @@ def test_predicted_metric_vs_hessian_euclid_batch():
 
 def test_predicted_cartan_torsion():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    sc = change_scalars(EU.oriented(+1), s)
+    sc = _scalars(EU.oriented(+1), s)
     T = matsumoto.predicted_cartan(sc, sc.md)
     assert np.allclose(T, 0.0, atol=1e-13)  # flat space, phi = 0 there
 
-    sc = change_scalars(EX.oriented(-1), P0)
+    sc = _scalars(EX.oriented(-1), P0)
     T = matsumoto.predicted_cartan(sc, sc.md)
     for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(T - np.transpose(T, perm))) <= 1e-9 * max(
@@ -143,14 +151,14 @@ def test_predicted_cartan_torsion():
 
 def test_predicted_spray_p0_frozen_values_and_direct_oracle():
     # orientation +1 arithmetic (printed-sign scalars)
-    sc = change_scalars(EX.oriented(+1), P0)
+    sc = _scalars(EX.oriented(+1), P0)
     G = connections.GeometryJets(EX, P0, 2, 1).spray()
     got = matsumoto.predicted_spray(sc, G, P0.y)
     want = np.array([0.5 * P0_F1, 1.0 + 0.5 * P0_F1, -4.5 + 0.5 * P0_F1 - 0.5 * P0_F2])
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(want, [0.2042, 1.2042, -9.1707], atol=5e-5)
     # the direct cross-check holds under the harness-selected orientation (-1)
-    sc = change_scalars(EX.oriented(-1), P0)
+    sc = _scalars(EX.oriented(-1), P0)
     pred = matsumoto.predicted_spray(sc, G, P0.y)
     direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 2, 1).spray()
     assert np.max(np.abs(pred - direct)) <= 1e-6 * max(1.0, np.max(np.abs(direct)))
@@ -158,7 +166,7 @@ def test_predicted_spray_p0_frozen_values_and_direct_oracle():
 
 def test_predicted_spray_vanishing_phi_reduces_to_radial_shift():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
-    sc = change_scalars(EU.oriented(+1), s)
+    sc = _scalars(EU.oriented(+1), s)
     got = matsumoto.predicted_spray(sc, np.zeros(2), s.y)
     assert np.allclose(got, 0.5 * sc.f1 * s.y, atol=1e-14)
     assert sc.f1 == pytest.approx(-sc.F, rel=1e-12)  # f1 = F(0-F)/F = -F here
@@ -190,7 +198,8 @@ def test_orientation_isolation_on_example():
     """Under the printed sign (+1) exactly the horizontal laws fail; under the
     derivative-consistent sign (-1) everything holds."""
     batch = _batch(EX, +1.0, 6, 3)
-    res = {r.name: r for r in matsumoto.change_identity_suite(EX.oriented(+1), batch)}
+    res = {r.name: r
+           for r in matsumoto.change_identity_suite(EX.oriented(+1), batch).entries}
     assert res["metric-change"].residual <= 1e-7
     assert res["supporting-form-change"].residual <= 1e-8
     assert res["cartan-torsion-change"].residual <= 1e-6
@@ -199,7 +208,8 @@ def test_orientation_isolation_on_example():
     assert res["berwald-change"].residual > 1e-2
 
     batch = _batch(EX, -1.0, 6, 4)
-    res = {r.name: r for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)}
+    res = {r.name: r
+           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries}
     for r in res.values():
         if r.residual is not None:
             assert r.residual <= r.tolerance if r.tolerance else True
@@ -224,12 +234,12 @@ def test_lemma_suite_euclid_and_example():
 
 
 def test_value_reads_differentiate_no_jet(monkeypatch):
-    """Berwald, curvature, delta g and the lemma entries read their
-    derivatives off prebuilt jets in one gather each: with `Jet.diff` (which
-    `diff_x` and `diff_y` call) raising, they still run."""
+    """Berwald, curvature, delta g, the lemma entries and the concurrency
+    obstruction read their derivatives off prebuilt jets in one gather each:
+    with `Jet.diff` (which `diff_x` and `diff_y` call) raising, they still run."""
     cj = _change_jets(EX, P0, -1.0, 4, 2)
     geo = cj.geo
-    sc = matsumoto._checked_scalars(geo.md, EX.oriented(-1), P0)
+    sc = matsumoto.change_scalars(geo.md, EX.oriented(-1), P0)
     N_fields = (geo.nonlinear_jets, cj.nhat_pred_jets)
 
     def no_diff(self, var):
@@ -241,6 +251,7 @@ def test_value_reads_differentiate_no_jet(monkeypatch):
         connections.curvature_from_njets(N_jets)
     geo.delta_metric()
     matsumoto._lemma_pairs(geo, sc, cj.scalars)
+    matsumoto.concurrency_obstruction(cj)
 
 
 def test_chain_rule_trivial_function():
@@ -253,33 +264,65 @@ def test_chain_rule_trivial_function():
 
 
 def test_obstruction_nonzero_on_example_zero_for_vanishing_phi():
-    O = matsumoto.concurrency_obstruction(EX.oriented(-1), P0)
-    assert np.max(np.abs(O)) > 0.1
-    m = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
-                   "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
-    s = core.make_sample(m, [0.2, 0.1], [1.0, 0.5])
-    O = matsumoto.concurrency_obstruction(m.oriented(+1), s)
-    assert np.allclose(O, 0.0, atol=1e-14)
+    """Read by the change suite off its own change jets, as `verify` reads it."""
+    suite = matsumoto.change_identity_suite(EX.oriented(-1), [P0])
+    assert suite.obstruction_max > 0.1
+    assert suite.obstruction.kind == "reported" and suite.obstruction.n_samples == 1
+    assert repr(suite.obstruction_max) in suite.obstruction.note
+    s = core.make_sample(NOPHI, [0.2, 0.1], [1.0, 0.5])
+    suite = matsumoto.change_identity_suite(NOPHI.oriented(+1), [s])
+    assert suite.obstruction.n_samples == 1
+    assert suite.obstruction_max <= 1e-14
+
+
+def test_obstruction_reads_the_first_eighth_of_a_batch(monkeypatch):
+    """O is read at the first max(8, len // 8) samples of the suite's batch."""
+    reads = []
+    original = matsumoto.concurrency_obstruction
+
+    def counting(cj):
+        reads.append(cj.geo.s)
+        return original(cj)
+
+    monkeypatch.setattr(matsumoto, "concurrency_obstruction", counting)
+    for count in (10, 72):
+        batch = _batch(EU, +1.0, count, 32)
+        reads.clear()
+        suite = matsumoto.change_identity_suite(EU.oriented(+1), batch, False)
+        k = max(8, count // 8)
+        assert reads == batch[:k] and suite.obstruction.n_samples == k
 
 
 def test_obstruction_second_derivatives_match_finite_differences():
+    """The f2 second derivatives and the whole of O, read off the change jets
+    the suite builds (order (4, 2)), against central differences of the
+    value-level scalars."""
     s = core.make_sample(EU, [0.3, -0.1], [1.1, 0.6])
-    geo = connections.GeometryJets(EU.oriented(+1), s, 4, 0)
-    cj = matsumoto.ChangeJets(geo)
-    jet_d2 = np.array([[cj.scalars.f2.diff_y(k).diff_y(j).value for j in range(2)]
-                       for k in range(2)])
+    model = EU.oriented(+1)
+    cj = matsumoto.ChangeJets(connections.GeometryJets(model, s, 4, 2))
+    ys = range(2, 4)
+    jet_d2 = cj.scalars.f2.partials(ys, ys)
 
-    def f2_of(x, y):
-        sc = change_scalars(EU.oriented(+1), core.make_sample(EU, x, y))
-        return sc.f2
+    def fd(name, *dirs):
+        mi = [0, 0, 0, 0]
+        for k in dirs:
+            mi[2 + k] += 1
+        return fd_derivative(lambda x, y: getattr(_scalars(
+            model, core.make_sample(EU, x, y)), name), s.x, s.y, mi)
 
     for k in range(2):
         for j in range(2):
-            mi = [0, 0, 0, 0]
-            mi[2 + k] += 1
-            mi[2 + j] += 1
-            fd = fd_derivative(f2_of, s.x, s.y, mi)
-            assert abs(jet_d2[k, j] - fd) <= 1e-4 * max(1.0, abs(jet_d2[k, j]))
+            assert abs(jet_d2[k, j] - fd("f2", k, j)) <= 1e-4 * max(1.0, abs(jet_d2[k, j]))
+
+    ph = connections.phi_values(model, s.x)
+    df1 = np.array([fd("f1", j) for j in range(2)])
+    d2f1 = np.array([[fd("f1", k, j) for j in range(2)] for k in range(2)])
+    d2f2 = np.array([[fd("f2", k, j) for j in range(2)] for k in range(2)])
+    O_fd = (np.outer(ph, df1 - ph @ d2f2) - float(ph @ df1) * np.eye(2)
+            + np.outer(s.y, ph @ d2f1))
+    O = matsumoto.concurrency_obstruction(cj)
+    assert np.max(np.abs(O)) > 0.1
+    assert np.max(np.abs(O - O_fd)) <= 1e-4 * max(1.0, np.max(np.abs(O)))
 
 
 def test_nondegeneracy_scan_flags_nothing_healthy():
@@ -333,21 +376,21 @@ def test_margin_ray_scan_none_when_margin_positive():
 
 
 def test_projective_check_example_and_parallel_construction():
+    """Read by the change suite at every sample, as `verify` reads it."""
     batch = _batch(EX, -1.0, 10, 22)
-    rep = matsumoto.projective_check(EX.oriented(-1), batch)
+    rep = matsumoto.change_identity_suite(EX.oriented(-1), batch).projective
     assert rep.name == "projective-impossibility"
     assert rep.passed and rep.n_samples == 10 and 0.0 < rep.residual < 1.0
 
     # phi parallel to y: flagged as parallel, not as a violation
     s = core.make_sample(EU, [0.5, 0.0], [2.0, 0.0])
-    rep = matsumoto.projective_check(EU.oriented(+1), [s])
+    rep = matsumoto.change_identity_suite(EU.oriented(+1), [s]).projective
     assert rep.n_samples == 0 and rep.passed
     assert "1 parallel and 0 degenerate" in rep.note
 
-    m = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
-                   "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
-    s = core.make_sample(m, [0.2, 0.1], [1.0, 0.5])
-    rep = matsumoto.projective_check(m.oriented(+1), [s])
+    s = core.make_sample(NOPHI, [0.2, 0.1], [1.0, 0.5])
+    assert matsumoto.projective_check(_scalars(NOPHI, s), s.y) is None
+    rep = matsumoto.change_identity_suite(NOPHI.oriented(+1), [s]).projective
     assert rep.n_samples == 0 and rep.passed
     assert "0 parallel and 1 degenerate" in rep.note
 
@@ -386,7 +429,7 @@ def test_negative_control_fails_hat_decomposition(orient):
 def test_master_change_suite_euclid():
     """Every transformation law at once, definition-consistent orientation."""
     batch = _batch(EU, +1.0, 40, 24)
-    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch):
+    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch).entries:
         if r.kind == "identity":
             assert r.residual <= min(r.tolerance, 1e-6), (r.name, r.residual)
 
@@ -404,7 +447,7 @@ def test_negative_control_fails_cartan_law(orient):
     """The closed-form Cartan law assumes phi^k C_kij = 0; without it the law fails."""
     batch = _batch(RANDERS, orient, 8, 27 + int(orient > 0))
     res = {r.name: r for r in
-           matsumoto.change_identity_suite(RANDERS.oriented(orient), batch)}
+           matsumoto.change_identity_suite(RANDERS.oriented(orient), batch).entries}
     assert res["cartan-torsion-change"].passed is False
 
 
@@ -422,7 +465,8 @@ def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
     original = getattr(matsumoto, helper)
     monkeypatch.setattr(matsumoto, helper, lambda *a: (1.0 + 1e-3) * original(*a))
     batch = _batch(EX, -1.0, 8, 29)
-    res = {r.name: r for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)}
+    res = {r.name: r
+           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries}
     assert res[identity].passed is False
 
 
@@ -435,7 +479,7 @@ def test_shared_change_scalars_fail_a_mutated_formula(name, monkeypatch):
     monkeypatch.setattr(matsumoto.ChangeScalars, name,
                         property(lambda sc: (1.0 + 1e-3) * original(sc)))
     model = EX.oriented(-1)
-    results = (matsumoto.change_identity_suite(model, batch)
+    results = (matsumoto.change_identity_suite(model, batch).entries
                + matsumoto.lemma_identity_suite(model, batch))
     failed = {r.name for r in results if r.passed is False}
     assert "spray-change" in failed
@@ -484,8 +528,9 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     and the base geometry's request is served from the base jet the hat's
     provider built one y-order higher.  The base geometry takes one square
     root of its energy jet for ell and the change scalars; the changed metric
-    takes one for Fhat and one for its own ell.  The lemma entries are read
-    off the same base geometry, with no third build."""
+    takes one for Fhat and one for its own ell.  The lemma entries, the
+    projective witness and the concurrency obstruction are read off the same
+    base geometry and its value scalars, with no third build."""
     built = []
     init = connections.GeometryJets.__init__
 
@@ -506,7 +551,8 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     monkeypatch.setattr(numkit.Jet, "sqrt", counting_sqrt)
     calls = _count_calls(monkeypatch)
     evaluations = _count_jet_evaluations(model, monkeypatch)
-    results = matsumoto.change_identity_suite(model, batch, with_curvature)
+    suite = matsumoto.change_identity_suite(model, batch, with_curvature)
+    results = suite.entries
     assert all(r.note == "" for r in results if r.kind == "identity")
     x_order = 2 if with_curvature else 1
     assert built == [(4, x_order)] * (2 * len(batch))
@@ -515,6 +561,9 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     assert evaluations == [numkit.jet_space(3, 5, x_order)] * len(batch)
     assert len(roots) == 3 * len(batch)
     assert set(matsumoto.LEMMA_TOLERANCES) <= {r.name for r in results}
+    # the projective witness and the obstruction are read in the same pass
+    assert suite.projective.n_samples == len(batch) and suite.projective.passed
+    assert suite.obstruction.n_samples == len(batch) and suite.obstruction_max > 0.0
 
 
 def _reference_lemma(model, s_batch):
@@ -523,7 +572,7 @@ def _reference_lemma(model, s_batch):
     for s in s_batch:
         geo = connections.GeometryJets(model, s, 3, 1)
         try:
-            sc = matsumoto._checked_scalars(geo.md, model, s)
+            sc = matsumoto.change_scalars(geo.md, model, s)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -550,7 +599,8 @@ def test_lemma_entries_match_a_separate_3_1_geometry(model, point, orient):
         assert len(ref) == len(matsumoto.LEMMA_TOLERANCES)
         for with_curvature in (True, False):
             got = [json.dumps(r.to_dict(), sort_keys=True)
-                   for r in matsumoto.change_identity_suite(oriented, batch, with_curvature)
+                   for r in matsumoto.change_identity_suite(
+                       oriented, batch, with_curvature).entries
                    if r.name in matsumoto.LEMMA_TOLERANCES]
             assert got == ref
 
@@ -699,7 +749,7 @@ def test_vertical_derivative_operator_is_shared():
 
 def test_report_self_audit():
     batch = _batch(EU, +1.0, 5, 25)
-    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch):
+    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch).entries:
         if r.predicted_worst is not None:
             assert report.relmax(r.predicted_worst, r.direct_worst) == pytest.approx(
                 r.residual, rel=1e-12)

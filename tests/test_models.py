@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslerlab import connections, core, models
+from finslerlab import connections, core, matsumoto, models
 from finslerlab.core import metric_data
 
 
@@ -47,8 +47,7 @@ def _engine_value(model, fx, name):
     if name.startswith("G"):
         return connections.GeometryJets(model, s, 2, 1).spray()[int(name[1]) - 1]
     if name in ("Phi", "p2", "margin"):
-        from finslerlab.matsumoto import change_scalars
-        sc = change_scalars(model.oriented(+1), s)
+        sc = matsumoto.change_scalars(metric_data(model, s), model.oriented(+1), s)
         return getattr(sc, {"Phi": "Phi", "p2": "p2", "margin": "margin"}[name])
     if name == "theta" or name.startswith("a"):
         theta, a = models.decomposition_forms(model)(np.array(fx.x), np.array(fx.y))
