@@ -362,7 +362,8 @@ def _sample_for_orientation(model, cfg, stream, count):
 
 def run_verification(model, cfg: RunConfig) -> SuiteReport:
     """Run every suite and assemble the one-model verification report; raises
-    ValueError when a tolerance override names no identity of the report."""
+    ValueError when a tolerance override names no entry of the report, or an
+    entry that has no tolerance (a reported, structural or skipped one)."""
     extras = {}
 
     # orientation: fixed by config, or chosen to minimize the probe residual
@@ -432,8 +433,13 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     if unknown:
         raise ValueError(f"tolerance override for no identity in the report: "
                          f"{', '.join(unknown)}")
+    untoleranced = [f"{r.name} ({r.kind})" for r in results
+                    if r.name in cfg.tolerance_overrides and r.tolerance is None]
+    if untoleranced:
+        raise ValueError(f"tolerance override for an entry without a tolerance: "
+                         f"{', '.join(untoleranced)}")
     for r in results:
-        if r.name in cfg.tolerance_overrides and r.tolerance is not None:
+        if r.name in cfg.tolerance_overrides:
             r.tolerance = float(cfg.tolerance_overrides[r.name])
 
     return SuiteReport(

@@ -230,6 +230,25 @@ def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
     assert "metric-change" not in err
 
 
+@pytest.mark.parametrize("model,entry,kind", [
+    ("euclid_concurrent", "concurrency-obstruction", "reported"),
+    ("euclid_concurrent", "vertical-berwald-invariance", "structural"),
+    ("matsumoto_example", "nondegeneracy-ray-profile", "skipped"),
+])
+def test_verify_tolerance_override_of_an_entry_without_one_exits_2(
+        model, entry, kind, tmp_path, capsys):
+    """An entry that carries no tolerance refuses an override, naming the
+    entry and its kind, and no report is written."""
+    out = tmp_path / "rep.json"
+    code = run(["verify", "--model", model, "--samples", "8", "--seed", "3",
+                "--format", "json", "--out", str(out), "--tolerance", f"{entry}=1",
+                "--tolerance", "metric-change=1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{entry} ({kind})" in err and "metric-change" not in err
+    assert not out.exists()
+
+
 def test_report_covers_every_identity_exactly_once(tmp_path):
     out = tmp_path / "rep.json"
     run(["verify", "--model", "matsumoto_example", "--samples", "8",
