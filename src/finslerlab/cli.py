@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import connections, harness, matsumoto, models
+from . import connections, expr, harness, matsumoto, models
 from .core import make_sample
 from .errors import (DegenerateMargin, DomainEscape, EvalError,
                      ModelSyntaxError, ModelValidationError, OutsideHatDomain,
@@ -83,24 +83,6 @@ def _out_path(text: str) -> str:
 
 class OutputError(Exception):
     """The report could not be written to --out."""
-
-
-def _parse_box(text: str, dim2: int) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) == 1:
-        parts = parts * dim2
-    if len(parts) != dim2:
-        raise ValueError(f"--box needs 1 or {dim2} lo:hi entries, got {len(parts)}")
-    rows = []
-    for p in parts:
-        try:
-            lo, hi = (float(v) for v in p.split(":"))
-        except ValueError:
-            lo = hi = np.nan
-        if not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"--box entry {p!r} is not lo:hi with finite lo < hi")
-        rows.append([lo, hi])
-    return np.array(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +184,7 @@ def cmd_verify(ns) -> int:
     cfg = harness.RunConfig(
         samples=ns.samples,
         seed=ns.seed,
-        box=None if ns.box is None else _parse_box(ns.box, 2 * model.dim),
+        box=None if ns.box is None else np.array(expr.parse_box(ns.box, 2 * model.dim, "--box")),
         orientation=ns.orientation,
         tolerance_overrides=dict(ns.tolerance),
     )

@@ -13,6 +13,7 @@ real parameters::
     phi3 = x3
     domain = x1^2          # means: x1^2 > 0
     param scale = 1.0
+    box = 0.5:2            # optional sampling box, lo:hi per coordinate
 
 Expressions are whitespace-insensitive with precedence ^ > unary - > * / > + -
 ('^' is right-associative).  Variables are x1..xn and y1..yn; every other
@@ -431,6 +432,7 @@ class ModelDef:
     phi: tuple
     domain: tuple = ()
     params: dict = field(default_factory=dict)
+    box: tuple | None = None   # (lo, hi) per coordinate x1..xn, y1..yn
 
     def __post_init__(self):
         _validate_model(self)
@@ -470,11 +472,34 @@ _PARAM_RE = re.compile(r"^\s*param\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
 _PHI_RE = re.compile(r"^phi([1-9][0-9]*)$")
 
 
+def parse_box(text: str, dim2: int, what: str = "box") -> tuple:
+    """A sampling box from 'lo:hi' entries, comma-separated: one per coordinate
+    (x1..xn, y1..yn, `dim2` in all) or one for every coordinate.  Returns the
+    (lo, hi) rows; raises ValueError, naming `what`, unless each is finite
+    with lo < hi."""
+    parts = text.split(",")
+    if len(parts) == 1:
+        parts = parts * dim2
+    if len(parts) != dim2:
+        raise ValueError(f"{what} needs 1 or {dim2} lo:hi entries, got {len(parts)}")
+    rows = []
+    for p in parts:
+        try:
+            lo, hi = (float(v) for v in p.split(":"))
+        except ValueError:
+            lo = hi = math.nan
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"{what} entry {p!r} is not lo:hi with finite lo < hi")
+        rows.append((lo, hi))
+    return tuple(rows)
+
+
 def parse(source: str) -> ModelDef:
     """Parse model-file text into a validated :class:`ModelDef`."""
     name = None
     dim = None
     F = None
+    box = None   # (text, line, column) of the box line
     phi: dict[int, object] = {}
     domain: list = []
     params: dict[str, float] = {}
@@ -496,7 +521,8 @@ def parse(source: str) -> ModelDef:
         hm = _HEADER_RE.match(line)
         if not hm:
             raise ModelSyntaxError("expected 'key = value'", lineno, 1,
-                                   expected=("name", "dim", "F", "phi<k>", "domain", "param"))
+                                   expected=("name", "dim", "F", "phi<k>", "domain",
+                                             "param", "box"))
         key, rhs = hm.group(1), hm.group(2).strip()
         col0 = line.index("=") + 2
         if key == "name":
@@ -511,6 +537,10 @@ def parse(source: str) -> ModelDef:
             F = parse_expression(rhs, lineno)
         elif key == "domain":
             domain.append(parse_expression(rhs, lineno))
+        elif key == "box":
+            if box is not None:
+                raise ModelSyntaxError("duplicate box", lineno, 1, expected=("box only once",))
+            box = (rhs, lineno, col0)
         else:
             phim = _PHI_RE.match(key)
             if phim:
@@ -522,7 +552,7 @@ def parse(source: str) -> ModelDef:
             else:
                 raise ModelSyntaxError(f"unknown key {key!r}", lineno, 1,
                                        expected=("name", "dim", "F", "phi<k>",
-                                                 "domain", "param"))
+                                                 "domain", "param", "box"))
 
     if name is None:
         raise ModelValidationError("model file lacks a 'name =' line")
@@ -536,10 +566,17 @@ def parse(source: str) -> ModelDef:
     extra = [k for k in phi if k > dim]
     if extra:
         raise ModelValidationError(f"phi components beyond dim={dim}: {extra}")
+    if box is not None:
+        text, lineno, col = box
+        try:
+            box = parse_box(text, 2 * dim)
+        except ValueError as e:
+            raise ModelSyntaxError(str(e), lineno, col,
+                                   expected=("lo:hi per coordinate",)) from None
 
     return ModelDef(name=name, dim=dim, F=F,
                     phi=tuple(phi[k] for k in range(1, dim + 1)),
-                    domain=tuple(domain), params=dict(params))
+                    domain=tuple(domain), params=dict(params), box=box)
 
 
 def _validate_model(model: ModelDef):

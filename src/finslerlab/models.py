@@ -10,6 +10,7 @@ plain-text table shipped under data/fixtures/ (regenerated by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -62,9 +63,10 @@ def load_model(ref: str):
 
 
 def default_box(model) -> np.ndarray:
-    """Per-coordinate sampling box [low, high] rows for x1..xn, y1..yn."""
-    if model.name == "euclid_concurrent":
-        return np.array([[-0.75, 0.75]] * model.dim + [[0.5, 2.0]] * model.dim)
+    """Per-coordinate sampling box [low, high] rows for x1..xn, y1..yn: the
+    model file's `box` line, else [0.5, 2] for every coordinate."""
+    if model.box is not None:
+        return np.array(model.box)
     return np.array([[0.5, 2.0]] * (2 * model.dim))
 
 
@@ -122,9 +124,15 @@ def _example_decomposition(x, y):
     return theta, a
 
 
+@cache
+def _shipped_F(name: str):
+    return builtin_model(name).F
+
+
 def decomposition_forms(model):
-    """Closed-form (theta, a) factorization for models that ship one, else None."""
-    if model.name == "matsumoto_example":
+    """Closed-form (theta, a) factorization of F, shipped for the example's F
+    (whatever the model's name or phi), else None."""
+    if model.F == _shipped_F("matsumoto_example"):
         return _example_decomposition
     return None
 

@@ -71,6 +71,32 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert run(["verify", "--model", str(missing)]) == 3
 
 
+def test_bad_box_line_exits_3_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.fmod"
+    bad.write_text("name = bad\ndim = 2\nF = sqrt(y1^2 + y2^2)\nphi1 = 0\nphi2 = 0\n"
+                   "box = 1:0\n")
+    assert run(["verify", "--model", str(bad)]) == 3
+    assert "line 6" in capsys.readouterr().err
+
+
+def test_renamed_shipped_model_reports_as_the_builtin(tmp_path):
+    """Nothing but the model file's content picks the sampling box and the
+    closed forms: a renamed copy of a shipped file reports as it does, apart
+    from the name."""
+    for name in ("euclid_concurrent", "matsumoto_example"):
+        copy = tmp_path / "copy.fmod"
+        text = (models._data_dir() / "models" / f"{name}.fmod").read_text()
+        copy.write_text(text.replace(f"name = {name}", "name = renamed_copy"))
+        reports = []
+        for ref in (name, str(copy)):
+            out = tmp_path / "rep.json"
+            run(["verify", "--model", ref, "--samples", "8", "--seed", "4",
+                 "--format", "json", "--out", str(out)])
+            reports.append(out.read_text())
+        assert f'"model": "{name}"' in reports[0]
+        assert reports[0].replace(name, "renamed_copy") == reports[1]
+
+
 def test_verify_broken_model_exits_1(tmp_path, capsys):
     p = tmp_path / "broken.fmod"
     p.write_text(BROKEN_MODEL)

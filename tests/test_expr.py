@@ -202,6 +202,30 @@ def test_duplicate_phi_rejected():
         expr.parse(bad)
 
 
+def test_box_line_parses_one_or_every_coordinate():
+    m = expr.parse(MINI_MODEL + "\nbox = -1:1,0:2,0.5:2,0.5:3\n")
+    assert m.box == ((-1.0, 1.0), (0.0, 2.0), (0.5, 2.0), (0.5, 3.0))
+    assert m.oriented(-1).box == m.box
+    assert expr.parse(MINI_MODEL + "\nbox = 0.5:2\n").box == ((0.5, 2.0),) * 4
+    assert expr.parse(MINI_MODEL).box is None
+
+
+@pytest.mark.parametrize("line", ["box = 0:1,0:1", "box = 2:1", "box = 0:inf",
+                                  "box = a:1", "box = 1:2:3"])
+def test_bad_box_line_is_a_syntax_error_naming_its_line(line):
+    source = MINI_MODEL.rstrip("\n") + "\n" + line + "\n"
+    with pytest.raises(ModelSyntaxError) as ei:
+        expr.parse(source)
+    assert ei.value.line == source.count("\n")
+    assert str(ei.value).startswith(f"line {ei.value.line}, col 6: box ")
+
+
+def test_duplicate_box_rejected():
+    with pytest.raises(ModelSyntaxError) as ei:
+        expr.parse(MINI_MODEL + "\nbox = 0:1\nbox = 0:2\n")
+    assert "duplicate box" in str(ei.value)
+
+
 def test_print_parse_round_trip_on_example():
     ast = expr.parse_expression(EXAMPLE_F)
     printed = expr.to_source(ast)

@@ -121,3 +121,41 @@ def test_concurrency_of_both_shipped_models():
             connections.phi_covariants(m, connections.GeometryJets(m, s, 4, 2))
             for s in batch])
         assert sigma == pytest.approx(want, abs=tol) and probe.residual <= tol
+
+
+def _shipped_text(name):
+    return (models._data_dir() / "models" / f"{name}.fmod").read_text()
+
+
+def test_decomposition_forms_follow_F_not_the_name():
+    """A renamed copy of the example keeps its closed forms; a flat F that
+    borrows the example's name gets none, and its base entry is skipped."""
+    from finslerlab import expr
+    renamed = expr.parse(_shipped_text("matsumoto_example").replace(
+        "name = matsumoto_example", "name = slope_copy"))
+    impostor = expr.parse("name = matsumoto_example\ndim = 3\n"
+                          "F = sqrt(y1^2 + y2^2 + y3^2)\nphi1 = 0\nphi2 = 0\nphi3 = x3\n"
+                          "domain = x3^2\ndomain = y1^2\n")
+    assert models.decomposition_forms(renamed) is models._example_decomposition
+    assert models.decomposition_forms(impostor) is None
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 1])))
+    for model, kind in ((renamed, "identity"), (impostor, "skipped")):
+        batch, _ = core.sample_batch(model, models.default_box(model), 4, rng)
+        base, _ = matsumoto.rational_decomposition_check(model.oriented(-1), batch)
+        assert base.kind == kind
+        assert base.passed is not False
+
+
+def test_default_box_reads_the_model_file():
+    """The shipped Euclid file declares its box; a renamed copy samples the
+    same box, and a model without a box line gets [0.5, 2] everywhere."""
+    from finslerlab import expr
+    eu = models.builtin_model("euclid_concurrent")
+    copy = expr.parse(_shipped_text("euclid_concurrent").replace(
+        "name = euclid_concurrent", "name = flat_copy"))
+    expected = np.array([[-0.75, 0.75]] * 2 + [[0.5, 2.0]] * 2)
+    assert np.array_equal(models.default_box(eu), expected)
+    assert np.array_equal(models.default_box(copy), expected)
+    assert np.array_equal(models.default_box(models.builtin_model("matsumoto_example")),
+                          np.full((6, 2), [0.5, 2.0]))
+
