@@ -125,14 +125,14 @@ def _example_decomposition(x, y):
 
 
 @cache
-def _shipped_F(name: str):
-    return builtin_model(name).F
+def _example_F():
+    return builtin_model("matsumoto_example").F
 
 
 def decomposition_forms(model):
     """Closed-form (theta, a) factorization of F, shipped for the example's F
     (whatever the model's name or phi), else None."""
-    if model.F == _shipped_F("matsumoto_example"):
+    if model.F == _example_F():
         return _example_decomposition
     return None
 

@@ -69,14 +69,11 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert run(["verify", "--model", str(bad)]) == 3
     missing = tmp_path / "missing.fmod"
     assert run(["verify", "--model", str(missing)]) == 3
-
-
-def test_bad_box_line_exits_3_naming_the_line(tmp_path, capsys):
-    bad = tmp_path / "bad.fmod"
     bad.write_text("name = bad\ndim = 2\nF = sqrt(y1^2 + y2^2)\nphi1 = 0\nphi2 = 0\n"
                    "box = 1:0\n")
+    capsys.readouterr()
     assert run(["verify", "--model", str(bad)]) == 3
-    assert "line 6" in capsys.readouterr().err
+    assert "line 6, col 6: box entry '1:0'" in capsys.readouterr().err
 
 
 def test_renamed_shipped_model_reports_as_the_builtin(tmp_path):
