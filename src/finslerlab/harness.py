@@ -25,8 +25,6 @@ __all__ = ["RunConfig", "run_verification", "run_core_suite", "inspect_point"]
 
 # Philox stream ids, one per sampling purpose
 _STREAM_CORE = 0
-_STREAM_PROBE_PLUS = 1
-_STREAM_PROBE_MINUS = 2
 _STREAM_CHANGE = 3
 _STREAM_CHANGE_OTHER = 4
 _STREAM_SCAN = 5
@@ -365,23 +363,6 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     ValueError when a tolerance override names no entry of the report, or an
     entry that has no tolerance (a reported, structural or skipped one)."""
     extras = {}
-
-    # orientation: fixed by config, or chosen to minimize the probe residual
-    if cfg.orientation in ("+1", "-1"):
-        orientation = 1.0 if cfg.orientation == "+1" else -1.0
-        extras["orientation_mode"] = "fixed"
-    else:
-        probes = {}
-        for o, stream in ((1.0, _STREAM_PROBE_PLUS), (-1.0, _STREAM_PROBE_MINUS)):
-            probes[o], _ = _sample_for_orientation(
-                model.oriented(o), cfg, stream, max(8, cfg.samples // 8))
-        orientation, totals = matsumoto.select_orientation(model, probes)
-        extras["orientation_mode"] = "auto"
-        extras["orientation_probe_totals"] = {f"{o:+.0f}": t for o, t in totals.items()}
-    hat_model = model.oriented(orientation)
-    other = -orientation
-    other_model = model.oriented(other)
-
     results = []
 
     rng_core = _rng(cfg.seed, _STREAM_CORE)
@@ -391,6 +372,17 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
     core_results, core_extras = run_core_suite(model, core_batch)
     results += core_results
     extras.update(core_extras)
+
+    # orientation: fixed by config, or read off the concurrency probe's sigma
+    if cfg.orientation in ("+1", "-1"):
+        orientation = 1.0 if cfg.orientation == "+1" else -1.0
+        extras["orientation_mode"] = "fixed"
+    else:
+        orientation = matsumoto.select_orientation(core_extras["probe_sigma"])
+        extras["orientation_mode"] = "auto"
+    hat_model = model.oriented(orientation)
+    other = -orientation
+    other_model = model.oriented(other)
 
     fd_batch = core_batch[:FD_SAMPLES]
     results += run_fd_suite(model, fd_batch)

@@ -4,9 +4,9 @@ Phi is the pairing of the model's phi field with the direction, taken through
 the fundamental tensor: Phi = g(phi, y).  The sign of phi is part of the
 model: the two normalizations of a concurrent field (horizontal covariant
 derivative +id or -id) are `model` and `model.oriented(-1)`, and every
-operation here uses phi as its model gives it.  `select_orientation` runs the
-suites on both and keeps the sign that minimizes the total identity residual
-rather than presuming either.
+operation here uses phi as its model gives it.  The laws are written for
+the -id normalization; `select_orientation` reads the sign that gives it off
+the fitted trace of the model's measured covariant derivative.
 
 Predicted objects come from closed-form transformation laws in terms of base
 quantities (g, ell, phi, F, Phi, p^2 and the scalars f1, f2); direct objects
@@ -526,22 +526,13 @@ def lemma_identity_suite(model, s_batch):
             if r.name in LEMMA_TOLERANCES]
 
 
-def select_orientation(model, probe_batches: dict):
-    """Pick the orientation whose total suite residual is smaller.
-
-    `probe_batches` maps +1.0/-1.0 to sample batches drawn under the
-    hat-domain predicate of `model.oriented` with that sign.  Returns
-    (orientation, totals).
-    """
-    totals = {}
-    for orient, batch in probe_batches.items():
-        oriented = model.oriented(orient)
-        results = change_identity_suite(oriented, batch, with_curvature=False).entries
-        # each identity counts at most 1, a non-finite one (residual None) 1
-        totals[orient] = float(sum(1.0 if r.residual is None else min(r.residual, 1.0)
-                                   for r in results if r.kind == "identity"))
-    best = min(sorted(totals), key=lambda o: totals[o])
-    return best, totals
+def select_orientation(sigma: float) -> float:
+    """The sign under which the oriented field has horizontal covariant
+    derivative -identity, the normalization the change laws are written in,
+    given the fitted sigma = trace(nabla phi)/n of the model's own phi (the
+    `concurrency_probe` fit): +1 when sigma < 0, else -1, so a zero or
+    parallel field (sigma = 0) gets -1."""
+    return 1.0 if sigma < 0.0 else -1.0
 
 
 def _clear_of_hat_boundary(sc: ChangeScalars) -> bool:

@@ -105,6 +105,18 @@ def test_verify_broken_model_exits_1(tmp_path, capsys):
     assert "metric-homogeneity" in failed
 
 
+def test_verify_auto_orientation_of_a_zero_field_does_not_depend_on_the_seed(tmp_path,
+                                                                            capsys):
+    p = tmp_path / "broken.fmod"
+    p.write_text(BROKEN_MODEL)
+    orientations = set()
+    for seed in ("1", "42"):
+        run(["verify", "--model", str(p), "--samples", "8", "--seed", seed,
+             "--format", "json"])
+        orientations.add(json.loads(capsys.readouterr().out)["orientation"])
+    assert orientations == {"-1"}
+
+
 def test_verify_good_model_small_run(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["verify", "--model", "euclid_concurrent", "--samples", "16",

@@ -216,14 +216,29 @@ def test_orientation_isolation_on_example():
 
 
 def test_select_orientation_picks_definition_consistent_sign():
-    probes = {o: _batch(EX, o, 6, 5 + int(o > 0)) for o in (+1.0, -1.0)}
-    best, totals = matsumoto.select_orientation(EX, probes)
-    assert best == -1.0
-    assert totals[-1.0] < 1e-8 < totals[1.0]
+    """The sign comes off the core suite's concurrency probe: the one under
+    which the oriented field has nabla phi = -identity."""
+    for model, sigma, want in ((EX, +1.0, -1.0), (EU, -1.0, +1.0), (RANDERS, -1.0, +1.0)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 5])))
+        batch, _ = sample_batch(model, models.default_box(model), 6, rng)
+        _, extras = harness.run_core_suite(model, batch)
+        assert extras["probe_sigma"] == pytest.approx(sigma, abs=1e-6), model.name
+        assert matsumoto.select_orientation(extras["probe_sigma"]) == want, model.name
+    assert matsumoto.select_orientation(0.0) == -1.0
 
-    probes = {o: _batch(EU, o, 6, 7 + int(o > 0)) for o in (+1.0, -1.0)}
-    best, totals = matsumoto.select_orientation(EU, probes)
-    assert best == +1.0
+
+def test_auto_orientation_runs_only_the_main_and_other_change_suites(monkeypatch):
+    batches = []
+    suite = matsumoto.change_identity_suite
+
+    def counted(model, s_batch, **kw):
+        batches.append(len(s_batch))
+        return suite(model, s_batch, **kw)
+
+    monkeypatch.setattr(matsumoto, "change_identity_suite", counted)
+    rep = harness.run_verification(EU, harness.RunConfig(samples=8, seed=42))
+    assert rep.extras["orientation_mode"] == "auto" and rep.orientation == "+1"
+    assert batches == [8, 8]
 
 
 def test_lemma_suite_euclid_and_example():
