@@ -143,9 +143,6 @@ class JetSpace:
                 )
             )
 
-    def pos(self, multi_index) -> int:
-        return self._pos[tuple(multi_index)]
-
     def _valid_slots(self, y_valid, x_valid) -> np.ndarray:
         """Mask of the slots whose multi-index lies inside the valid orders;
         built once per space and validity."""
@@ -277,25 +274,12 @@ class Jet:
         """True when every coefficient inside the valid orders is zero."""
         return not np.any(self.coeffs[self.space._valid_slots(self.y_valid, self.x_valid)])
 
-    # -- coefficient access -------------------------------------------------
-
-    def coefficient(self, multi_index) -> float:
-        """Taylor coefficient (partial / a!) at the given (x..., y...) multi-index."""
-        mi = tuple(multi_index)
-        self._check_extract(mi)
-        return float(self.coeffs[self.space.pos(mi)])
-
-    def partial(self, multi_index) -> float:
-        """Partial derivative at the given multi-index."""
-        mi = tuple(multi_index)
-        self._check_extract(mi)
-        k = self.space.pos(mi)
-        return float(self.coeffs[k] * self.space._factorials[k])
+    # -- derivative access --------------------------------------------------
 
     def partials(self, *axes) -> np.ndarray:
         """Partial derivatives d/dv_1 ... d/dv_m for every choice of v_a in
         axes[a], a range of variable numbers inside the x- or the y-block, as
-        an array: one gather, checked once like `partial`."""
+        an array: one gather, checked once against the valid orders."""
         mi = [0] * (2 * self.space.n)
         for a in axes:
             mi[a[0]] += 1
@@ -305,8 +289,8 @@ class Jet:
 
     def partials_at(self, multi_indices) -> np.ndarray:
         """Partial derivatives at each of the given multi-indices, as an array:
-        one gather, checked once like `partial` at the highest x- and y-orders
-        among them."""
+        one gather, checked once against the valid orders at the highest x-
+        and y-orders among them."""
         multi_indices = tuple(map(tuple, multi_indices))
         n = self.space.n
         for block in (slice(n, None), slice(None, n)):

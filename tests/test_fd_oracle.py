@@ -63,8 +63,7 @@ def _reference_fd_suite(model, s_batch):
         F2j = 2.0 * energy.energy_jet(s, 3, 3)
         for fn, jet in ((model.F2_fn, F2j), (fval, F2j.sqrt())):
             jets, fds = [], []
-            for m in multi:
-                jv = jet.partial(m)
+            for m, jv in zip(multi, jet.partials_at(multi)):
                 try:
                     fv = _ridders_fd(fn, s.x, s.y, m, model.in_domain)
                 except DomainEscape:
