@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=_int_at_least(0), default=42)
     p_verify.add_argument("--samples", type=_int_at_least(1), default=100)
     p_verify.add_argument("--orientation", default="auto",
-                          choices=("auto", "+1", "-1"))
+                          choices=("auto", "+1", "-1"),
+                          help="sign applied to phi; auto takes the one under which "
+                               "the concurrency probe measures nabla phi = -identity")
     p_verify.add_argument("--format", default="table", choices=("json", "csv", "table"))
     p_verify.add_argument("--box", default=None,
                           help="sampling box, lo:hi per coordinate (comma-separated); "
