@@ -40,31 +40,28 @@ __all__ = [
 ]
 
 
-def _jet_inverse(M):
-    """Invert a matrix of jets by Gauss-Jordan elimination, pivoting on values."""
+def _jet_solve(M, b):
+    """Solve M x = b for a matrix and a vector of jets by Gauss-Jordan
+    elimination of the augmented matrix [M | b], pivoting on values.  Step
+    `col` updates only the columns right of the pivot: the ones to its left
+    are never read again."""
     n = len(M)
-    A = [list(row) for row in M]
-    space = A[0][0].space
-    inv = [[space.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    A = [[*row, rhs] for row, rhs in zip(M, b)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
         if abs(A[piv][col].value) < 1e-300:
-            raise SingularMetric("pivot ~0 while inverting the fundamental tensor")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
+            raise SingularMetric("pivot ~0 while solving with the fundamental tensor")
+        A[col], A[piv] = A[piv], A[col]
         w = 1.0 / A[col][col]
-        A[col] = [a * w for a in A[col]]
-        inv[col] = [b * w for b in inv[col]]
+        A[col][col + 1:] = [a * w for a in A[col][col + 1:]]
         for r in range(n):
             if r == col:
                 continue
             f = A[r][col]
             if f.is_zero():
                 continue
-            A[r] = [a - f * p for a, p in zip(A[r], A[col])]
-            inv[r] = [b - f * q for b, q in zip(inv[r], inv[col])]
-    return inv
+            A[r][col + 1:] = [a - f * p for a, p in zip(A[r][col + 1:], A[col][col + 1:])]
+    return [row[n] for row in A]
 
 
 class GeometryJets:
@@ -109,10 +106,13 @@ class GeometryJets:
 
     @cached_property
     def ginv_jets(self):
-        return _jet_inverse(self.g_jets)
+        n, const = self.n, self.space.constant
+        cols = [_jet_solve(self.g_jets, [const(float(i == j)) for i in range(n)]) for j in range(n)]
+        return [list(row) for row in zip(*cols)]
 
     @cached_property
     def spray_jets(self):
+        """G^i = x^i / 2 for the solution x of g_il x^l = S_l (see `spray_system`)."""
         n = self.n
         ycoord = self.coords[n:]
         S = []
@@ -122,11 +122,7 @@ class GeometryJets:
             for k in range(n):
                 acc = acc + ycoord[k] * dl.diff_x(k)
             S.append(acc)
-        return [
-            0.5 * sum((self.ginv_jets[i][l] * S[l] for l in range(1, n)),
-                      self.ginv_jets[i][0] * S[0])
-            for i in range(n)
-        ]
+        return [0.5 * x for x in _jet_solve(self.g_jets, S)]
 
     @cached_property
     def nonlinear_jets(self):

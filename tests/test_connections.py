@@ -157,14 +157,62 @@ def test_cartan_metric_compatibility():
     assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(dg)))
 
 
-def test_jet_inverse_skips_a_row_whose_valid_slots_are_zero():
+def test_jet_solve_skips_a_row_whose_valid_slots_are_zero():
     c = jet_space(1, 2, 0).constant
     # valid to y-order 1, where it is zero; its y-order-2 slot is not
     f = Jet(c(0.0).space, np.array([0.0, 0.0, 5.0]), 1, 0)
-    inv = connections._jet_inverse([[c(2.0), c(0.0)], [f, c(4.0)]])
-    assert [[e.value for e in row] for row in inv] == [[0.5, 0.0], [0.0, 0.25]]
+    x = connections._jet_solve([[c(2.0), c(0.0)], [f, c(4.0)]], [c(1.0), c(1.0)])
+    assert [e.value for e in x] == [0.5, 0.25]
     # a row op would have lowered row 1 to f's validity
-    assert all((e.y_valid, e.x_valid) == (2, 0) for e in inv[1])
+    assert (x[1].y_valid, x[1].x_valid) == (2, 0)
+
+
+@pytest.mark.parametrize("model, x, y", [
+    (EX, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
+    (EU, [0.3, -0.2], [1.1, 0.7]),
+], ids=["matsumoto_example", "euclid_concurrent"])
+@pytest.mark.parametrize("which", ["base", "hat"])
+def test_spray_jets_solve_the_defining_system_on_every_valid_slot(model, x, y, which):
+    """sum_j g_ij (2 G^j) = y^k d^2E/dy^i dx^k - dE/dx^i as jets, not only at
+    the value slot, on the (2, 1) orders a (4, 2) geometry's spray is valid to;
+    `ginv_jets` inverts g on the same slots."""
+    s = core.make_sample(model, x, y)
+    energy = model if which == "base" else HatEnergy(model.oriented(-1))
+    geo = connections.GeometryJets(energy, s, 4, 2)
+    n, E, g = geo.n, geo.E, geo.g_jets
+    for i in range(n):
+        S_i = sum((geo.coords[n + k] * E.diff_y(i).diff_x(k) for k in range(n)),
+                  -E.diff_x(i))
+        lhs = sum((g[i][j] * (2.0 * geo.spray_jets[j]) for j in range(1, n)),
+                  g[i][0] * (2.0 * geo.spray_jets[0]))
+        resid = lhs - S_i
+        valid = geo.space._valid_slots(resid.y_valid, resid.x_valid)
+        assert (resid.y_valid, resid.x_valid) == (2, 1)
+        assert np.max(np.abs(resid.coeffs[valid])) <= 1e-12 * max(
+            1.0, np.max(np.abs(S_i.coeffs[valid])))
+        for j in range(n):
+            e_ij = sum((geo.ginv_jets[i][m] * g[m][j] for m in range(1, n)),
+                       geo.ginv_jets[i][0] * g[0][j]) - float(i == j)
+            valid = geo.space._valid_slots(e_ij.y_valid, e_ij.x_valid)
+            assert np.max(np.abs(e_ij.coeffs[valid])) <= 1e-12
+
+
+def test_spray_jets_build_makes_at_most_26_jet_products(monkeypatch):
+    """One (4, 2) spray build at the example's P0 eliminates only right of each
+    pivot, on g and the right-hand side, and multiplies no inverse by it."""
+    geo = connections.GeometryJets(EX, P0, 4, 2)
+    geo.g_jets
+    calls = [0]
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__rmul__", counting)
+    geo.spray_jets
+    assert calls[0] <= 26
 
 
 def _probe(model, batch):
