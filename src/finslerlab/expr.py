@@ -84,25 +84,36 @@ class Call:
     a: object
 
 
+def _children(node) -> tuple:
+    if isinstance(node, Bin):
+        return (node.a, node.b)
+    if isinstance(node, (Neg, Call)):
+        return (node.a,)
+    return ()
+
+
 def free_vars(ast):
     """Set of ('x'|'y', index) pairs and parameter names used by the AST."""
     vs, ps = set(), set()
-
-    def walk(node):
+    stack = [ast]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Var):
             vs.add((node.kind, node.index))
         elif isinstance(node, Param):
             ps.add(node.name)
-        elif isinstance(node, Neg):
-            walk(node.a)
-        elif isinstance(node, Bin):
-            walk(node.a)
-            walk(node.b)
-        elif isinstance(node, Call):
-            walk(node.a)
-
-    walk(ast)
+        stack.extend(_children(node))
     return vs, ps
+
+
+def _depth(ast) -> int:
+    """Number of nodes on the longest root-to-leaf path of the AST."""
+    deepest, stack = 0, [(ast, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((child, d + 1) for child in _children(node))
+    return deepest
 
 
 def squared(ast):
@@ -162,10 +173,22 @@ def _tokenize(text: str, line: int = 1) -> list[_Token]:
 # recursive-descent expression parser
 # --------------------------------------------------------------------------
 
+# limits on one expression, each refused as a ModelSyntaxError naming its line:
+# MAX_NESTING bounds the levels of parentheses, function calls, signs and
+# powers, which parsing, lowering and evaluation recurse along (at most three
+# frames a level); MAX_DEPTH bounds the AST's depth, which the printer and the
+# AST's own comparisons recurse along
+MAX_NESTING = 200
+MAX_DEPTH = 1000
+
+_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.k = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.toks[self.k]
@@ -183,35 +206,41 @@ class _Parser:
         return self.next()
 
     def expression(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = Bin(op, node, self.term())
-        return node
+        """Left-associative + - * / by precedence, reduced on an operator
+        stack: a long sum or product costs no recursion."""
+        operands, ops = [self.unary()], []
 
-    def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = Bin(op, node, self.unary())
-        return node
+        def reduce():
+            b = operands.pop()
+            operands[-1] = Bin(ops.pop(), operands[-1], b)
+
+        while (t := self.peek()).kind == "op" and t.text in _BINARY_PRECEDENCE:
+            self.next()
+            while ops and _BINARY_PRECEDENCE[ops[-1]] >= _BINARY_PRECEDENCE[t.text]:
+                reduce()
+            ops.append(t.text)
+            operands.append(self.unary())
+        while ops:
+            reduce()
+        return operands[0]
 
     def unary(self):
+        """A signed operand; '^' binds tighter than a sign and is
+        right-associative, with unary exponents allowed."""
         t = self.peek()
-        if t.kind == "op" and t.text == "-":
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ModelSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                   t.line, t.col, expected=("shallower nesting",))
+        if t.kind == "op" and t.text in "+-":
             self.next()
-            return Neg(self.unary())
-        if t.kind == "op" and t.text == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            return Bin("^", node, self.unary())  # right-assoc, unary exponents allowed
+            node = Neg(self.unary()) if t.text == "-" else self.unary()
+        else:
+            node = self.atom()
+            if self.peek().kind == "op" and self.peek().text == "^":
+                self.next()
+                node = Bin("^", node, self.unary())
+        self.nesting -= 1
         return node
 
     def atom(self):
@@ -247,10 +276,14 @@ class _Parser:
 
 
 def parse_expression(source: str, line: int = 1):
-    """Parse one expression string into an AST."""
+    """Parse one expression string into an AST, refusing one nested deeper
+    than MAX_NESTING or MAX_DEPTH."""
     p = _Parser(_tokenize(source, line))
     node = p.expression()
     p.finish()
+    if _depth(node) > MAX_DEPTH:
+        raise ModelSyntaxError(f"expression deeper than {MAX_DEPTH} operations", line, 1,
+                               expected=("a shallower expression",))
     return node
 
 
@@ -326,8 +359,7 @@ def _analytic(name):
     return fn
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": _div, "^": _pow}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 _FUNCTIONS = {"sqrt": _sqrt, "abs": abs, "log": _log,
               **{name: _analytic(name) for name in ("sin", "cos", "exp")}}
@@ -362,13 +394,31 @@ def lower(ast, params=None):
                 raise EvalError(f"unknown function {node.fn!r}")
             fn, a = _FUNCTIONS[node.fn], low(node.a)
             return lambda xs, ys: fn(a(xs, ys))
-        if isinstance(node, Bin):
-            op, a, b = _OPERATORS[node.op], low(node.a), low(node.b)
-            if (node.op == "^" and isinstance(node.b, Num) and node.b.value >= 1
-                    and node.b.value.is_integer()):
+        if isinstance(node, Bin) and node.op == "^":
+            a, b = low(node.a), low(node.b)
+            if isinstance(node.b, Num) and node.b.value >= 1 and node.b.value.is_integer():
                 k = int(node.b.value)   # _pow's integer branch, resolved once
                 return lambda xs, ys: int_power(a(xs, ys), k)
-            return lambda xs, ys: op(a(xs, ys), b(xs, ys))
+            return lambda xs, ys: _pow(a(xs, ys), b(xs, ys))
+        if isinstance(node, Bin):
+            # a left-nested run t0 op1 t1 op2 t2 ... of + - * /, evaluated left
+            # to right in one closure: no recursion per term
+            run_nodes = []
+            while isinstance(node, Bin) and node.op != "^":
+                run_nodes.append(node)
+                node = node.a
+            first = low(node)
+            steps = [(_OPERATORS[r.op], low(r.b)) for r in reversed(run_nodes)]
+            if len(steps) == 1:
+                (op, b), = steps
+                return lambda xs, ys: op(first(xs, ys), b(xs, ys))
+
+            def run(xs, ys):
+                acc = first(xs, ys)
+                for op, b in steps:
+                    acc = op(acc, b(xs, ys))
+                return acc
+            return run
         raise EvalError(f"cannot evaluate node {node!r}")
 
     return low(ast)
@@ -503,6 +553,13 @@ def parse(source: str) -> ModelDef:
     phi: dict[int, object] = {}
     domain: list = []
     params: dict[str, float] = {}
+    seen = set()   # single-valued keys: name, dim, F, box, phi<k>, param <p>
+
+    def once(key, lineno):
+        if key in seen:
+            raise ModelSyntaxError(f"duplicate {key}", lineno, 1,
+                                   expected=(f"{key} only once",))
+        seen.add(key)
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -511,6 +568,7 @@ def parse(source: str) -> ModelDef:
         pm = _PARAM_RE.match(line)
         if pm:
             pname, rhs = pm.group(1), pm.group(2)
+            once(f"param {pname}", lineno)
             try:
                 params[pname] = float(rhs.strip())
             except ValueError:
@@ -525,6 +583,8 @@ def parse(source: str) -> ModelDef:
                                              "param", "box"))
         key, rhs = hm.group(1), hm.group(2).strip()
         col0 = line.index("=") + 2
+        if key in ("name", "dim", "F", "box") or _PHI_RE.match(key):
+            once(key, lineno)
         if key == "name":
             name = rhs
         elif key == "dim":
@@ -538,17 +598,11 @@ def parse(source: str) -> ModelDef:
         elif key == "domain":
             domain.append(parse_expression(rhs, lineno))
         elif key == "box":
-            if box is not None:
-                raise ModelSyntaxError("duplicate box", lineno, 1, expected=("box only once",))
             box = (rhs, lineno, col0)
         else:
             phim = _PHI_RE.match(key)
             if phim:
-                idx = int(phim.group(1))
-                if idx in phi:
-                    raise ModelSyntaxError(f"duplicate phi{idx}", lineno, 1,
-                                           expected=(f"phi{idx} only once",))
-                phi[idx] = parse_expression(rhs, lineno)
+                phi[int(phim.group(1))] = parse_expression(rhs, lineno)
             else:
                 raise ModelSyntaxError(f"unknown key {key!r}", lineno, 1,
                                        expected=("name", "dim", "F", "phi<k>",

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
+from .errors import ModelSyntaxError
 
 __all__ = [
     "builtin_models",
@@ -48,14 +49,21 @@ def builtin_models():
 
 def builtin_model(name: str):
     path = _data_dir() / "models" / f"{name}.fmod"
-    return expr.parse(path.read_text())
+    return expr.parse(path.read_text(encoding="utf-8"))
 
 
 def load_model(ref: str):
-    """Load a model from a file path, or by builtin name."""
+    """Load a model from a file path, or by builtin name.  A file must be
+    UTF-8 text; one that is not is a ModelSyntaxError naming the file."""
     p = Path(ref)
     if p.is_file():
-        return expr.parse(p.read_text())
+        data = p.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ModelSyntaxError(f"{ref} is not UTF-8 text ({e.reason})",
+                                   data.count(b"\n", 0, e.start) + 1, 1) from None
+        return expr.parse(text)
     if ref in _BUILTIN_NAMES:
         return builtin_model(ref)
     raise FileNotFoundError(

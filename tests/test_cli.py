@@ -76,6 +76,44 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "line 6, col 6: box entry '1:0'" in capsys.readouterr().err
 
 
+EUCLID_LINES = "name = deep\ndim = 2\nF = {F}\nphi1 = -x1\nphi2 = -x2\ndomain = y1^2 + y2^2\n"
+F_EUCLID = "sqrt(y1^2 + y2^2)"
+
+
+@pytest.mark.parametrize("text, named", [
+    pytest.param(EUCLID_LINES.format(F="(" * 250 + F_EUCLID + ")" * 250).encode(),
+                 "line 3, col 201: expression nested deeper than 200 levels",
+                 id="250-parentheses"),
+    pytest.param(EUCLID_LINES.format(F=F_EUCLID + " + 0" * 5000).encode(),
+                 "line 3, col 1: expression deeper than 1000 operations", id="5000-terms"),
+    pytest.param((EUCLID_LINES.format(F=F_EUCLID) + "F = y1\n").encode(),
+                 "line 7, col 1: duplicate F", id="second-F"),
+    pytest.param(EUCLID_LINES.format(F=F_EUCLID).encode() + b"# caf\xe9\n",
+                 "line 7, col 1: ", id="not-utf8"),
+])
+@pytest.mark.parametrize("command", [
+    ["verify", "--samples", "8"], ["inspect", "--x=0.3,-0.2", "--y=1.1,0.7"]])
+def test_bad_model_file_is_a_model_error_naming_its_line(text, named, command,
+                                                         tmp_path, capsys):
+    p = tmp_path / "deep.fmod"
+    p.write_bytes(text)
+    assert run([command[0], "--model", str(p), *command[1:]]) == 3
+    assert f"model error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("F", [
+    pytest.param("(" * 190 + F_EUCLID + ")" * 190, id="190-parentheses"),
+    pytest.param(F_EUCLID + " + 0" * 900, id="900-terms"),
+])
+def test_nested_model_within_the_limits_inspects(F, tmp_path):
+    p = tmp_path / "deep.fmod"
+    p.write_text(EUCLID_LINES.format(F=F))
+    out = tmp_path / "dump.json"
+    assert run(["inspect", "--model", str(p), "--x=0.3,-0.2", "--y=1.1,0.7",
+                "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["spray"] == [0.0, 0.0]
+
+
 def test_renamed_shipped_model_reports_as_the_builtin(tmp_path):
     """Nothing but the model file's content picks the sampling box and the
     closed forms: a renamed copy of a shipped file reports as it does, apart

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finslerlab import expr
 from finslerlab.errors import EvalError, ModelSyntaxError, ModelValidationError
 from finslerlab.expr import Bin, Call, Num, Var
+from finslerlab.numkit import jet_space
 
 EXAMPLE_F = "sqrt(x3^2*((x1^2*y2^2 + 2*y1*y2)/y1)^2 + y3^2)"
 
@@ -197,9 +198,14 @@ def test_undeclared_parameter_rejected():
 
 
 def test_duplicate_phi_rejected():
-    bad = MINI_MODEL + "\nphi1 = 0\n"
-    with pytest.raises(ModelSyntaxError):
-        expr.parse(bad)
+    """phi<k> and the other single-valued keys are refused on their second
+    line, not overwritten by it."""
+    for line, key in [("phi1 = 0", "phi1"), ("name = other", "name"), ("dim = 2", "dim"),
+                      ("F = y1", "F"), ("param scale = 2.0", "param scale")]:
+        with pytest.raises(ModelSyntaxError) as ei:
+            expr.parse(MINI_MODEL + line + "\n")
+        assert f"duplicate {key}" in str(ei.value) and ei.value.line == 10
+    assert expr.parse(MINI_MODEL + "param other = 2.0\n").params == {"scale": 1.5, "other": 2.0}
 
 
 def test_box_line_parses_one_or_every_coordinate():
@@ -224,6 +230,35 @@ def test_duplicate_box_rejected():
     with pytest.raises(ModelSyntaxError) as ei:
         expr.parse(MINI_MODEL + "\nbox = 0:1\nbox = 0:2\n")
     assert "duplicate box" in str(ei.value)
+
+
+def _deep_model(F):
+    return MINI_MODEL.replace("F = sqrt(y1^2 + y2^2)", f"F = {F}")
+
+
+@pytest.mark.parametrize("F, message", [
+    pytest.param("(" * 250 + "sqrt(y1^2 + y2^2)" + ")" * 250,
+                 "nested deeper than 200 levels", id="250-parentheses"),
+    pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 5000,
+                 "deeper than 1000 operations", id="5000-terms"),
+])
+def test_deeply_nested_expression_is_a_model_error_naming_its_line(F, message):
+    with pytest.raises(ModelSyntaxError) as ei:
+        expr.parse(_deep_model(F))
+    assert message in str(ei.value) and ei.value.line == 5
+
+
+@pytest.mark.parametrize("F", [
+    pytest.param("(" * 190 + "sqrt(y1^2 + y2^2)" + ")" * 190, id="190-parentheses"),
+    pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 900, id="900-terms"),
+])
+def test_nested_expressions_within_the_limits_load_and_evaluate(F):
+    """Lowering and evaluation recurse per nesting level, not per term."""
+    deep, flat = expr.parse(_deep_model(F)), expr.parse(MINI_MODEL)
+    assert deep.F2_fn([0.3, -0.2], [3.0, 4.0]) == 25.0
+    coords = jet_space(2, 2, 1).lift([0.3, -0.2], [3.0, 4.0])
+    assert np.allclose(deep.F2_fn(coords[:2], coords[2:]).coeffs,
+                       flat.F2_fn(coords[:2], coords[2:]).coeffs, rtol=1e-14, atol=1e-14)
 
 
 def test_print_parse_round_trip_on_example():

@@ -5,6 +5,7 @@ import pytest
 
 from finslerlab import connections, core, matsumoto, models
 from finslerlab.core import metric_data
+from finslerlab.errors import ModelSyntaxError
 
 
 def test_builtin_models_parse_and_pass_homogeneity():
@@ -27,6 +28,14 @@ def test_load_model_by_name_and_path(tmp_path):
     assert models.load_model(str(p)).name == "tiny"
     with pytest.raises(FileNotFoundError):
         models.load_model("nope")
+
+
+def test_load_model_refuses_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.fmod"
+    p.write_bytes("name = café\ndim = 2\n".encode("latin-1"))
+    with pytest.raises(ModelSyntaxError) as ei:
+        models.load_model(str(p))
+    assert str(p) in str(ei.value) and "not UTF-8" in str(ei.value) and ei.value.line == 1
 
 
 def _engine_value(model, fx, name):
