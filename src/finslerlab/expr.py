@@ -282,7 +282,7 @@ def parse_expression(source: str, line: int = 1):
     node = p.expression()
     p.finish()
     if _depth(node) > MAX_DEPTH:
-        raise ModelSyntaxError(f"expression deeper than {MAX_DEPTH} operations", line, 1,
+        raise ModelSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", line, 1,
                                expected=("a shallower expression",))
     return node
 

@@ -85,7 +85,7 @@ F_EUCLID = "sqrt(y1^2 + y2^2)"
                  "line 3, col 201: expression nested deeper than 200 levels",
                  id="250-parentheses"),
     pytest.param(EUCLID_LINES.format(F=F_EUCLID + " + 0" * 5000).encode(),
-                 "line 3, col 1: expression deeper than 1000 operations", id="5000-terms"),
+                 "line 3, col 1: expression tree deeper than 1000 levels", id="5000-terms"),
     pytest.param((EUCLID_LINES.format(F=F_EUCLID) + "F = y1\n").encode(),
                  "line 7, col 1: duplicate F", id="second-F"),
     pytest.param(EUCLID_LINES.format(F=F_EUCLID).encode() + b"# caf\xe9\n",

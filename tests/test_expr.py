@@ -232,29 +232,16 @@ def test_duplicate_box_rejected():
     assert "duplicate box" in str(ei.value)
 
 
-def _deep_model(F):
-    return MINI_MODEL.replace("F = sqrt(y1^2 + y2^2)", f"F = {F}")
-
-
-@pytest.mark.parametrize("F, message", [
-    pytest.param("(" * 250 + "sqrt(y1^2 + y2^2)" + ")" * 250,
-                 "nested deeper than 200 levels", id="250-parentheses"),
-    pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 5000,
-                 "deeper than 1000 operations", id="5000-terms"),
-])
-def test_deeply_nested_expression_is_a_model_error_naming_its_line(F, message):
-    with pytest.raises(ModelSyntaxError) as ei:
-        expr.parse(_deep_model(F))
-    assert message in str(ei.value) and ei.value.line == 5
-
-
 @pytest.mark.parametrize("F", [
     pytest.param("(" * 190 + "sqrt(y1^2 + y2^2)" + ")" * 190, id="190-parentheses"),
     pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 900, id="900-terms"),
+    # 1,000 AST levels, the most a model may have
+    pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 996, id="996-terms"),
 ])
 def test_nested_expressions_within_the_limits_load_and_evaluate(F):
     """Lowering and evaluation recurse per nesting level, not per term."""
-    deep, flat = expr.parse(_deep_model(F)), expr.parse(MINI_MODEL)
+    deep = expr.parse(MINI_MODEL.replace("F = sqrt(y1^2 + y2^2)", f"F = {F}"))
+    flat = expr.parse(MINI_MODEL)
     assert deep.F2_fn([0.3, -0.2], [3.0, 4.0]) == 25.0
     coords = jet_space(2, 2, 1).lift([0.3, -0.2], [3.0, 4.0])
     assert np.allclose(deep.F2_fn(coords[:2], coords[2:]).coeffs,
