@@ -107,7 +107,8 @@ class GeometryJets:
     @cached_property
     def ginv_jets(self):
         n, const = self.n, self.space.constant
-        cols = [_jet_solve(self.g_jets, [const(float(i == j)) for i in range(n)]) for j in range(n)]
+        cols = [_jet_solve(self.g_jets, [const(float(i == j)) for i in range(n)])
+                for j in range(n)]
         return [list(row) for row in zip(*cols)]
 
     @cached_property
