@@ -316,7 +316,7 @@ SPRAY_ORDERS = (2, 1)
 
 
 def _spray_rhs(energy, x, y):
-    s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
+    s = TangentSample(np.asarray(x, float), np.asarray(y, float), True)
     E = energy.energy_jet(s, *SPRAY_ORDERS)
     G = 0.5 * np.linalg.solve(metric_tensor(E), spray_system(E, y))
     return np.concatenate([y, -2.0 * G])

@@ -38,15 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TangentSample:
-    """A point of the slit tangent bundle plus per-constraint domain flags."""
+    """A point of the slit tangent bundle and whether it is in the model domain."""
 
     x: np.ndarray
     y: np.ndarray
-    in_domain: tuple
+    in_domain: bool
 
     @property
     def ok(self) -> bool:
-        return all(self.in_domain) and bool(np.any(self.y != 0.0))
+        return self.in_domain and bool(np.any(self.y != 0.0))
 
 
 def make_sample(model, x, y) -> TangentSample:
@@ -58,7 +58,7 @@ def make_sample(model, x, y) -> TangentSample:
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise ValueError(f"coordinate {name}{bad[0] + 1} = {float(v[bad[0]])} is not finite")
-    return TangentSample(x, y, model.domain_flags(x, y))
+    return TangentSample(x, y, model.in_domain(x, y))
 
 
 class ModelEnergy:

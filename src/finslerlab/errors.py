@@ -27,13 +27,12 @@ class DegenerateMargin(FinslerError):
 
 
 class ModelSyntaxError(FinslerError):
-    """Model source failed to tokenize/parse. Carries position and expectations."""
+    """Model source failed to tokenize/parse. Carries the position."""
 
-    def __init__(self, message, line, col, expected=()):
+    def __init__(self, message, line, col):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
 
 
 class ModelValidationError(FinslerError):

@@ -38,7 +38,7 @@ from .errors import EvalError, ModelSyntaxError, ModelValidationError
 from .numkit import Jet, int_power
 
 __all__ = [
-    "Num", "Var", "Param", "Neg", "Bin", "Call",
+    "Num", "Var", "Param", "Neg", "Bin", "Run", "Call",
     "ModelDef", "parse", "parse_expression", "lower", "evaluate", "to_source",
     "free_vars", "squared",
 ]
@@ -73,9 +73,17 @@ class Neg:
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # + - * / ^
+    op: str  # '^'
     a: object
     b: object
+
+
+@dataclass(frozen=True)
+class Run:
+    """first op1 t1 op2 t2 ..., evaluated left to right; the ops are all + -
+    or all * /."""
+    first: object
+    rest: tuple  # ((op, operand), ...)
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,8 @@ class Call:
 def _children(node) -> tuple:
     if isinstance(node, Bin):
         return (node.a, node.b)
+    if isinstance(node, Run):
+        return (node.first, *(b for _, b in node.rest))
     if isinstance(node, (Neg, Call)):
         return (node.a,)
     return ()
@@ -104,16 +114,6 @@ def free_vars(ast):
             ps.add(node.name)
         stack.extend(_children(node))
     return vs, ps
-
-
-def _depth(ast) -> int:
-    """Number of nodes on the longest root-to-leaf path of the AST."""
-    deepest, stack = 0, [(ast, 1)]
-    while stack:
-        node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack.extend((child, d + 1) for child in _children(node))
-    return deepest
 
 
 def squared(ast):
@@ -148,7 +148,8 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str, line: int = 1) -> list[_Token]:
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Token]:
+    """Tokens of `text`, whose first character is at column `col` of `line`."""
     toks = []
     i = 0
     while i < len(text):
@@ -157,15 +158,14 @@ def _tokenize(text: str, line: int = 1) -> list[_Token]:
             stripped = text[i:].lstrip()
             if not stripped:
                 break
-            col = i + (len(text[i:]) - len(stripped)) + 1
-            raise ModelSyntaxError(f"unexpected character {stripped[0]!r}", line, col,
-                                   expected=("number", "identifier", "operator"))
+            raise ModelSyntaxError(f"unexpected character {stripped[0]!r}", line,
+                                   col + len(text) - len(stripped))
         for kind in ("num", "ident", "op"):
             if m.group(kind) is not None:
-                toks.append(_Token(kind, m.group(kind), line, m.start(kind) + 1))
+                toks.append(_Token(kind, m.group(kind), line, col + m.start(kind)))
                 break
         i = m.end()
-    toks.append(_Token("end", "", line, len(text) + 1))
+    toks.append(_Token("end", "", line, col + len(text)))
     return toks
 
 
@@ -173,15 +173,18 @@ def _tokenize(text: str, line: int = 1) -> list[_Token]:
 # recursive-descent expression parser
 # --------------------------------------------------------------------------
 
-# limits on one expression, each refused as a ModelSyntaxError naming its line:
 # MAX_NESTING bounds the levels of parentheses, function calls, signs and
-# powers, which parsing, lowering and evaluation recurse along (at most three
-# frames a level); MAX_DEPTH bounds the AST's depth, which the printer and the
-# AST's own comparisons recurse along
+# powers of one expression, which parsing, lowering and evaluation recurse
+# along (at most three frames a level); a deeper expression is refused as a
+# ModelSyntaxError naming its line.  A long sum or product is one Run node.
 MAX_NESTING = 200
-MAX_DEPTH = 1000
 
-_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+def _run(pairs):
+    """Run of the (op, operand) pairs, the first op ignored; a lone operand
+    stands for itself."""
+    (_, first), *rest = pairs
+    return Run(first, tuple(rest)) if rest else first
 
 
 class _Parser:
@@ -202,27 +205,22 @@ class _Parser:
         t = self.peek()
         if t.kind != "op" or t.text != op:
             raise ModelSyntaxError(f"expected {op!r}, found {t.text or 'end of input'!r}",
-                                   t.line, t.col, expected=(op,))
+                                   t.line, t.col)
         return self.next()
 
     def expression(self):
-        """Left-associative + - * / by precedence, reduced on an operator
-        stack: a long sum or product costs no recursion."""
-        operands, ops = [self.unary()], []
-
-        def reduce():
-            b = operands.pop()
-            operands[-1] = Bin(ops.pop(), operands[-1], b)
-
-        while (t := self.peek()).kind == "op" and t.text in _BINARY_PRECEDENCE:
+        """A run of + - over runs of * /, built in one loop: a long sum or
+        product costs no recursion.  Each product's first pair carries the
+        + or - that joins it to the sum."""
+        terms, factors = [], [(None, self.unary())]
+        while (t := self.peek()).kind == "op" and t.text in "+-*/":
             self.next()
-            while ops and _BINARY_PRECEDENCE[ops[-1]] >= _BINARY_PRECEDENCE[t.text]:
-                reduce()
-            ops.append(t.text)
-            operands.append(self.unary())
-        while ops:
-            reduce()
-        return operands[0]
+            if t.text in "+-":
+                terms.append((factors[0][0], _run(factors)))
+                factors = []
+            factors.append((t.text, self.unary()))
+        terms.append((factors[0][0], _run(factors)))
+        return _run(terms)
 
     def unary(self):
         """A signed operand; '^' binds tighter than a sign and is
@@ -231,7 +229,7 @@ class _Parser:
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise ModelSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
-                                   t.line, t.col, expected=("shallower nesting",))
+                                   t.line, t.col)
         if t.kind == "op" and t.text in "+-":
             self.next()
             node = Neg(self.unary()) if t.text == "-" else self.unary()
@@ -250,8 +248,7 @@ class _Parser:
         if t.kind == "ident":
             if self.peek().kind == "op" and self.peek().text == "(":
                 if t.text not in FUNCTIONS:
-                    raise ModelSyntaxError(
-                        f"unknown function {t.text!r}", t.line, t.col, expected=FUNCTIONS)
+                    raise ModelSyntaxError(f"unknown function {t.text!r}", t.line, t.col)
                 self.next()
                 arg = self.expression()
                 self.expect_op(")")
@@ -264,26 +261,21 @@ class _Parser:
             node = self.expression()
             self.expect_op(")")
             return node
-        raise ModelSyntaxError(
-            f"expected an expression, found {t.text or 'end of input'!r}",
-            t.line, t.col, expected=("number", "identifier", "("))
+        raise ModelSyntaxError(f"expected an expression, found {t.text or 'end of input'!r}",
+                               t.line, t.col)
 
     def finish(self):
         t = self.peek()
         if t.kind != "end":
-            raise ModelSyntaxError(f"trailing input {t.text!r}", t.line, t.col,
-                                   expected=("end of expression",))
+            raise ModelSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
 
 
-def parse_expression(source: str, line: int = 1):
-    """Parse one expression string into an AST, refusing one nested deeper
-    than MAX_NESTING or MAX_DEPTH."""
-    p = _Parser(_tokenize(source, line))
+def parse_expression(source: str, line: int = 1, col: int = 1):
+    """Parse one expression string, whose first character is at column `col`
+    of `line`, into an AST, refusing one nested deeper than MAX_NESTING."""
+    p = _Parser(_tokenize(source, line, col))
     node = p.expression()
     p.finish()
-    if _depth(node) > MAX_DEPTH:
-        raise ModelSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", line, 1,
-                               expected=("a shallower expression",))
     return node
 
 
@@ -394,21 +386,16 @@ def lower(ast, params=None):
                 raise EvalError(f"unknown function {node.fn!r}")
             fn, a = _FUNCTIONS[node.fn], low(node.a)
             return lambda xs, ys: fn(a(xs, ys))
-        if isinstance(node, Bin) and node.op == "^":
+        if isinstance(node, Bin):
             a, b = low(node.a), low(node.b)
             if isinstance(node.b, Num) and node.b.value >= 1 and node.b.value.is_integer():
                 k = int(node.b.value)   # _pow's integer branch, resolved once
                 return lambda xs, ys: int_power(a(xs, ys), k)
             return lambda xs, ys: _pow(a(xs, ys), b(xs, ys))
-        if isinstance(node, Bin):
-            # a left-nested run t0 op1 t1 op2 t2 ... of + - * /, evaluated left
-            # to right in one closure: no recursion per term
-            run_nodes = []
-            while isinstance(node, Bin) and node.op != "^":
-                run_nodes.append(node)
-                node = node.a
-            first = low(node)
-            steps = [(_OPERATORS[r.op], low(r.b)) for r in reversed(run_nodes)]
+        if isinstance(node, Run):
+            # one closure evaluates the run left to right: no recursion per term
+            first = low(node.first)
+            steps = [(_OPERATORS[op], low(b)) for op, b in node.rest]
             if len(steps) == 1:
                 (op, b), = steps
                 return lambda xs, ys: op(first(xs, ys), b(xs, ys))
@@ -457,11 +444,15 @@ def to_source(ast) -> str:
             inner = f"-{render(node.a, _PREC['neg'])}"
             return f"({inner})" if ctx > _PREC["neg"] else inner
         if isinstance(node, Bin):
-            p = _PREC[node.op]
-            if node.op == "^":
-                s = f"{render(node.a, p + 1)}^{render(node.b, p)}"
-            else:
-                s = f"{render(node.a, p)} {node.op} {render(node.b, p + 1)}"
+            p = _PREC["^"]
+            s = f"{render(node.a, p + 1)}^{render(node.b, p)}"
+            return f"({s})" if ctx > p else s
+        if isinstance(node, Run):
+            p = _PREC[node.rest[0][0]]
+            parts = [render(node.first, p + 1)]
+            for op, b in node.rest:
+                parts += (op, render(b, p + 1))
+            s = " ".join(parts)
             return f"({s})" if ctx > p else s
         raise ValueError(f"cannot render {node!r}")
 
@@ -501,20 +492,13 @@ class ModelDef:
             return replace(self, phi=tuple(Neg(p) for p in self.phi))
         raise ValueError(f"orientation must be +1 or -1, got {sign!r}")
 
-    def domain_flags(self, x, y) -> tuple:
-        """One flag per domain constraint: True when it is strictly positive at
-        (x, y).  A constraint that cannot be evaluated there counts as violated."""
-        flags = []
-        for c in self.domain_fns:
-            try:
-                flags.append(bool(c(x, y) > 0.0))
-            except EvalError:
-                flags.append(False)
-        return tuple(flags)
-
     def in_domain(self, x, y) -> bool:
-        """True when every domain constraint holds at (x, y)."""
-        return all(self.domain_flags(x, y))
+        """True when every domain constraint is strictly positive at (x, y).  A
+        constraint that cannot be evaluated there counts as violated."""
+        try:
+            return all(c(x, y) > 0.0 for c in self.domain_fns)
+        except EvalError:
+            return False
 
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
@@ -557,8 +541,7 @@ def parse(source: str) -> ModelDef:
 
     def once(key, lineno):
         if key in seen:
-            raise ModelSyntaxError(f"duplicate {key}", lineno, 1,
-                                   expected=(f"{key} only once",))
+            raise ModelSyntaxError(f"duplicate {key}", lineno, 1)
         seen.add(key)
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -573,16 +556,14 @@ def parse(source: str) -> ModelDef:
                 params[pname] = float(rhs.strip())
             except ValueError:
                 raise ModelSyntaxError(f"parameter {pname!r} needs a real literal",
-                                       lineno, line.find("=") + 2,
-                                       expected=("real number",)) from None
+                                       lineno, line.find("=") + 2) from None
             continue
         hm = _HEADER_RE.match(line)
         if not hm:
-            raise ModelSyntaxError("expected 'key = value'", lineno, 1,
-                                   expected=("name", "dim", "F", "phi<k>", "domain",
-                                             "param", "box"))
+            raise ModelSyntaxError("expected 'key = value'", lineno, 1)
         key, rhs = hm.group(1), hm.group(2).strip()
         col0 = line.index("=") + 2
+        rhs_col = hm.start(2) + 1
         if key in ("name", "dim", "F", "box") or _PHI_RE.match(key):
             once(key, lineno)
         if key == "name":
@@ -591,22 +572,19 @@ def parse(source: str) -> ModelDef:
             try:
                 dim = int(rhs)
             except ValueError:
-                raise ModelSyntaxError("dim needs an integer", lineno, col0,
-                                       expected=("integer",)) from None
+                raise ModelSyntaxError("dim needs an integer", lineno, col0) from None
         elif key == "F":
-            F = parse_expression(rhs, lineno)
+            F = parse_expression(rhs, lineno, rhs_col)
         elif key == "domain":
-            domain.append(parse_expression(rhs, lineno))
+            domain.append(parse_expression(rhs, lineno, rhs_col))
         elif key == "box":
             box = (rhs, lineno, col0)
         else:
             phim = _PHI_RE.match(key)
             if phim:
-                phi[int(phim.group(1))] = parse_expression(rhs, lineno)
+                phi[int(phim.group(1))] = parse_expression(rhs, lineno, rhs_col)
             else:
-                raise ModelSyntaxError(f"unknown key {key!r}", lineno, 1,
-                                       expected=("name", "dim", "F", "phi<k>",
-                                                 "domain", "param", "box"))
+                raise ModelSyntaxError(f"unknown key {key!r}", lineno, 1)
 
     if name is None:
         raise ModelValidationError("model file lacks a 'name =' line")
@@ -625,8 +603,7 @@ def parse(source: str) -> ModelDef:
         try:
             box = parse_box(text, 2 * dim)
         except ValueError as e:
-            raise ModelSyntaxError(str(e), lineno, col,
-                                   expected=("lo:hi per coordinate",)) from None
+            raise ModelSyntaxError(str(e), lineno, col) from None
 
     return ModelDef(name=name, dim=dim, F=F,
                     phi=tuple(phi[k] for k in range(1, dim + 1)),

@@ -67,9 +67,11 @@ HAT_FENCE = 1e-10
 HAT_GAP_FRACTION = 0.05
 # a margin above this fraction of F counts as healthy (far from degeneracy)
 HEALTHY_MARGIN = 0.1
-# directions swept around the circle by the margin ray scan, and the base
-# points the ray profile tries in turn
+# directions swept around the circle by the margin ray scan, the |margin|
+# levels it samples |det ghat| at (the ray profile compares the first with the
+# last), and the base points the ray profile tries in turn
 RAY_THETA_STEPS = 720
+RAY_DET_TARGETS = (1e-6, 0.5)
 RAY_BASE_POINTS = ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1])
 # orthogonal-component ratio the projective check must stay above
 PROJECTIVE_THRESHOLD = 1e-8
@@ -144,7 +146,7 @@ class HatEnergy:
         here and kept for it."""
         if not self.model.in_domain(x, y):
             return None
-        s = TangentSample(np.asarray(x, float), np.asarray(y, float), ())
+        s = TangentSample(np.asarray(x, float), np.asarray(y, float), True)
         jet, F, Phi = self._jet_and_values(s, *SPRAY_ORDERS)
         return None if jet is None else F ** 2 / (F - Phi)
 
@@ -555,9 +557,10 @@ def hat_sample_predicate(model):
 # --------------------------------------------------------------------------
 
 def nondegeneracy_scan(model, s_batch) -> IdentityResult:
-    """Margin-vs-determinant census: the changed metric must degenerate exactly
-    on the margin-zero set, so a healthy margin with a vanishing det ghat
-    (falsifying) or a tiny margin with a healthy det (suspicious) fails."""
+    """Margin-vs-determinant census: a healthy margin with a vanishing det ghat
+    (falsifying) or a tiny margin with a healthy det (suspicious) fails.  This
+    reads ghat as degenerating exactly on the margin-zero set, which holds only
+    in dim 2: in dim n >= 3, det ghat carries a factor (F - 2 Phi)^(n-2) too."""
     falsifying = suspicious = count = 0
     min_m = min_d = math.inf
     n = model.dim
@@ -583,9 +586,10 @@ def nondegeneracy_scan(model, s_batch) -> IdentityResult:
              f"min |margin| = {min_m!r}, min |det ghat| = {min_d!r}")
 
 
-def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
+def margin_ray_scan(model, x):
     """Sweep unit directions y(theta) at a fixed base point (dim 2 only),
-    root-find a margin zero, and sample |det ghat| at prescribed |margin| levels.
+    root-find a margin zero, and sample |det ghat| at the |margin| levels
+    RAY_DET_TARGETS.
 
     Returns None when the margin does not change sign along the circle.
     """
@@ -640,7 +644,7 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
         bisect(margin_at, bracket[0], bracket[1])
 
     levels = {}
-    for target in det_targets:
+    for target in RAY_DET_TARGETS:
         # walk from theta_star toward growing |margin| until it crosses `target`
         span = 1e-4
         while abs(margin_at(theta_star + span)) < target and span < math.pi:
@@ -655,8 +659,9 @@ def margin_ray_scan(model, x, det_targets=(1e-6, 0.5)):
 
 def ray_profile(model) -> IdentityResult:
     """Ray profile of the non-degeneracy theorem: at the first of a few base
-    points whose direction circle crosses a margin zero, |det ghat| at
-    |margin| = 1e-6 must be below 1e-3 of its value at |margin| = 0.5."""
+    points whose direction circle crosses a margin zero, |det ghat| at the
+    smallest |margin| of RAY_DET_TARGETS (1e-6) must be below 1e-3 of its
+    value at the largest (0.5)."""
     if model.dim != 2:
         return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped",
                               note="direction sweep is implemented for dim-2 models")
@@ -680,13 +685,14 @@ def ray_profile(model) -> IdentityResult:
             note += (f"; at {', '.join(map(str, fenced))} the margin zero lies on "
                      f"the hat-domain boundary, where ghat is undefined")
         return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped", note=note)
-    lv = ray["levels"]
+    small, big = RAY_DET_TARGETS[0], RAY_DET_TARGETS[-1]
+    det_small, det_big = ray["levels"][small]["det"], ray["levels"][big]["det"]
     return IdentityResult(
         name="nondegeneracy-ray-profile", kind="identity",
-        residual=abs(lv[1e-6]["det"]) / max(abs(lv[0.5]["det"]), 1e-300),
+        residual=abs(det_small) / max(abs(det_big), 1e-300),
         tolerance=1e-3, n_samples=1,
         note=f"theta* = {ray['theta_star']!r}, det at |margin|=1e-6 / 0.5 = "
-             f"{lv[1e-6]['det']!r} / {lv[0.5]['det']!r}")
+             f"{det_small!r} / {det_big!r}")
 
 
 def projective_check(sc: ChangeScalars, y: np.ndarray) -> float | None:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finslerlab import expr
 from finslerlab.errors import EvalError, ModelSyntaxError, ModelValidationError
-from finslerlab.expr import Bin, Call, Num, Var
+from finslerlab.expr import Bin, Call, Num, Run, Var
 from finslerlab.numkit import jet_space
 
 EXAMPLE_F = "sqrt(x3^2*((x1^2*y2^2 + 2*y1*y2)/y1)^2 + y3^2)"
@@ -28,8 +28,8 @@ param scale = 1.5
 def test_parse_euclid_norm_structure():
     ast = expr.parse_expression("sqrt(y1^2 + y2^2)")
     assert isinstance(ast, Call) and ast.fn == "sqrt"
-    assert isinstance(ast.a, Bin) and ast.a.op == "+"
-    assert ast.a.a == Bin("^", Var("y", 1), Num(2.0))
+    assert ast.a == Run(Bin("^", Var("y", 1), Num(2.0)),
+                        (("+", Bin("^", Var("y", 2), Num(2.0))),))
     # homogeneity of degree one in y
     v1 = expr.evaluate(ast, [0.0, 0.0], [0.6, 0.8])
     v2 = expr.evaluate(ast, [0.0, 0.0], [1.2, 1.6])
@@ -126,7 +126,7 @@ def test_missing_sections_rejected():
 
 def test_domain_constraint_that_cannot_be_evaluated_is_violated():
     m = expr.parse(MINI_MODEL + "domain = log(x1)\n")
-    assert m.domain_flags([-1.0, 0.0], [1.0, 0.0]) == (True, False)
+    assert not m.in_domain([-1.0, 0.0], [1.0, 0.0])   # log(x1) raises
     assert not m.in_domain([0.0, 0.0], [1.0, 0.0])
     assert m.in_domain([2.0, 0.0], [1.0, 0.0])
 
@@ -235,8 +235,8 @@ def test_duplicate_box_rejected():
 @pytest.mark.parametrize("F", [
     pytest.param("(" * 190 + "sqrt(y1^2 + y2^2)" + ")" * 190, id="190-parentheses"),
     pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 900, id="900-terms"),
-    # 1,000 AST levels, the most a model may have
     pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 996, id="996-terms"),
+    pytest.param("sqrt(y1^2 + y2^2)" + " + 0" * 5000, id="5000-terms"),
 ])
 def test_nested_expressions_within_the_limits_load_and_evaluate(F):
     """Lowering and evaluation recurse per nesting level, not per term."""
@@ -246,6 +246,22 @@ def test_nested_expressions_within_the_limits_load_and_evaluate(F):
     coords = jet_space(2, 2, 1).lift([0.3, -0.2], [3.0, 4.0])
     assert np.allclose(deep.F2_fn(coords[:2], coords[2:]).coeffs,
                        flat.F2_fn(coords[:2], coords[2:]).coeffs, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("terms", [5000, 20000])
+def test_long_sum_is_one_node(terms):
+    """A sum is one Run node however long it is: printing, comparing, hashing
+    and evaluating it cost no recursion per term, and it is evaluated left to
+    right."""
+    source = "y1" + " + y2" * terms
+    ast, again = expr.parse_expression(source), expr.parse_expression(source)
+    assert isinstance(ast, Run) and len(ast.rest) == terms
+    assert repr(ast) == repr(again) and ast == again and hash(ast) == hash(again)
+    assert expr.parse_expression(expr.to_source(ast)) == ast
+    acc = 0.1
+    for _ in range(terms):
+        acc = acc + 0.7
+    assert expr.evaluate(ast, [], [0.1, 0.7]) == acc
 
 
 def test_print_parse_round_trip_on_example():
@@ -265,9 +281,14 @@ def _asts(depth):
     if depth == 0:
         return leaf
     sub = _asts(depth - 1)
+    # a run's operators share one precedence, and it has at least one step
+    runs = st.sampled_from(["+-", "*/"]).flatmap(lambda ops: st.builds(
+        Run, sub, st.lists(st.tuples(st.sampled_from(ops), sub), min_size=1,
+                           max_size=3).map(tuple)))
     return st.one_of(
         leaf,
-        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
+        runs,
+        st.tuples(sub, sub).map(lambda t: Bin("^", *t)),
         sub.map(lambda a: expr.Neg(a)),
         sub.map(lambda a: Call("sqrt", a)),
     )

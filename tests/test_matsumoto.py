@@ -371,11 +371,12 @@ def test_margin_ray_scan_finds_root_and_collapsing_determinant():
     assert det_small <= 1e-3 * det_big
 
 
-def test_determinant_decreases_monotonically_with_margin():
+def test_determinant_decreases_monotonically_with_margin(monkeypatch):
     """|det ghat| shrinks monotonically over the last decades of |margin|
     (sampled on the contiguous branch next to the root)."""
     targets = (5e-3, 5e-4, 5e-5, 5e-6, 1e-6)
-    scan = matsumoto.margin_ray_scan(EU.oriented(+1), [0.8, 0.0], det_targets=targets)
+    monkeypatch.setattr(matsumoto, "RAY_DET_TARGETS", targets)
+    scan = matsumoto.margin_ray_scan(EU.oriented(+1), [0.8, 0.0])
     dets = [abs(scan["levels"][t]["det"]) for t in targets]
     assert all(a > b for a, b in zip(dets, dets[1:]))
     # the collapse is linear in the margin: one decade of margin loses about
