@@ -23,7 +23,7 @@ import numpy as np
 from .core import (MetricData, TangentSample, as_energy, cartan_tensor,
                    metric_tensor, read_metric_data, _require_in_domain)
 from .errors import DomainEscape, EvalError, OutsideHatDomain, SingularMetric
-from .numkit import Jet, jet_space
+from .numkit import Jet
 from .report import IdentityResult
 
 __all__ = [
@@ -91,6 +91,13 @@ class GeometryJets:
     def F_jet(self):
         """F = sqrt(2E) as a jet: one square root for `md` and the change scalars."""
         return (2.0 * self.E).sqrt()
+
+    @cached_property
+    def phi_jets(self):
+        """The model's phi^i on this geometry's x-coordinate jets, one
+        evaluation for the change jets and the probe's Jacobian; a constant
+        component stays a float."""
+        return [p(self.coords[:self.n], None) for p in self.energy.model.phi_fns]
 
     # -- jet-level fields ----------------------------------------------------
 
@@ -195,19 +202,6 @@ def phi_values(model, x) -> np.ndarray:
     return np.array([p(x, None) for p in model.phi_fns])
 
 
-def phi_jacobian(model, x) -> np.ndarray:
-    """dphi^i/dx^j from jets of the phi component expressions."""
-    n = model.dim
-    sp = jet_space(n, 0, 1)
-    xjets = [sp.coordinate(j, x[j]) for j in range(n)]
-    out = np.zeros((n, n))
-    for i, p in enumerate(model.phi_fns):
-        v = p(xjets, None)
-        if isinstance(v, Jet):
-            out[i] = v.partials(range(n))
-    return out
-
-
 PROBE_TOLERANCES = {
     "concurrency-probe": 1e-8,
     "concurrency-vertical-contraction": 1e-10,
@@ -216,10 +210,13 @@ PROBE_TOLERANCES = {
 
 def phi_covariants(model, geo):
     """hcov_phi = dphi^i/dx^j + phi^k Gamma^i_kj and phi^k C_kij at the sample
-    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more."""
-    x = geo.s.x
-    ph = phi_values(model, x)
-    return (phi_jacobian(model, x) + np.einsum("k,ikj->ij", ph, geo.cartan()),
+    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more;
+    dphi^i/dx^j is read off its `phi_jets`."""
+    n = geo.n
+    ph = phi_values(model, geo.s.x)
+    dphi = np.array([p.partials(range(n)) if isinstance(p, Jet) else np.zeros(n)
+                     for p in geo.phi_jets])
+    return (dphi + np.einsum("k,ikj->ij", ph, geo.cartan()),
             np.einsum("k,kij->ij", ph, geo.cartan_torsion()))
 
 

@@ -178,6 +178,11 @@ class ChangeScalars:
     def f2(self):
         return 2.0 * self.F**3 / self.margin
 
+    @cached_property
+    def a(self):
+        """a = F^2 (F - 2 Phi)/(F - Phi)^3, the factor of g, hbar and C in ghat, hhat, Chat."""
+        return self.F**2 * (self.F - 2 * self.Phi) / (self.F - self.Phi) ** 3
+
     @property
     def Fhat(self):
         return self.F * self.F / (self.F - self.Phi)
@@ -207,52 +212,51 @@ def change_scalars(md: MetricData, model, s: TangentSample) -> ChangeScalars:
 # predicted transformation laws (value level)
 # --------------------------------------------------------------------------
 
-def predicted_supporting_form(sc: ChangeScalars, md) -> np.ndarray:
+def predicted_supporting_form(sc: ChangeScalars) -> np.ndarray:
     F, P = sc.F, sc.Phi
-    return F * (F - 2 * P) / (F - P) ** 2 * md.ell + F**2 / (F - P) ** 2 * sc.phi_low
+    return F * (F - 2 * P) / (F - P) ** 2 * sc.md.ell + F**2 / (F - P) ** 2 * sc.phi_low
 
 
-def predicted_metric(sc: ChangeScalars, md) -> np.ndarray:
-    F, P = sc.F, sc.Phi
-    a = F**2 * (F - 2 * P) / (F - P) ** 3
+def predicted_metric(sc: ChangeScalars) -> np.ndarray:
+    F, P, md = sc.F, sc.Phi, sc.md
     b = 3 * F**4 / (F - P) ** 4
     c = F**2 * P * (4 * P - F) / (F - P) ** 4
     d = F**3 * (F - 4 * P) / (F - P) ** 4
     pl, el = sc.phi_low, md.ell
-    return (a * md.g + b * np.outer(pl, pl) + c * np.outer(el, el)
+    return (sc.a * md.g + b * np.outer(pl, pl) + c * np.outer(el, el)
             + d * (np.outer(pl, el) + np.outer(el, pl)))
 
 
-def predicted_angular(sc: ChangeScalars, md) -> np.ndarray:
-    F, P = sc.F, sc.Phi
-    a = F**2 * (F - 2 * P) / (F - P) ** 3
+def predicted_angular(sc: ChangeScalars) -> np.ndarray:
+    F, P, md = sc.F, sc.Phi, sc.md
     b = 2 * F**4 / (F - P) ** 4
     c = 2 * P**2 * F**2 / (F - P) ** 4
     d = -2 * P * F**3 / (F - P) ** 4
     pl, el = sc.phi_low, md.ell
-    return (a * md.hbar + b * np.outer(pl, pl) + c * np.outer(el, el)
+    return (sc.a * md.hbar + b * np.outer(pl, pl) + c * np.outer(el, el)
             + d * (np.outer(pl, el) + np.outer(el, pl)))
 
 
-def predicted_cartan(sc: ChangeScalars, md) -> np.ndarray:
+def predicted_cartan(sc: ChangeScalars) -> np.ndarray:
     """Chat_ijk = a C_ijk + F^2 (F - 4 Phi) / (2 (F - Phi)^4) sigma(hbar_ij m_k)
     + 6 F^4 / (F - Phi)^5 m_i m_j m_k, with m = phi_low - (Phi/F) ell,
-    a = F^2 (F - 2 Phi) / (F - Phi)^3 and sigma the cyclic sum over (i, j, k):
+    a = `ChangeScalars.a` and sigma the cyclic sum over (i, j, k):
     Shibata's beta-change form, valid where phi_low does not depend on y
     (phi^k C_kij = 0, as for a concurrent field)."""
-    F, P = sc.F, sc.Phi
-    a = F**2 * (F - 2 * P) / (F - P) ** 3
+    F, P, md = sc.F, sc.Phi, sc.md
     b = F**2 * (F - 4 * P) / (2 * (F - P) ** 4)
     c = 6 * F**4 / (F - P) ** 5
     m = sc.phi_low - (P / F) * md.ell
     hm = np.einsum("ij,k->ijk", md.hbar, m)
-    return (a * md.cartanC + b * (hm + hm.transpose(1, 2, 0) + hm.transpose(2, 0, 1))
+    return (sc.a * md.cartanC + b * (hm + hm.transpose(1, 2, 0) + hm.transpose(2, 0, 1))
             + c * np.einsum("i,j,k->ijk", m, m, m))
 
 
-def predicted_spray(sc: ChangeScalars, sprayG: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ghat^i = G^i + (1/2) f1 y^i - (1/2) f2 phi^i."""
-    return sprayG + 0.5 * sc.f1 * y - 0.5 * sc.f2 * sc.phi_up
+def predicted_spray(sc: ChangeScalars, G, y) -> np.ndarray:
+    """Ghat^i = G^i + (1/2) f1 y^i - (1/2) f2 phi^i, per component, so the
+    spray, the direction and the scalars may be floats or jets."""
+    return np.array([G[i] + 0.5 * sc.f1 * y[i] - 0.5 * sc.f2 * sc.phi_up[i]
+                     for i in range(len(y))])
 
 
 # --------------------------------------------------------------------------
@@ -268,9 +272,7 @@ class ChangeJets:
 
     @cached_property
     def scalars(self) -> ChangeScalars:
-        geo, n = self.geo, self.n
-        model = geo.energy.model
-        phi = [p(geo.coords[:n], None) for p in model.phi_fns]
+        geo, n, phi = self.geo, self.n, self.geo.phi_jets
         Phi, F = concurrent_form(phi, geo.E), geo.F_jet
         phi_up = [p if isinstance(p, Jet) else geo.space.constant(p) for p in phi]
         g = geo.g_jets
@@ -282,12 +284,7 @@ class ChangeJets:
 
     @cached_property
     def spray_pred_jets(self):
-        yc = self.geo.coords[self.n:]
-        sc = self.scalars
-        return [
-            self.geo.spray_jets[i] + 0.5 * sc.f1 * yc[i] - 0.5 * sc.f2 * sc.phi_up[i]
-            for i in range(self.n)
-        ]
+        return predicted_spray(self.scalars, self.geo.spray_jets, self.geo.coords[self.n:])
 
     @cached_property
     def nhat_pred_jets(self):
@@ -384,14 +381,13 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
     geo = GeometryJets(hat.base, s, *order)   # restricts the hat's base jet
     md = geo.md
     sc = change_scalars(md, model, s)
-    y = s.y
-    n = model.dim
+    y, n = s.y, model.dim
     cj = ChangeJets(geo)
     mdh = geo_hat.md
 
-    ellhat = predicted_supporting_form(sc, md)
-    ghat = predicted_metric(sc, md)
-    hhat = predicted_angular(sc, md)
+    ellhat = predicted_supporting_form(sc)
+    ghat = predicted_metric(sc)
+    hhat = predicted_angular(sc)
     nhat_formula = predicted_nonlinear_connection(cj)
     nhat_from_spray = np.array([G.partials(range(n, 2 * n)) for G in cj.spray_pred_jets])
     out = {
@@ -404,7 +400,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         "angular-metric-change": (hhat, mdh.hbar),
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
         "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
-        "cartan-torsion-change": (predicted_cartan(sc, md), mdh.cartanC),
+        "cartan-torsion-change": (predicted_cartan(sc), mdh.cartanC),
         "spray-change": (predicted_spray(sc, geo.spray(), y), geo_hat.spray()),
         "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),
@@ -413,22 +409,18 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
     if with_curvature:
         out["curvature-change"] = (
             curvature_from_njets(cj.nhat_pred_jets), geo_hat.curvature())
-    out.update(_lemma_pairs(geo, sc, cj.scalars))
+    out.update(_lemma_pairs(cj, sc))
     return out, sc, cj
 
 
-def _lemma_pairs(geo: GeometryJets, sc: ChangeScalars, jets: ChangeScalars):
-    """Pairs of the concurrent-field lemma, read off a base geometry valid to
-    (3, 1) or more, its value scalars `sc` and its change jets `jets`."""
-    md = geo.md
-    y = geo.s.y
-    n = geo.n
+def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
+    """Pairs of the concurrent-field lemma, read off change jets whose base
+    geometry is valid to (3, 1) or more and the value scalars `sc` there."""
+    geo, jets, md = cj.geo, cj.scalars, sc.md
+    y, n = geo.s.y, geo.n
     xs, ys = range(n), range(n, 2 * n)
-    N = geo.nonlinear()
-    G = geo.spray()
-    F = sc.F
-    m = sc.margin
-    Phi, p2 = sc.Phi, sc.p2
+    N, G = geo.nonlinear(), geo.spray()
+    F, m, Phi, p2 = sc.F, sc.margin, sc.Phi, sc.p2
 
     dyPhi = jets.Phi.partials(ys)
     dxPhi = jets.Phi.partials(xs)

@@ -94,9 +94,8 @@ def test_scalar_invariants_pairings():
 
 def test_predicted_supporting_form_p0():
     sc = _scalars(EX.oriented(+1), P0)
-    md = metric_data(EX, P0)
-    assert np.allclose(md.ell, np.array([-3.0, 12.0, 1.0]) / SQ10, atol=1e-12)
-    lh = matsumoto.predicted_supporting_form(sc, md)
+    assert np.allclose(sc.md.ell, np.array([-3.0, 12.0, 1.0]) / SQ10, atol=1e-12)
+    lh = matsumoto.predicted_supporting_form(sc)
     assert float(lh @ P0.y) == pytest.approx(sc.Fhat, rel=1e-12)
     direct = metric_data(HatEnergy(EX.oriented(+1)), P0).ell
     assert np.max(np.abs(lh - direct)) <= 1e-8 * max(1.0, np.max(np.abs(direct)))
@@ -105,21 +104,20 @@ def test_predicted_supporting_form_p0():
 def test_predicted_supporting_form_identity_at_vanishing_phi():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
     sc = _scalars(EU.oriented(+1), s)
-    md = metric_data(EU, s)
-    assert np.allclose(matsumoto.predicted_supporting_form(sc, md), md.ell, atol=1e-14)
-    assert np.allclose(matsumoto.predicted_metric(sc, md), md.g, atol=1e-14)
-    assert np.allclose(matsumoto.predicted_angular(sc, md), md.hbar, atol=1e-14)
+    md = sc.md
+    assert np.allclose(matsumoto.predicted_supporting_form(sc), md.ell, atol=1e-14)
+    assert np.allclose(matsumoto.predicted_metric(sc), md.g, atol=1e-14)
+    assert np.allclose(matsumoto.predicted_angular(sc), md.hbar, atol=1e-14)
 
 
 def test_predicted_metric_vs_hessian_p0_both_orientations():
-    md = metric_data(EX, P0)
     for orient in (+1.0, -1.0):
         sc = _scalars(EX.oriented(orient), P0)
-        ghat = matsumoto.predicted_metric(sc, md)
+        ghat = matsumoto.predicted_metric(sc)
         direct = metric_data(HatEnergy(EX.oriented(orient)), P0).g
         assert np.max(np.abs(ghat - direct)) <= 1e-7 * max(1.0, np.max(np.abs(direct)))
-        hhat = matsumoto.predicted_angular(sc, md)
-        lh = matsumoto.predicted_supporting_form(sc, md)
+        hhat = matsumoto.predicted_angular(sc)
+        lh = matsumoto.predicted_supporting_form(sc)
         assert np.max(np.abs(hhat - (ghat - np.outer(lh, lh)))) <= 1e-10 * max(
             1.0, np.max(np.abs(ghat)))
         assert np.max(np.abs(hhat @ P0.y)) <= 1e-9 * max(1.0, np.max(np.abs(hhat)))
@@ -128,20 +126,19 @@ def test_predicted_metric_vs_hessian_p0_both_orientations():
 def test_predicted_metric_vs_hessian_euclid_batch():
     for s in _batch(EU, +1.0, 30, 1):
         sc = _scalars(EU.oriented(+1), s)
-        md = metric_data(EU, s)
         direct = metric_data(HatEnergy(EU.oriented(+1)), s).g
-        got = matsumoto.predicted_metric(sc, md)
+        got = matsumoto.predicted_metric(sc)
         assert np.max(np.abs(got - direct)) <= 1e-7 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_predicted_cartan_torsion():
     s = core.make_sample(EU, [0.0, 0.0], [0.6, 0.8])
     sc = _scalars(EU.oriented(+1), s)
-    T = matsumoto.predicted_cartan(sc, sc.md)
+    T = matsumoto.predicted_cartan(sc)
     assert np.allclose(T, 0.0, atol=1e-13)  # flat space, phi = 0 there
 
     sc = _scalars(EX.oriented(-1), P0)
-    T = matsumoto.predicted_cartan(sc, sc.md)
+    T = matsumoto.predicted_cartan(sc)
     for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(T - np.transpose(T, perm))) <= 1e-9 * max(
             1.0, np.max(np.abs(T)))
@@ -265,7 +262,7 @@ def test_value_reads_differentiate_no_jet(monkeypatch):
         connections.berwald_from_njets(N_jets)
         connections.curvature_from_njets(N_jets)
     geo.delta_metric()
-    matsumoto._lemma_pairs(geo, sc, cj.scalars)
+    matsumoto._lemma_pairs(cj, sc)
     matsumoto.concurrency_obstruction(cj)
 
 
@@ -484,6 +481,21 @@ def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
     res = {r.name: r
            for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries}
     assert res[identity].passed is False
+    if helper == "predicted_spray":
+        # the spray jets N is differentiated from are the same law on jets
+        assert res["nonlinear-connection-internal"].passed is False
+
+
+def test_change_suite_fails_a_mutated_factor_a(monkeypatch):
+    """ghat, hhat and Chat read their factor a of g, hbar and C off
+    ChangeScalars.a; scaled by 1 + 1e-3, all three laws fail."""
+    original = vars(matsumoto.ChangeScalars)["a"].func
+    monkeypatch.setattr(matsumoto.ChangeScalars, "a",
+                        property(lambda sc: (1.0 + 1e-3) * original(sc)))
+    batch = _batch(EX, -1.0, 8, 29)
+    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries
+              if r.passed is False}
+    assert {"metric-change", "angular-metric-change", "cartan-torsion-change"} <= failed
 
 
 @pytest.mark.parametrize("name", ["margin", "f1", "f2"])
@@ -592,7 +604,7 @@ def _reference_lemma(model, s_batch):
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
-        pairs = matsumoto._lemma_pairs(geo, sc, matsumoto.ChangeJets(geo).scalars)
+        pairs = matsumoto._lemma_pairs(matsumoto.ChangeJets(geo), sc)
         for name, (pred, direct) in pairs.items():
             if name not in accs:
                 accs[name] = report.PairAccumulator(name, matsumoto.LEMMA_TOLERANCES[name])
