@@ -556,13 +556,12 @@ def parse(source: str) -> ModelDef:
                 params[pname] = float(rhs.strip())
             except ValueError:
                 raise ModelSyntaxError(f"parameter {pname!r} needs a real literal",
-                                       lineno, line.find("=") + 2) from None
+                                       lineno, pm.start(2) + 1) from None
             continue
         hm = _HEADER_RE.match(line)
         if not hm:
             raise ModelSyntaxError("expected 'key = value'", lineno, 1)
         key, rhs = hm.group(1), hm.group(2).strip()
-        col0 = line.index("=") + 2
         rhs_col = hm.start(2) + 1
         if key in ("name", "dim", "F", "box") or _PHI_RE.match(key):
             once(key, lineno)
@@ -572,13 +571,13 @@ def parse(source: str) -> ModelDef:
             try:
                 dim = int(rhs)
             except ValueError:
-                raise ModelSyntaxError("dim needs an integer", lineno, col0) from None
+                raise ModelSyntaxError("dim needs an integer", lineno, rhs_col) from None
         elif key == "F":
             F = parse_expression(rhs, lineno, rhs_col)
         elif key == "domain":
             domain.append(parse_expression(rhs, lineno, rhs_col))
         elif key == "box":
-            box = (rhs, lineno, col0)
+            box = (rhs, lineno, rhs_col)
         else:
             phim = _PHI_RE.match(key)
             if phim:

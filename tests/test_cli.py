@@ -73,7 +73,7 @@ def test_parse_error_exits_3(tmp_path, capsys):
                    "box = 1:0\n")
     capsys.readouterr()
     assert run(["verify", "--model", str(bad)]) == 3
-    assert "line 6, col 6: box entry '1:0'" in capsys.readouterr().err
+    assert "line 6, col 7: box entry '1:0'" in capsys.readouterr().err
 
 
 EUCLID_LINES = "name = deep\ndim = 2\nF = {F}\nphi1 = -x1\nphi2 = -x2\ndomain = y1^2 + y2^2\n"

@@ -223,7 +223,18 @@ def test_bad_box_line_is_a_syntax_error_naming_its_line(line):
     with pytest.raises(ModelSyntaxError) as ei:
         expr.parse(source)
     assert ei.value.line == source.count("\n")
-    assert str(ei.value).startswith(f"line {ei.value.line}, col 6: box ")
+    assert str(ei.value).startswith(f"line {ei.value.line}, col 7: box ")
+
+
+@pytest.mark.parametrize("source, col", [
+    pytest.param(MINI_MODEL + "box =   1:0\n", 9, id="box"),
+    pytest.param(MINI_MODEL.replace("dim = 2", "dim = two"), 7, id="dim"),
+    pytest.param(MINI_MODEL + "param k = abc\n", 11, id="param"),
+])
+def test_bad_header_value_names_the_value_column(source, col):
+    with pytest.raises(ModelSyntaxError) as ei:
+        expr.parse(source)
+    assert ei.value.col == col
 
 
 def test_duplicate_box_rejected():
