@@ -85,6 +85,24 @@ class Run:
     first: object
     rest: tuple  # ((op, operand), ...)
 
+    # The generated repr and == recurse through the rest tuple and each pair,
+    # four or five frames a nesting level; these take one or two, so an AST
+    # at MAX_NESTING prints and compares.
+    def __repr__(self):
+        pairs = []
+        for op, b in self.rest:
+            pairs.append(f"({op!r}, {b!r})")
+        comma = "," if len(pairs) == 1 else ""
+        return f"Run(first={self.first!r}, rest=({', '.join(pairs)}{comma}))"
+
+    def __eq__(self, other):
+        if other.__class__ is not Run:
+            return NotImplemented
+        same = len(self.rest) == len(other.rest) and self.first == other.first
+        for (op, b), (op2, b2) in zip(self.rest, other.rest):
+            same = same and op == op2 and b == b2
+        return same
+
 
 @dataclass(frozen=True)
 class Call:

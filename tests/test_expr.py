@@ -275,6 +275,22 @@ def test_long_sum_is_one_node(terms):
     assert expr.evaluate(ast, [], [0.1, 0.7]) == acc
 
 
+@pytest.mark.parametrize("source", [
+    pytest.param("(1+" * 199 + "y1" + ")" * 199, id="sums"),
+    pytest.param("(2*" * 199 + "y1" + ")" * 199, id="products"),
+    pytest.param("-" * 199 + "y1", id="signs"),
+    pytest.param("sqrt(" * 199 + "y1" + ")" * 199, id="calls"),
+    pytest.param("y1^" * 199 + "2", id="powers"),
+    pytest.param("(" * 199 + "y1" + ")" * 199, id="parentheses"),
+])
+def test_ast_at_the_nesting_limit_prints_compares_and_hashes(source):
+    """`repr`, `==`, `hash` and `to_source` of an AST 199 levels deep return
+    at the default recursion limit."""
+    ast, again = expr.parse_expression(source), expr.parse_expression(source)
+    assert repr(ast) == repr(again) and ast == again and hash(ast) == hash(again)
+    assert expr.parse_expression(expr.to_source(ast)) == ast
+
+
 def test_print_parse_round_trip_on_example():
     ast = expr.parse_expression(EXAMPLE_F)
     printed = expr.to_source(ast)
