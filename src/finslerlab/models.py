@@ -25,7 +25,6 @@ __all__ = [
     "load_model",
     "fixtures",
     "fixture_table",
-    "load_fixture_table",
     "decomposition_forms",
     "default_box",
     "P0",
@@ -231,24 +230,3 @@ def fixture_table(fix=None) -> str:
                 f"{f.model} {f.label} {xs} {ys} {name} {val!r} {tol!r} {prov}")
     return "\n".join(lines) + "\n"
 
-
-def load_fixture_table() -> list[ReferenceFixture]:
-    """Parse the shipped fixture table back into fixture objects."""
-    text = (_data_dir() / "fixtures" / "reference_values.txt").read_text()
-    rows = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        model, label, xs, ys, name, val, tol, prov = line.split()
-        key = (model, label)
-        rows.setdefault(key, {"x": xs, "y": ys, "values": {}})
-        rows[key]["values"][name] = (float(val), float(tol), prov)
-    out = []
-    for (model, label), rec in rows.items():
-        out.append(ReferenceFixture(
-            model, label,
-            tuple(float(v) for v in rec["x"].split(",")),
-            tuple(float(v) for v in rec["y"].split(",")),
-            rec["values"]))
-    return out

@@ -88,15 +88,6 @@ def test_fixture_table_file_matches_generator():
     assert shipped == models.fixture_table()
 
 
-def test_fixture_table_round_trip():
-    loaded = {(f.model, f.label): f for f in models.load_fixture_table()}
-    for fx in models.fixtures():
-        back = loaded[(fx.model, fx.label)]
-        assert back.x == tuple(map(float, fx.x))
-        for name, (val, tol, prov) in fx.values.items():
-            assert back.values[name] == (val, tol, prov)
-
-
 def test_example_is_independent_of_x2():
     """No printed component involves x2; P0 and its x2-shifted twin agree."""
     fx = {f.label: f for f in models.fixtures() if f.model == "matsumoto_example"}
