@@ -263,7 +263,8 @@ MAX_GEODESIC_STEPS = 1_000_000
 
 @dataclass
 class Trajectory:
-    """RK4 solution of x' = y, y' = -2G(x, y) with the metric value along it.
+    """Numerical solution of x' = y, y' = -2G(x, y) with the metric value along
+    it: RK4 steps, and Dormand-Prince 5(4) steps under step control.
 
     `escape_reason` is None for a full run, else why it stopped early: "left
     the domain", or the step no longer resolving the flow ("state blow-up",
@@ -319,38 +320,61 @@ def _spray_rhs(energy, x, y):
     return np.concatenate([y, -2.0 * G])
 
 
-def _rk4_step(rhs, z, h, embedded):
-    """One classic RK4 step from z, and with `embedded` also the third-order
-    companion of Zonneveld's 4(3) pair, from one more stage at c = 3/4
-    (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., Table II.4.2)."""
-    k1 = rhs(z)
+def _rk4_step(rhs, z, k1, h):
+    """One classic RK4 step from z, given its first stage k1 = rhs(z)."""
     k2 = rhs(z + 0.5 * h * k1)
     k3 = rhs(z + 0.5 * h * k2)
     k4 = rhs(z + h * k3)
-    z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not embedded:
-        return z_new, None
-    k5 = rhs(z + h * (5 / 32 * k1 + 7 / 32 * k2 + 13 / 32 * k3 - 1 / 32 * k4))
-    z3 = z + h * (-0.5 * k1 + 7 / 3 * k2 + 7 / 3 * k3 + 13 / 6 * k4 - 16 / 3 * k5)
-    return z_new, z3
+    return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+# Dormand & Prince's 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I, 2nd
+# ed., Table II.5.2): stage i + 2 is rhs at z + h sum_j A[i][j] k_j.  The last
+# row holds the fifth-order weights, so the last stage is rhs at the update
+# ("first same as last"); E weighs the seven stages into the update minus the
+# embedded fourth-order solution.
+_DOPRI_A = [np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_DOPRI_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                     22 / 525, -1 / 40])
+
+
+def _dopri_step(rhs, z, k1, h):
+    """One Dormand-Prince 5(4) step from z, given its first stage k1 = rhs(z):
+    the fifth-order update, its difference from the fourth-order companion,
+    and rhs at the update, which is the next step's first stage."""
+    K = np.empty((7, z.shape[0]))
+    K[0] = k1
+    for i, a in enumerate(_DOPRI_A, start=1):
+        z_new = z + h * (a[:, None] * K[:i]).sum(axis=0)
+        K[i] = rhs(z_new)
+    return z_new, h * (_DOPRI_E[:, None] * K).sum(axis=0), K[6]
 
 
 def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
                        tol: float | None = None) -> Trajectory:
-    """RK4 integration of the geodesic equation of the model's metric.
+    """Integration of the geodesic equation of the model's metric.
 
-    With `tol` None every step is `step` long and `t_end` must be a whole
-    number of them.  With `tol` set, the step is chosen by local error: a step
-    longer than `step` carries Zonneveld's third-order companion, is accepted
-    when max_i |z_rk4 - z3|_i / (tol (1 + |z_i|)) <= 1 and is retried shorter
-    otherwise (or when it trips a guard below); a step of at most `step`,
-    the floor, is a plain RK4 step that is never retried.  The RK4 update is
-    the one kept; the next step grows by min(5, 0.9 err^(-1/4)), fivefold
-    after a floor step, and the last step lands on `t_end`.  A retry that
-    falls to the floor makes the next longer attempt wait 1, 2, 4, ... floor
-    steps, until one is accepted, so a flow the pair cannot resolve runs at
-    about the fixed-step cost instead of alternating floor steps with
-    rejected attempts.
+    With `tol` None every step is an RK4 step `step` long and `t_end` must be
+    a whole number of them.  With `tol` (finite, > 0) the step is chosen by
+    local error: a step longer than `step` is a Dormand-Prince 5(4) step,
+    accepted when max_i |z5 - z4|_i / (tol (1 + |z_i|)) <= 1 and retried
+    shorter otherwise (or when it trips a guard below); a step of at most
+    `step`, the floor, is a plain RK4 step that is never retried.  The
+    fifth-order update is the one kept; the next step grows by
+    min(5, 0.9 err^(-1/5)), fivefold after a floor step, and the last step
+    lands on `t_end`.  A retry that falls to the floor makes the next longer
+    attempt wait 1, 2, 4, ... floor steps, until one is accepted, so a flow
+    the pair cannot resolve runs at about the fixed-step cost instead of
+    alternating floor steps with rejected attempts.  The spray is evaluated
+    once per state: a Dormand-Prince step's last stage, the spray at its
+    update, is the next step's first, and a retry reuses its start's.
 
     Halts early (escape_reason and exit_time set) when a step at the floor
     meets a state where the metric value F is undefined or stops resolving
@@ -360,6 +384,8 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
     for name, v in (("step", step), ("t_end", t_end)):
         if not 0.0 < v < np.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be None or finite and > 0, got {tol!r}")
     ratio = t_end / step
     if not ratio <= MAX_GEODESIC_STEPS:
         raise ValueError(f"t_end/step = {ratio!r} exceeds {MAX_GEODESIC_STEPS} RK4 steps")
@@ -386,6 +412,7 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
         return _spray_rhs(energy, zv[:n], zv[n:])
 
     h = step
+    k1 = None  # the spray at z, once evaluated
     floor_left, backoff = 0, 1  # floor steps before the next longer attempt
     while len(ts) <= nsteps if tol is None else ts[-1] < t_end:
         if tol is None:
@@ -395,11 +422,16 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
         embedded = tol is not None and h > step
         err = 0.0
         try:
-            z_new, z3 = _rk4_step(rhs, z, h, embedded)
+            if k1 is None:
+                k1 = rhs(z)
+            if embedded:
+                z_new, dz, k_new = _dopri_step(rhs, z, k1, h)
+            else:
+                z_new, k_new = _rk4_step(rhs, z, k1, h), None
             if not np.all(np.isfinite(z_new)) or np.max(np.abs(z_new)) > state_cap:
                 escape_reason = "state blow-up"
             elif embedded and not (err := float(np.max(
-                    np.abs(z_new - z3) / (tol * (1.0 + np.abs(z)))))) <= 1.0:
+                    np.abs(dz) / (tol * (1.0 + np.abs(z)))))) <= 1.0:
                 pass  # too long a step: retried below
             elif (F_new := energy.f_value(z_new[:n], z_new[n:])) is None:
                 escape_reason = "left the domain"
@@ -415,7 +447,7 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
         if embedded and (escape_reason is not None or not err <= 1.0):
             # retry shorter: by the error estimate, or by the largest cut past
             # a guard or a non-finite estimate; the floor is never retried
-            cut = 0.2 if escape_reason or not err < np.inf else max(0.2, 0.9 * err ** -0.25)
+            cut = 0.2 if escape_reason or not err < np.inf else max(0.2, 0.9 * err ** -0.2)
             h = max(step, h * cut)
             if h == step:
                 floor_left, backoff = backoff, 2 * backoff
@@ -423,13 +455,13 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
             continue
         if escape_reason is not None:
             break
-        z = z_new
+        z, k1 = z_new, k_new
         ts.append(t)
         xs.append(z[:n].copy())
         ys.append(z[n:].copy())
         Fs.append(F_new)
         if embedded:
-            h *= min(5.0, 0.9 * err ** -0.25) if err > 0.0 else 5.0
+            h *= min(5.0, 0.9 * err ** -0.2) if err > 0.0 else 5.0
             backoff = 1
         elif tol is not None and (floor_left := floor_left - 1) <= 0:
             h *= 5.0

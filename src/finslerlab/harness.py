@@ -52,8 +52,9 @@ CORE_TOLERANCES = {
 # core-batch samples that also get the FD oracle / the homogeneity check
 FD_SAMPLES = 20
 HOMOGENEITY_SAMPLES = 10
-# geodesic first-integral check: the step-controlled RK4 run's local-error
-# tolerance, its first and shortest step, and its duration
+# geodesic first-integral check: the local-error tolerance of its
+# Dormand-Prince 5(4) steps, its first and shortest step (a plain RK4 step),
+# and its duration
 GEODESIC_TOL = 1e-9
 GEODESIC_STEP = 1e-3
 GEODESIC_TIME = 1.0

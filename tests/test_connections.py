@@ -287,6 +287,14 @@ def test_geodesic_preconditions_and_escape():
     assert traj.t[-1] < 2.0
 
 
+@pytest.mark.parametrize("tol", [-1e-9, 0.0, math.nan, math.inf])
+def test_geodesic_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    """A negative tolerance would accept every step and a NaN one reject every
+    step; both are refused, as a zero or infinite one."""
+    with pytest.raises(ValueError, match="tol must be"):
+        connections.integrate_geodesic(HatEnergy(EX.oriented(-1)), P0, 0.05, 1e-3, tol=tol)
+
+
 def test_trajectory_csv_columns():
     import io
     s0 = core.make_sample(EU, [0.0, 0.0], [1.0, 0.0])
@@ -312,15 +320,15 @@ def _count_spray_calls(monkeypatch):
 
 # the criterion-9 starts: P0 with phi negated, and a generic flat start
 @pytest.mark.parametrize("energy, s0, share", [
-    pytest.param(HatEnergy(EX.oriented(-1)), P0, 1 / 3, id="example-hat-P0"),
+    pytest.param(HatEnergy(EX.oriented(-1)), P0, 1 / 10, id="example-hat-P0"),
     pytest.param(HatEnergy(EU.oriented(+1)),
-                 core.make_sample(EU, [0.2, 0.1], [1.0, 0.3]), 1 / 5, id="flat-hat"),
+                 core.make_sample(EU, [0.2, 0.1], [1.0, 0.3]), 1 / 20, id="flat-hat"),
 ])
 def test_step_controlled_geodesic_takes_fewer_spray_evaluations(energy, s0, share,
                                                                  monkeypatch):
     """With a local-error tolerance the run still reaches t = 1 and conserves
     the metric value, on a fraction of the fixed-step run's spray calls (the
-    example flow's acceleration is large enough that it needs about 0.29)."""
+    example flow's acceleration is large enough that it needs about 0.07)."""
     calls = _count_spray_calls(monkeypatch)
     fixed = connections.integrate_geodesic(energy, s0, 1.0, 1e-3)
     fixed_calls, calls[0] = calls[0], 0
@@ -332,8 +340,9 @@ def test_step_controlled_geodesic_takes_fewer_spray_evaluations(energy, s0, shar
 
 
 def test_embedded_pair_orders():
-    """On a smooth system, halving h cuts the one-step error of the RK4 update
-    about 32-fold (order 4) and of its companion about 16-fold (order 3)."""
+    """On a smooth system, halving h cuts the one-step error of the kept
+    Dormand-Prince update about 64-fold (order 5) and of its embedded
+    companion about 32-fold (order 4); the last stage is rhs at the update."""
     def f(z):
         return np.array([z[1], -math.sin(z[0]) + 0.3 * z[0] * z[1]])
 
@@ -342,17 +351,18 @@ def test_embedded_pair_orders():
     def reference(h):
         z = z0
         for _ in range(2000):
-            z, _ = connections._rk4_step(f, z, h / 2000, False)
+            z = connections._rk4_step(f, z, f(z), h / 2000)
         return z
 
     errs = []
     for h in (0.2, 0.1, 0.05):
-        z4, z3 = connections._rk4_step(f, z0, h, True)
+        z5, dz, k_last = connections._dopri_step(f, z0, f(z0), h)
+        assert np.array_equal(k_last, f(z5))
         zr = reference(h)
-        errs.append((np.max(np.abs(z4 - zr)), np.max(np.abs(z3 - zr))))
-    for (e4, e3), (f4, f3) in zip(errs, errs[1:]):
+        errs.append((np.max(np.abs(z5 - zr)), np.max(np.abs(z5 - dz - zr))))
+    for (e5, e4), (f5, f4) in zip(errs, errs[1:]):
+        assert 56 <= e5 / f5 <= 80
         assert 28 <= e4 / f4 <= 36
-        assert 14 <= e3 / f3 <= 18
 
 
 def test_step_controlled_geodesic_stops_at_a_wall_on_the_floor_step():

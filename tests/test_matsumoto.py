@@ -723,6 +723,52 @@ def test_hat_geodesic_builds_no_metric_data(monkeypatch):
     assert evaluations == [numkit.jet_space(3, y_order + 1, x_order)] * (4 * 100 + 1)
 
 
+def test_step_controlled_hat_geodesic_evaluates_the_spray_once_per_state(monkeypatch):
+    """A Dormand-Prince step evaluates the spray at six new states: its first
+    stage is the last stage of the step before, or the one its rejected
+    attempt already had.  A floor step evaluates three RK4 stages, and the
+    next step's first stage is evaluated at its end.  So a flow of `a`
+    attempted pair steps and `f` floor steps makes 6 a + 4 f + 1 spray calls,
+    one fewer when it ends on a floor step, all at distinct states.  F at a
+    pair step's update is read off the jet its last stage built, so `F^2` is
+    evaluated on jets six times per pair step, four times per floor step and
+    once at the start, and no metric data is built.  The seed-42 start at +1
+    runs toward the degeneracy, so this flow has rejections and floor steps."""
+    model = EX.oriented(+1)
+    s0 = core.make_sample(EX, [0.5157737551187723, 0.9799626422102767, 1.3376096710950822],
+                          [0.505451882186293, 0.6758014313418661, 1.8937552173927672])
+    calls = _count_calls(monkeypatch)
+    evaluations = _count_jet_evaluations(model, monkeypatch)
+    states, steps = [], []
+    spray_rhs, dopri_step, rk4_step = (connections._spray_rhs, connections._dopri_step,
+                                       connections._rk4_step)
+
+    def spray(energy, x, y):
+        states.append((x.tobytes(), y.tobytes()))
+        return spray_rhs(energy, x, y)
+
+    def counted(kind, step_fn):
+        def wrapper(*args):
+            steps.append(kind)
+            return step_fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(connections, "_spray_rhs", spray)
+    monkeypatch.setattr(connections, "_dopri_step", counted("pair", dopri_step))
+    monkeypatch.setattr(connections, "_rk4_step", counted("floor", rk4_step))
+    traj = connections.integrate_geodesic(HatEnergy(model), s0, 0.98, 1e-3, tol=1e-9)
+    assert not traj.escaped and traj.t[-1] == 0.98
+    pair, floor = steps.count("pair"), steps.count("floor")
+    assert floor > 1 and pair > traj.t.shape[0] - 1 - floor   # floor steps and rejections
+    assert len(states) == 6 * pair + 4 * floor + 1 - (steps[-1] == "floor")
+    assert len(set(states)) == len(states)
+    assert calls["metric_data"] == 0
+    assert calls["HatEnergy.energy_jet"] == len(states)
+    y_order, x_order = connections.SPRAY_ORDERS
+    assert evaluations == [numkit.jet_space(3, y_order + 1, x_order)] * (6 * pair + 4 * floor + 1)
+    assert calls["ModelEnergy.energy_jet"] == len(evaluations)
+
+
 def test_hat_provider_keeps_its_last_answer(monkeypatch):
     """The value path's jet is handed to the spray stage at the same point
     bytes and orders; other orders build anew.  Past the fence the kept
