@@ -329,10 +329,11 @@ def _rk4_step(rhs, z, k1, h):
 
 
 # Dormand & Prince's 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I, 2nd
-# ed., Table II.5.2): stage i + 2 is rhs at z + h sum_j A[i][j] k_j.  The last
-# row holds the fifth-order weights, so the last stage is rhs at the update
-# ("first same as last"); E weighs the seven stages into the update minus the
-# embedded fourth-order solution.
+# ed., Table II.5.2): each row of A gives the next stage's point,
+# z + h sum_j a_j k_j over the stages so far.  The last row holds the
+# fifth-order weights, so the last stage is rhs at the update ("first same as
+# last"); E weighs the seven stages into the update minus the embedded
+# fourth-order solution.
 _DOPRI_A = [np.array(row) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
