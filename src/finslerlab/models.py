@@ -217,11 +217,10 @@ def fixtures() -> list[ReferenceFixture]:
     return out
 
 
-def fixture_table(fix=None) -> str:
-    """Render fixtures as the plain-text table shipped under data/fixtures/."""
-    fix = fixtures() if fix is None else fix
+def fixture_table() -> str:
+    """Render the fixtures as the plain-text table shipped under data/fixtures/."""
     lines = ["# model point x y component expected tolerance provenance"]
-    for f in fix:
+    for f in fixtures():
         xs = ",".join(repr(float(v)) for v in f.x)
         ys = ",".join(repr(float(v)) for v in f.y)
         for name in sorted(f.values):

@@ -33,9 +33,9 @@ class IdentityResult:
     """Outcome of one identity over a batch.
 
     kind: 'identity' entries pass/fail against their tolerance; 'structural'
-    entries hold by construction; 'reported' entries carry a value with no
-    pass/fail semantics (e.g. an obstruction norm); 'skipped' entries explain
-    why a check did not apply to this model.
+    entries hold by construction; 'reported' entries state a value in their
+    note, with no residual and no pass/fail semantics; 'skipped' entries
+    explain why a check did not apply to this model.
     """
 
     name: str

@@ -241,7 +241,11 @@ def test_auto_orientation_runs_only_the_main_and_other_change_suites(monkeypatch
 def test_lemma_suite_euclid_and_example():
     for model, orient, stream in ((EU, +1.0, 9), (EX, -1.0, 10)):
         batch = _batch(model, orient, 10, stream)
-        for r in matsumoto.lemma_identity_suite(model.oriented(orient), batch):
+        entries = matsumoto.change_identity_suite(model.oriented(orient), batch,
+                                                  with_curvature=False).entries
+        lemma = [r for r in entries if r.name in matsumoto.LEMMA_TOLERANCES]
+        assert len(lemma) == len(matsumoto.LEMMA_TOLERANCES)
+        for r in lemma:
             assert r.residual <= 1e-8, (model.name, r.name, r.residual)
 
 
@@ -337,24 +341,65 @@ def test_obstruction_second_derivatives_match_finite_differences():
     assert np.max(np.abs(O - O_fd)) <= 1e-4 * max(1.0, np.max(np.abs(O)))
 
 
+@pytest.mark.parametrize("model, orient", [(EX, -1.0), (EX, +1.0), (EU, +1.0)])
+def test_obstruction_is_the_berwald_change_along_phi(model, orient):
+    """O^i_k = -2 sigma phi^m (Ghat^i_mk - G^i_mk) - 2 (phi^m df1/dy^m) delta^i_k,
+    with sigma = trace(hcov phi)/n and both Berwald connections recomputed:
+    phi stays concurrent for Fhat where O = -2 (phi . df1) delta, not O = 0."""
+    oriented = model.oriented(orient)
+    n = model.dim
+    for s in _batch(model, orient, 2, 33 + int(orient > 0)):
+        geo = connections.GeometryJets(oriented, s, 4, 1)
+        cj = matsumoto.ChangeJets(geo)
+        G_hat = connections.GeometryJets(HatEnergy(oriented), s, 4, 1).berwald()
+        sigma = np.trace(connections.phi_covariants(oriented, geo)[0]) / n
+        ph = connections.phi_values(oriented, s.x)
+        df1 = cj.scalars.f1.partials(range(n, 2 * n))
+        predicted = (-2.0 * sigma * np.einsum("m,imk->ik", ph, G_hat - geo.berwald())
+                     - 2.0 * float(ph @ df1) * np.eye(n))
+        O = matsumoto.concurrency_obstruction(cj)
+        assert np.max(np.abs(O)) > 0.1
+        assert report.relmax(predicted, O) <= 1e-12
+
+
 def test_nondegeneracy_scan_flags_nothing_healthy():
+    """The determinant law holds on a batch drawn as `verify` draws its census."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 20])))
     batch, _ = sample_batch(EU, models.default_box(EU), 40, rng)
     scan = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
     assert scan.name == "nondegeneracy-margin-scan"
-    assert scan.passed and scan.residual == 0.0 and scan.n_samples > 0
+    assert scan.passed and scan.residual <= 1e-12 and scan.n_samples > 0
 
 
 def test_nondegeneracy_scan_ignores_phi_free_variant():
-    m = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
-                   "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
+    """phi = 0: ghat = g, and the law reduces to det g (1 for this metric)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 21])))
-    batch, _ = sample_batch(m, models.default_box(EU), 20, rng)
-    scan = matsumoto.nondegeneracy_scan(m.oriented(+1), batch)
-    assert scan.passed and scan.n_samples == 20
-    # margin = F > 0 everywhere, ghat = g: nothing near degeneracy
-    min_margin = float(scan.note.split("min |margin| = ")[1].split(",")[0])
-    assert min_margin > 0.1
+    batch, _ = sample_batch(NOPHI, models.default_box(EU), 20, rng)
+    scan = matsumoto.nondegeneracy_scan(NOPHI.oriented(+1), batch)
+    assert scan.passed and scan.n_samples == 20 and scan.residual <= 1e-14
+    assert scan.predicted_worst == pytest.approx([1.0], abs=1e-14)
+    assert scan.direct_worst == pytest.approx([1.0], abs=1e-14)
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda sc: 1.0 + 1e-3,          # the whole law scaled
+    lambda sc: -1.0,                # its sign flipped
+    lambda sc: sc.a,                # a^(n-1) for a^(n-2)
+    lambda sc: sc.F**-5,            # F^5 dropped
+    lambda sc: sc.F - sc.Phi,       # (F - Phi)^5 for (F - Phi)^6
+], ids=["scaled", "sign", "a-power", "no-F5", "F-Phi-power"])
+@pytest.mark.parametrize("model, orient", [(EX, -1.0), (EU, +1.0)], ids=["example", "flat"])
+def test_nondegeneracy_scan_fails_a_mutated_determinant_law(mutant, model, orient,
+                                                           monkeypatch):
+    """Each factor of predicted_metric_determinant is read by the census: a
+    mutant of it fails on both shipped models, at the orientation verify picks."""
+    original = matsumoto.predicted_metric_determinant
+    monkeypatch.setattr(matsumoto, "predicted_metric_determinant",
+                        lambda sc: mutant(sc) * original(sc))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 35])))
+    batch, _ = sample_batch(model, models.default_box(model), 8, rng)
+    scan = matsumoto.nondegeneracy_scan(model.oriented(orient), batch)
+    assert scan.n_samples > 0 and scan.passed is False
 
 
 def test_margin_ray_scan_finds_root_and_collapsing_determinant():
@@ -506,10 +551,8 @@ def test_shared_change_scalars_fail_a_mutated_formula(name, monkeypatch):
     original = vars(matsumoto.ChangeScalars)[name].func
     monkeypatch.setattr(matsumoto.ChangeScalars, name,
                         property(lambda sc: (1.0 + 1e-3) * original(sc)))
-    model = EX.oriented(-1)
-    results = (matsumoto.change_identity_suite(model, batch).entries
-               + matsumoto.lemma_identity_suite(model, batch))
-    failed = {r.name for r in results if r.passed is False}
+    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries
+              if r.passed is False}
     assert "spray-change" in failed
     assert failed & {"chain-rule-f1", "chain-rule-f2"}
 
