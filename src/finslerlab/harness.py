@@ -362,7 +362,7 @@ def _sample_for_orientation(model, cfg, stream, count):
 def run_verification(model, cfg: RunConfig) -> SuiteReport:
     """Run every suite and assemble the one-model verification report; raises
     ValueError when a tolerance override names no entry of the report, or an
-    entry that has no tolerance (a reported, structural or skipped one)."""
+    entry that has no tolerance (a reported or skipped one)."""
     extras = {}
     results = []
 
@@ -406,8 +406,7 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
 
     scan_batch, _ = sample_batch(model, _box(model, cfg),
                                  min(cfg.samples, 50), _rng(cfg.seed, _STREAM_SCAN))
-    results.append(matsumoto.nondegeneracy_scan(hat_model, scan_batch))
-    results.append(matsumoto.ray_profile(hat_model))
+    results += matsumoto.nondegeneracy_scan(hat_model, scan_batch)
     results.append(change.projective)
     extras["obstruction_max_norm"] = change.obstruction_max
     results.append(change.obstruction)

@@ -27,7 +27,7 @@ import numpy as np
 from .connections import (SPRAY_ORDERS, GeometryJets, berwald_from_njets,
                           curvature_from_njets, phi_values)
 from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
-from .errors import DegenerateMargin, DomainEscape, OutsideHatDomain
+from .errors import DegenerateMargin, OutsideHatDomain
 from .numkit import Jet
 from .report import IdentityResult, PairAccumulator
 
@@ -48,11 +48,11 @@ __all__ = [
     "predicted_metric",
     "predicted_metric_determinant",
     "predicted_nonlinear_connection",
+    "predicted_positive_definite",
     "predicted_spray",
     "predicted_supporting_form",
     "projective_check",
     "rational_decomposition_check",
-    "ray_profile",
     "select_orientation",
     "hat_sample_predicate",
     "CHANGE_TOLERANCES",
@@ -65,14 +65,15 @@ MARGIN_EPS = 1e-8
 HAT_FENCE = 1e-10
 # suites additionally keep clear of the hat-domain boundary F = Phi
 HAT_GAP_FRACTION = 0.05
-# a margin above this fraction of F counts as healthy (far from degeneracy)
+# hat-side samples keep |margin| above this fraction of F.  This fences the
+# margin = 0 locus only: ghat also degenerates on F = 2 Phi for n >= 3, which
+# no fence keeps away, so a fenced sample may still have an indefinite ghat.
+# The change laws are algebraic identities and hold there too.
 HEALTHY_MARGIN = 0.1
-# directions swept around the circle by the margin ray scan, the |margin|
-# levels it samples |det ghat| at (the ray profile compares the first with the
-# last), and the base points the ray profile tries in turn
+# directions swept around the circle by the margin ray scan, and the |margin|
+# levels it samples |det ghat| at
 RAY_THETA_STEPS = 720
 RAY_DET_TARGETS = (1e-6, 0.5)
-RAY_BASE_POINTS = ([0.8, 0.0], [0.7, 0.2], [-0.8, 0.1])
 # orthogonal-component ratio the projective check must stay above
 PROJECTIVE_THRESHOLD = 1e-8
 
@@ -233,6 +234,13 @@ def predicted_metric_determinant(sc: ChangeScalars) -> float:
     on margin = 0 and, for n >= 3, on F = 2 Phi."""
     F, n = sc.F, len(sc.phi_low)
     return sc.md.det_g * sc.a ** (n - 2) * F**5 * sc.margin / (F - sc.Phi) ** 6
+
+
+def predicted_positive_definite(sc: ChangeScalars) -> bool:
+    """Whether ghat is positive definite, for a Riemannian F (inside the hat
+    domain): margin > 0 and, for n >= 3, F > 2 Phi.  Chern & Shen's condition
+    for the (alpha, beta)-metric with phi(s) = 1/(1 - s)."""
+    return sc.margin > 0 and (len(sc.phi_low) == 2 or sc.F > 2 * sc.Phi)
 
 
 def predicted_angular(sc: ChangeScalars) -> np.ndarray:
@@ -473,10 +481,10 @@ class ChangeSuite(NamedTuple):
 
 def change_identity_suite(model, s_batch, with_curvature: bool = True) -> ChangeSuite:
     """Predicted-vs-direct residuals of every transformation law over a batch,
-    then the structural Berwald entry, then the lemma identities.  The same
-    pass reads the projective witness at every sample (a ratio below 1e-10
-    means phi is parallel to y there, no violation) and the concurrency
-    obstruction at the first max(8, len(s_batch) // 8)."""
+    then the lemma identities.  The same pass reads the projective witness at
+    every sample (a ratio below 1e-10 means phi is parallel to y there, no
+    violation) and the concurrency obstruction at the first
+    max(8, len(s_batch) // 8)."""
     accs = {}
     skipped = 0
     ratios = []   # projective_check per sample with change scalars
@@ -496,17 +504,11 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True) -> Change
             norms.append(float(np.max(np.abs(concurrency_obstruction(cj)))))
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
         if skipped else ""
-    structural = IdentityResult(
-        name="vertical-berwald-invariance", kind="structural", residual=0.0,
-        n_samples=len(s_batch),
-        note="both routes differentiate with the same vertical operator "
-             "(Jet.diff_y); the invariance holds by construction")
     checked = [r for r in ratios if r is not None and not r < 1e-10]
     min_ratio = min([math.inf] + checked)
     obs_max = max([0.0] + norms)
     return ChangeSuite(
         [accs[k].result(note) for k in sorted(accs) if k in CHANGE_TOLERANCES]
-        + [structural]
         + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES],
         IdentityResult(
             name="projective-impossibility", kind="identity",
@@ -558,27 +560,38 @@ def hat_sample_predicate(model):
 # theorem-level checks
 # --------------------------------------------------------------------------
 
-def nondegeneracy_scan(model, s_batch) -> IdentityResult:
-    """The determinant law of the change over a batch, at every sample clear
-    of the hat-domain boundary: `predicted_metric_determinant` against the
-    det of the hat metric recomputed on Fhat's jets.  The law carries the
-    condition for ghat to be nondegenerate, margin != 0 and, for n >= 3,
-    F != 2 Phi."""
-    acc = PairAccumulator("nondegeneracy-margin-scan", 1e-9)
+def nondegeneracy_scan(model, s_batch):
+    """The determinant law and the signature of the hat metric over a batch,
+    at every sample clear of the hat-domain boundary: the det of the hat
+    metric recomputed on Fhat's jets against `predicted_metric_determinant`,
+    and the sign of its smallest eigenvalue against
+    `predicted_positive_definite`.  Together they carry the condition for
+    Fhat to be a Finsler metric: margin > 0 and, for n >= 3, F > 2 Phi."""
+    census = PairAccumulator("nondegeneracy-margin-scan", 1e-9)
+    signature = PairAccumulator("nondegeneracy-signature", 0.0)
+    low_margin = low_F = 0   # samples predicted indefinite, per locus
     hat = HatEnergy(model)
     for s in s_batch:
         # the hat geometry's base jet is the one this metric data reads
         sc = _scalar_values(metric_data(hat.base, s), model, s)
         if _clear_of_hat_boundary(sc):
-            acc.add(s, [predicted_metric_determinant(sc)],
-                    [np.linalg.det(GeometryJets(hat, s, 2, 0).metric())])
-    return acc.result()
+            ghat = GeometryJets(hat, s, 2, 0).metric()
+            census.add(s, [predicted_metric_determinant(sc)], [np.linalg.det(ghat)])
+            signature.add(s, [float(predicted_positive_definite(sc))],
+                          [float(np.linalg.eigvalsh(ghat)[0] > 0)])
+            low_margin += int(sc.margin <= 0)
+            low_F += int(model.dim > 2 and sc.F <= 2 * sc.Phi)
+    return [census.result(), signature.result(
+        f"samples predicted indefinite: {low_margin} with margin <= 0, "
+        f"{low_F} with F <= 2 Phi (n >= 3)")]
 
 
 def margin_ray_scan(model, x):
     """Sweep unit directions y(theta) at a fixed base point (dim 2 only),
     root-find a margin zero, and sample |det ghat| at the |margin| levels
-    RAY_DET_TARGETS.
+    RAY_DET_TARGETS.  `verify` does not run it; acceptance criterion 5, the
+    unit tests of the collapse and the perfbench tracer's
+    `matsumoto.theorem_checks` binding call it.
 
     Returns None when the margin does not change sign along the circle.
     """
@@ -644,44 +657,6 @@ def margin_ray_scan(model, x):
 
     return {"theta_star": float(theta_star), "margin_at_star": margin_at(theta_star),
             "det_at_star": det_at(theta_star), "levels": levels}
-
-
-def ray_profile(model) -> IdentityResult:
-    """Ray profile of the non-degeneracy theorem: at the first of a few base
-    points whose direction circle crosses a margin zero, |det ghat| at the
-    smallest |margin| of RAY_DET_TARGETS (1e-6) must be below 1e-3 of its
-    value at the largest (0.5)."""
-    if model.dim != 2:
-        return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped",
-                              note="direction sweep is implemented for dim-2 models")
-    ray, scanned, fenced = None, 0, []
-    for x in RAY_BASE_POINTS:
-        try:
-            ray = margin_ray_scan(model, x)
-        except DomainEscape:
-            continue  # a ray direction at this base point is outside the domain
-        except OutsideHatDomain:
-            fenced.append(x)  # its margin zero lies on the hat-domain boundary
-            continue
-        scanned += 1
-        if ray is not None:
-            break
-    if ray is None:
-        note = ("margin does not change sign on the probed rays" if scanned
-                else "no probed base point gives a ray profile" if fenced
-                else "every probed base point has rays outside the model domain")
-        if fenced:
-            note += (f"; at {', '.join(map(str, fenced))} the margin zero lies on "
-                     f"the hat-domain boundary, where ghat is undefined")
-        return IdentityResult(name="nondegeneracy-ray-profile", kind="skipped", note=note)
-    small, big = RAY_DET_TARGETS[0], RAY_DET_TARGETS[-1]
-    det_small, det_big = ray["levels"][small]["det"], ray["levels"][big]["det"]
-    return IdentityResult(
-        name="nondegeneracy-ray-profile", kind="identity",
-        residual=abs(det_small) / max(abs(det_big), 1e-300),
-        tolerance=1e-3, n_samples=1,
-        note=f"theta* = {ray['theta_star']!r}, det at |margin|=1e-6 / 0.5 = "
-             f"{det_small!r} / {det_big!r}")
 
 
 def projective_check(sc: ChangeScalars, y: np.ndarray) -> float | None:

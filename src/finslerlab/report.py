@@ -32,10 +32,10 @@ def relmax(predicted, direct) -> float:
 class IdentityResult:
     """Outcome of one identity over a batch.
 
-    kind: 'identity' entries pass/fail against their tolerance; 'structural'
-    entries hold by construction; 'reported' entries state a value in their
-    note, with no residual and no pass/fail semantics; 'skipped' entries
-    explain why a check did not apply to this model.
+    kind: 'identity' entries pass/fail against their tolerance; 'reported'
+    entries state a value in their note, with no residual and no pass/fail
+    semantics; 'skipped' entries explain why a check did not apply to this
+    model.
     """
 
     name: str
@@ -52,8 +52,6 @@ class IdentityResult:
     def passed(self):
         if self.kind == "identity":
             return self.residual is not None and self.residual <= self.tolerance
-        if self.kind == "structural":
-            return True
         return None  # reported / skipped entries do not gate
 
     @property

@@ -117,18 +117,20 @@ def test_criterion_04_change_suite_example_with_selected_orientation():
 
 def test_criterion_05_nondegeneracy_theorem():
     """A margin zero exists on a ray with 0.5 < |x| < 1; |det ghat| collapses
-    by >= 1e3 from margin 0.5 to margin 1e-6; det ghat follows its closed-form
-    law over a census batch."""
+    by >= 1e3 from margin 0.5 to margin 1e-6; over a census batch det ghat
+    follows its closed-form law and ghat is positive definite exactly where
+    predicted."""
     scan = matsumoto.margin_ray_scan(EU.oriented(+1), [0.8, 0.0])
     ratio = math.inf
     if scan is not None:
         ratio = abs(scan["levels"][1e-6]["det"]) / abs(scan["levels"][0.5]["det"])
     batch = _batch(EU, 50, 105)
-    census = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
-    ok = scan is not None and ratio <= 1e-3 and census.passed
+    census, signature = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
+    ok = scan is not None and ratio <= 1e-3 and census.passed and signature.passed
     _report(5, ok,
             f"theta* = {scan['theta_star']:.6f}, det collapse ratio {ratio:.3e} "
-            f"(tol 1e-3); census residual {census.residual:.3e} (tol 1e-9)")
+            f"(tol 1e-3); census residual {census.residual:.3e} (tol 1e-9); "
+            f"signature {signature.status} ({signature.note})")
 
 
 def test_criterion_06_projective_impossibility():

@@ -305,8 +305,7 @@ def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("model,entry,kind", [
     ("euclid_concurrent", "concurrency-obstruction", "reported"),
-    ("euclid_concurrent", "vertical-berwald-invariance", "structural"),
-    ("matsumoto_example", "nondegeneracy-ray-profile", "skipped"),
+    ("euclid_concurrent", "rational-decomposition-base", "skipped"),
 ])
 def test_verify_tolerance_override_of_an_entry_without_one_exits_2(
         model, entry, kind, tmp_path, capsys):
@@ -332,8 +331,7 @@ def test_report_covers_every_identity_exactly_once(tmp_path):
     expected = set(harness.CORE_TOLERANCES) | set(connections.PROBE_TOLERANCES) | set(
         __import__("finslerlab.matsumoto", fromlist=["x"]).CHANGE_TOLERANCES) | set(
         __import__("finslerlab.matsumoto", fromlist=["x"]).LEMMA_TOLERANCES) | {
-        "vertical-berwald-invariance", "nondegeneracy-margin-scan",
-        "nondegeneracy-ray-profile", "projective-impossibility",
+        "nondegeneracy-margin-scan", "nondegeneracy-signature", "projective-impossibility",
         "concurrency-obstruction", "rational-decomposition-base",
         "rational-decomposition-hat",
     }
@@ -436,23 +434,21 @@ domain = log(x1)
     pytest.param(["--box=-2:3,-1:1,0.5:2,0.5:2"], id="custom-box"),
 ])
 def test_verify_model_with_unevaluable_domain_runs(box, tmp_path):
-    """A constraint that raises (log of x1 <= 0) rejects the point, and ray-scan
-    base points outside the domain are skipped instead of ending the run."""
+    """A constraint that raises (log of x1 <= 0) rejects the point instead of
+    ending the run."""
     model = tmp_path / "log_domain.fmod"
     model.write_text(LOG_DOMAIN_MODEL)
     out = tmp_path / "rep.json"
     code = run(["verify", "--model", str(model), "--samples", "8", *box,
                 "--format", "json", "--out", str(out)])
     assert code in (0, 1)
-    ray = {r["name"]: r for r in json.loads(out.read_text())["identities"]}[
-        "nondegeneracy-ray-profile"]
-    assert ray["kind"] == "skipped" and "outside the model domain" in ray["note"]
 
 
-def test_ray_profile_skips_a_margin_zero_on_the_hat_boundary(tmp_path):
+def test_verify_with_a_margin_zero_on_the_hat_boundary_reports_the_failing_probe(tmp_path):
     """With phi constant on a flat metric the margin is 3 (F - Phi), so its
-    zero lies where ghat is undefined: the ray profile is skipped, naming why,
-    and the run reports the failing probe instead of ending with exit 2."""
+    zero lies where ghat is undefined: no census sample is predicted
+    indefinite, and the run reports the failing probe instead of ending with
+    exit 2."""
     model = tmp_path / "shifted.fmod"
     model.write_text("name = shifted\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
                      "phi1 = 1\nphi2 = 0\ndomain = y1^2 + y2^2\n")
@@ -461,8 +457,9 @@ def test_ray_profile_skips_a_margin_zero_on_the_hat_boundary(tmp_path):
                 "--format", "json", "--out", str(out)])
     assert code == 1
     res = {r["name"]: r for r in json.loads(out.read_text())["identities"]}
-    ray = res["nondegeneracy-ray-profile"]
-    assert ray["kind"] == "skipped" and "hat-domain boundary" in ray["note"]
+    signature = res["nondegeneracy-signature"]
+    assert signature["passed"] and signature["n_samples"] > 0
+    assert signature["note"].startswith("samples predicted indefinite: 0 with margin <= 0")
     assert res["concurrency-probe"]["passed"] is False
 
 

@@ -363,22 +363,29 @@ def test_obstruction_is_the_berwald_change_along_phi(model, orient):
 
 
 def test_nondegeneracy_scan_flags_nothing_healthy():
-    """The determinant law holds on a batch drawn as `verify` draws its census."""
+    """The determinant law and the signature hold on a batch drawn as
+    `verify` draws its census."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 20])))
     batch, _ = sample_batch(EU, models.default_box(EU), 40, rng)
-    scan = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
+    scan, signature = matsumoto.nondegeneracy_scan(EU.oriented(+1), batch)
     assert scan.name == "nondegeneracy-margin-scan"
     assert scan.passed and scan.residual <= 1e-12 and scan.n_samples > 0
+    assert signature.name == "nondegeneracy-signature"
+    assert signature.passed and signature.n_samples == scan.n_samples
 
 
 def test_nondegeneracy_scan_ignores_phi_free_variant():
-    """phi = 0: ghat = g, and the law reduces to det g (1 for this metric)."""
+    """phi = 0: ghat = g, the law reduces to det g (1 for this metric), and
+    no sample is predicted indefinite."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 21])))
     batch, _ = sample_batch(NOPHI, models.default_box(EU), 20, rng)
-    scan = matsumoto.nondegeneracy_scan(NOPHI.oriented(+1), batch)
+    scan, signature = matsumoto.nondegeneracy_scan(NOPHI.oriented(+1), batch)
     assert scan.passed and scan.n_samples == 20 and scan.residual <= 1e-14
     assert scan.predicted_worst == pytest.approx([1.0], abs=1e-14)
     assert scan.direct_worst == pytest.approx([1.0], abs=1e-14)
+    assert signature.passed and signature.n_samples == 20
+    assert signature.note == ("samples predicted indefinite: 0 with margin <= 0, "
+                              "0 with F <= 2 Phi (n >= 3)")
 
 
 @pytest.mark.parametrize("mutant", [
@@ -398,8 +405,24 @@ def test_nondegeneracy_scan_fails_a_mutated_determinant_law(mutant, model, orien
                         lambda sc: mutant(sc) * original(sc))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 35])))
     batch, _ = sample_batch(model, models.default_box(model), 8, rng)
-    scan = matsumoto.nondegeneracy_scan(model.oriented(orient), batch)
+    scan, _ = matsumoto.nondegeneracy_scan(model.oriented(orient), batch)
     assert scan.n_samples > 0 and scan.passed is False
+
+
+@pytest.mark.parametrize("mutant, model", [
+    (lambda sc: sc.margin > 0, EX),
+    (lambda sc: len(sc.phi_low) == 2 or sc.F > 2 * sc.Phi, EU),
+], ids=["no-F-2Phi-clause", "no-margin-clause"])
+def test_nondegeneracy_scan_fails_a_mutated_signature_law(mutant, model, monkeypatch):
+    """Each clause of predicted_positive_definite is read by the census at
+    orientation +1: without F > 2 Phi it misses the indefinite samples of
+    matsumoto_example, without margin > 0 those of euclid_concurrent."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 35])))
+    batch, _ = sample_batch(model, models.default_box(model), 8, rng)
+    assert matsumoto.nondegeneracy_scan(model.oriented(+1), batch)[1].passed
+    monkeypatch.setattr(matsumoto, "predicted_positive_definite", mutant)
+    scan, signature = matsumoto.nondegeneracy_scan(model.oriented(+1), batch)
+    assert scan.passed and signature.n_samples > 0 and signature.passed is False
 
 
 def test_margin_ray_scan_finds_root_and_collapsing_determinant():
