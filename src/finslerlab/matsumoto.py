@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .connections import (SPRAY_ORDERS, GeometryJets, berwald_from_njets,
-                          curvature_from_njets, phi_values)
+                          curvature_from_njets, phi_covariants, phi_values)
 from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
 from .errors import DegenerateMargin, OutsideHatDomain
 from .numkit import Jet
@@ -33,7 +32,6 @@ from .report import IdentityResult, PairAccumulator
 
 __all__ = [
     "ChangeScalars",
-    "ChangeSuite",
     "HatEnergy",
     "change_scalars",
     "change_identity_suite",
@@ -76,6 +74,8 @@ RAY_THETA_STEPS = 720
 RAY_DET_TARGETS = (1e-6, 0.5)
 # orthogonal-component ratio the projective check must stay above
 PROJECTIVE_THRESHOLD = 1e-8
+# closed-form concurrency obstruction against its Berwald route
+OBSTRUCTION_TOLERANCE = 1e-9
 
 
 def _inside_hat_fence(F: float, Phi: float) -> bool:
@@ -387,10 +387,11 @@ LEMMA_TOLERANCES = {
 
 def _check_change(model, s: TangentSample, with_curvature: bool):
     """Predicted-vs-direct pairs of every transformation law and lemma identity
-    at one sample, with the value scalars and change jets they read: one base
-    and one hat geometry, both at order (4, 2) with curvature and (4, 1)
-    without.  The hat geometry is built first, so the base geometry's energy
-    jet is the restriction of the one its base provider built for the hat."""
+    at one sample, with the value scalars, change jets and hat geometry they
+    read: one base and one hat geometry, both at order (4, 2) with curvature
+    and (4, 1) without.  The hat geometry is built first, so the base
+    geometry's energy jet is the restriction of the one its base provider
+    built for the hat."""
     order = (4, 2 if with_curvature else 1)
     hat = HatEnergy(model)
     geo_hat = GeometryJets(hat, s, *order)
@@ -426,7 +427,7 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         out["curvature-change"] = (
             curvature_from_njets(cj.nhat_pred_jets), geo_hat.curvature())
     out.update(_lemma_pairs(cj, sc))
-    return out, sc, cj
+    return out, sc, cj, geo_hat
 
 
 def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
@@ -469,29 +470,35 @@ def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
 _TOLERANCES = {**CHANGE_TOLERANCES, **LEMMA_TOLERANCES}
 
 
-class ChangeSuite(NamedTuple):
-    """`change_identity_suite`'s entries, its projective-impossibility and
-    concurrency-obstruction entries, and the largest |O|."""
+def _obstruction_pair(model, cj: ChangeJets, geo_hat: GeometryJets):
+    """The closed-form obstruction O and its Berwald route at one sample,
+    -2 sigma phi^m (Ghat^i_mk - G^i_mk) - 2 (phi^m df1/dy^m) delta^i_k, with
+    sigma = trace(hcov phi)/n and both Berwald connections recomputed: phi
+    stays concurrent for Fhat where O = -2 (phi . df1) delta, not O = 0."""
+    geo, n = cj.geo, cj.n
+    sigma = np.trace(phi_covariants(model, geo)[0]) / n
+    ph = phi_values(model, geo.s.x)
+    df1 = cj.scalars.f1.partials(range(n, 2 * n))
+    direct = (-2.0 * sigma * np.einsum("m,imk->ik", ph, geo_hat.berwald() - geo.berwald())
+              - 2.0 * float(ph @ df1) * np.eye(n))
+    return concurrency_obstruction(cj), direct
 
-    entries: list
-    projective: IdentityResult
-    obstruction: IdentityResult
-    obstruction_max: float
 
-
-def change_identity_suite(model, s_batch, with_curvature: bool = True) -> ChangeSuite:
+def change_identity_suite(model, s_batch, with_curvature: bool = True) -> list:
     """Predicted-vs-direct residuals of every transformation law over a batch,
-    then the lemma identities.  The same pass reads the projective witness at
+    then the lemma identities, projective-impossibility and
+    concurrency-obstruction.  The same pass reads the projective witness at
     every sample (a ratio below 1e-10 means phi is parallel to y there, no
-    violation) and the concurrency obstruction at the first
-    max(8, len(s_batch) // 8)."""
+    violation) and the concurrency obstruction against its Berwald route at
+    the first max(8, len(s_batch) // 8)."""
     accs = {}
     skipped = 0
     ratios = []   # projective_check per sample with change scalars
-    norms = []    # max |O| per obstruction sample
+    obstruction = PairAccumulator("concurrency-obstruction", OBSTRUCTION_TOLERANCE)
+    obs_max = 0.0
     for k, s in enumerate(s_batch):
         try:
-            pairs, sc, cj = _check_change(model, s, with_curvature)
+            pairs, sc, cj, geo_hat = _check_change(model, s, with_curvature)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -501,34 +508,32 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True) -> Change
             accs[name].add(s, pred, direct)
         ratios.append(projective_check(sc, s.y))
         if k < max(8, len(s_batch) // 8):
-            norms.append(float(np.max(np.abs(concurrency_obstruction(cj)))))
+            O, direct = _obstruction_pair(model, cj, geo_hat)
+            obstruction.add(s, O, direct)
+            obs_max = max(obs_max, float(np.max(np.abs(O))))
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
         if skipped else ""
     checked = [r for r in ratios if r is not None and not r < 1e-10]
     min_ratio = min([math.inf] + checked)
-    obs_max = max([0.0] + norms)
-    return ChangeSuite(
+    return (
         [accs[k].result(note) for k in sorted(accs) if k in CHANGE_TOLERANCES]
-        + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES],
-        IdentityResult(
+        + [accs[k].result(note) for k in sorted(accs) if k in LEMMA_TOLERANCES]
+        + [IdentityResult(
             name="projective-impossibility", kind="identity",
             residual=PROJECTIVE_THRESHOLD / max(min_ratio, 1e-300),
             tolerance=1.0, n_samples=len(checked),
             note=f"min orthogonal-component ratio {min_ratio!r}; "
                  f"{len(ratios) - len(checked) - ratios.count(None)} parallel and "
                  f"{skipped + ratios.count(None)} degenerate samples skipped"),
-        IdentityResult(
-            name="concurrency-obstruction", kind="reported", n_samples=len(norms),
-            note=f"max |O| = {obs_max!r}"),
-        obs_max)
+           obstruction.result(f"max |O| = {obs_max!r}")])
 
 
 def lemma_identity_suite(model, s_batch):
     """The lemma entries of `change_identity_suite` without curvature.  Nothing
     in the package or its tests calls it: `verify` and the tests read these
-    entries off `change_identity_suite(...).entries`, and only the perfbench
+    entries off `change_identity_suite`'s list, and only the perfbench
     tracer's `matsumoto.lemma_suite` binding holds it."""
-    return [r for r in change_identity_suite(model, s_batch, with_curvature=False).entries
+    return [r for r in change_identity_suite(model, s_batch, with_curvature=False)
             if r.name in LEMMA_TOLERANCES]
 
 
@@ -689,14 +694,14 @@ def rational_decomposition_check(model, s_batch):
     skipped = 0
     hat = HatEnergy(model)
     for s in s_batch:
-        # the hat's metric data below is served from this base energy jet
-        md = GeometryJets(hat.base, s, 4, 0).md
+        # the hat metric below is served from this base energy jet
+        md = metric_data(hat.base, s)
         if base_forms is not None:
             theta, a = base_forms(s.x, s.y)
             acc_base.add(s, theta * a, md.g)
         try:
             sc = change_scalars(md, model, s)
-            mdh = metric_data(hat, s)
+            ghat = GeometryJets(hat, s, 2, 0).metric()
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -707,7 +712,7 @@ def rational_decomposition_check(model, s_batch):
         a_hat = ((F**2 + 2 * P**2) * md.g + 3 * F**2 * np.outer(pl, pl)
                  + 4 * P**2 * np.outer(el, el) - 4 * P * cross
                  - F * P * (3 * md.g + np.outer(el, el)) + F * cross)
-        acc_hat.add(s, theta_hat * a_hat, mdh.g)
+        acc_hat.add(s, theta_hat * a_hat, ghat)
     note = f"{skipped} samples outside hat domain skipped" if skipped else ""
     base = acc_base.result() if base_forms is not None else IdentityResult(
         name="rational-decomposition-base", kind="skipped",

@@ -32,10 +32,8 @@ def relmax(predicted, direct) -> float:
 class IdentityResult:
     """Outcome of one identity over a batch.
 
-    kind: 'identity' entries pass/fail against their tolerance; 'reported'
-    entries state a value in their note, with no residual and no pass/fail
-    semantics; 'skipped' entries explain why a check did not apply to this
-    model.
+    kind: 'identity' entries pass/fail against their tolerance; 'skipped'
+    entries explain why a check did not apply to this model.
     """
 
     name: str
@@ -52,7 +50,7 @@ class IdentityResult:
     def passed(self):
         if self.kind == "identity":
             return self.residual is not None and self.residual <= self.tolerance
-        return None  # reported / skipped entries do not gate
+        return None  # skipped entries do not gate
 
     @property
     def status(self) -> str:

@@ -304,7 +304,6 @@ def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model,entry,kind", [
-    ("euclid_concurrent", "concurrency-obstruction", "reported"),
     ("euclid_concurrent", "rational-decomposition-base", "skipped"),
 ])
 def test_verify_tolerance_override_of_an_entry_without_one_exits_2(
@@ -319,6 +318,19 @@ def test_verify_tolerance_override_of_an_entry_without_one_exits_2(
     assert code == 2
     assert f"{entry} ({kind})" in err and "metric-change" not in err
     assert not out.exists()
+
+
+def test_verify_obstruction_gates_under_a_zero_tolerance(tmp_path):
+    """concurrency-obstruction carries a tolerance like every other entry: at
+    0 its roundoff-level residual fails the run."""
+    out = tmp_path / "rep.json"
+    code = run(["verify", "--model", "euclid_concurrent", "--samples", "8", "--seed", "3",
+                "--format", "json", "--out", str(out),
+                "--tolerance", "concurrency-obstruction=0"])
+    entry = next(r for r in json.loads(out.read_text())["identities"]
+                 if r["name"] == "concurrency-obstruction")
+    assert code == 1
+    assert entry["tolerance"] == 0.0 and entry["residual"] > 0.0 and entry["passed"] is False
 
 
 def test_report_covers_every_identity_exactly_once(tmp_path):
@@ -336,6 +348,7 @@ def test_report_covers_every_identity_exactly_once(tmp_path):
         "rational-decomposition-hat",
     }
     assert set(names) == expected
+    assert {r["kind"] for r in rep["identities"]} <= {"identity", "skipped"}
 
 
 @pytest.mark.parametrize("model", ["euclid_concurrent", "matsumoto_example"])

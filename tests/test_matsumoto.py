@@ -49,6 +49,22 @@ def _batch(model, orientation, count, stream):
                         predicate=matsumoto.hat_sample_predicate(model.oriented(orientation)))[0]
 
 
+def _change_batch(oriented, count):
+    """The first `count` samples of `verify`'s change stream at seed 42."""
+    return harness._sample_for_orientation(oriented, harness.RunConfig(samples=count),
+                                           harness._STREAM_CHANGE, count)[0]
+
+
+def _entry(results, name):
+    """The entry called `name` in a suite's list."""
+    return next(r for r in results if r.name == name)
+
+
+def _obstruction_max(entry):
+    """max |O| off the concurrency-obstruction entry's note."""
+    return float(entry.note.removeprefix("max |O| = "))
+
+
 def test_change_scalars_p0():
     sc = _scalars(EX.oriented(+1), P0)
     assert sc.Phi == pytest.approx(1.0, abs=1e-12)
@@ -196,7 +212,7 @@ def test_orientation_isolation_on_example():
     derivative-consistent sign (-1) everything holds."""
     batch = _batch(EX, +1.0, 6, 3)
     res = {r.name: r
-           for r in matsumoto.change_identity_suite(EX.oriented(+1), batch).entries}
+           for r in matsumoto.change_identity_suite(EX.oriented(+1), batch)}
     assert res["metric-change"].residual <= 1e-7
     assert res["supporting-form-change"].residual <= 1e-8
     assert res["cartan-torsion-change"].residual <= 1e-6
@@ -206,7 +222,7 @@ def test_orientation_isolation_on_example():
 
     batch = _batch(EX, -1.0, 6, 4)
     res = {r.name: r
-           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries}
+           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)}
     for r in res.values():
         if r.residual is not None:
             assert r.residual <= r.tolerance if r.tolerance else True
@@ -242,7 +258,7 @@ def test_lemma_suite_euclid_and_example():
     for model, orient, stream in ((EU, +1.0, 9), (EX, -1.0, 10)):
         batch = _batch(model, orient, 10, stream)
         entries = matsumoto.change_identity_suite(model.oriented(orient), batch,
-                                                  with_curvature=False).entries
+                                                  with_curvature=False)
         lemma = [r for r in entries if r.name in matsumoto.LEMMA_TOLERANCES]
         assert len(lemma) == len(matsumoto.LEMMA_TOLERANCES)
         for r in lemma:
@@ -280,15 +296,19 @@ def test_chain_rule_trivial_function():
 
 
 def test_obstruction_nonzero_on_example_zero_for_vanishing_phi():
-    """Read by the change suite off its own change jets, as `verify` reads it."""
-    suite = matsumoto.change_identity_suite(EX.oriented(-1), [P0])
-    assert suite.obstruction_max > 0.1
-    assert suite.obstruction.kind == "reported" and suite.obstruction.n_samples == 1
-    assert repr(suite.obstruction_max) in suite.obstruction.note
+    """Read by the change suite off its own change jets, as `verify` reads it,
+    and gated against its Berwald route."""
+    entry = _entry(matsumoto.change_identity_suite(EX.oriented(-1), [P0]),
+                   "concurrency-obstruction")
+    assert entry.kind == "identity" and entry.passed and entry.n_samples == 1
+    assert entry.tolerance == matsumoto.OBSTRUCTION_TOLERANCE
+    O = matsumoto.concurrency_obstruction(_change_jets(EX, P0, -1.0, 4, 2))
+    assert _obstruction_max(entry) == float(np.max(np.abs(O))) > 0.1
     s = core.make_sample(NOPHI, [0.2, 0.1], [1.0, 0.5])
-    suite = matsumoto.change_identity_suite(NOPHI.oriented(+1), [s])
-    assert suite.obstruction.n_samples == 1
-    assert suite.obstruction_max <= 1e-14
+    entry = _entry(matsumoto.change_identity_suite(NOPHI.oriented(+1), [s]),
+                   "concurrency-obstruction")
+    assert entry.kind == "identity" and entry.passed and entry.n_samples == 1
+    assert _obstruction_max(entry) <= 1e-14
 
 
 def test_obstruction_reads_the_first_eighth_of_a_batch(monkeypatch):
@@ -306,7 +326,8 @@ def test_obstruction_reads_the_first_eighth_of_a_batch(monkeypatch):
         reads.clear()
         suite = matsumoto.change_identity_suite(EU.oriented(+1), batch, False)
         k = max(8, count // 8)
-        assert reads == batch[:k] and suite.obstruction.n_samples == k
+        assert reads == batch[:k]
+        assert _entry(suite, "concurrency-obstruction").n_samples == k
 
 
 def test_obstruction_second_derivatives_match_finite_differences():
@@ -360,6 +381,38 @@ def test_obstruction_is_the_berwald_change_along_phi(model, orient):
         O = matsumoto.concurrency_obstruction(cj)
         assert np.max(np.abs(O)) > 0.1
         assert report.relmax(predicted, O) <= 1e-12
+
+
+def _obstruction_terms(cj):
+    """The three terms of `concurrency_obstruction`, written out again so a
+    test can mutate each one."""
+    sc, n = cj.scalars, cj.n
+    ys = range(n, 2 * n)
+    ph = np.array([p.value for p in sc.phi_up])
+    df1 = sc.f1.partials(ys)
+    return (np.outer(ph, df1 - ph @ sc.f2.partials(ys, ys)),
+            -float(ph @ df1) * np.eye(n),
+            np.outer(cj.geo.s.y, ph @ sc.f1.partials(ys, ys)))
+
+
+@pytest.mark.parametrize("term", [0, 1, 2], ids=["phi-outer", "trace", "y-outer"])
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, -1.0], ids=["scaled", "flipped"])
+def test_obstruction_identity_fails_a_mutated_term(term, factor, monkeypatch):
+    """Each term of O, scaled by 1 + 1e-3 or sign-flipped, fails the
+    concurrency-obstruction entry on both shipped models, at the orientation
+    `verify` picks, on the first 8 samples of its change stream."""
+    original = matsumoto.concurrency_obstruction
+    for model, orient in ((EU, +1.0), (EX, -1.0)):
+        oriented = model.oriented(orient)
+        batch = _change_batch(oriented, 8)
+        cj = _change_jets(model, batch[0], orient, 4, 1)
+        assert np.array_equal(sum(_obstruction_terms(cj)), original(cj))
+        monkeypatch.setattr(matsumoto, "concurrency_obstruction", lambda cj: sum(
+            factor * t if k == term else t for k, t in enumerate(_obstruction_terms(cj))))
+        entry = _entry(matsumoto.change_identity_suite(oriented, batch, False),
+                       "concurrency-obstruction")
+        assert entry.n_samples == 8 and entry.passed is False, model.name
+        monkeypatch.setattr(matsumoto, "concurrency_obstruction", original)
 
 
 def test_nondegeneracy_scan_flags_nothing_healthy():
@@ -459,19 +512,22 @@ def test_margin_ray_scan_none_when_margin_positive():
 def test_projective_check_example_and_parallel_construction():
     """Read by the change suite at every sample, as `verify` reads it."""
     batch = _batch(EX, -1.0, 10, 22)
-    rep = matsumoto.change_identity_suite(EX.oriented(-1), batch).projective
+    rep = _entry(matsumoto.change_identity_suite(EX.oriented(-1), batch),
+                 "projective-impossibility")
     assert rep.name == "projective-impossibility"
     assert rep.passed and rep.n_samples == 10 and 0.0 < rep.residual < 1.0
 
     # phi parallel to y: flagged as parallel, not as a violation
     s = core.make_sample(EU, [0.5, 0.0], [2.0, 0.0])
-    rep = matsumoto.change_identity_suite(EU.oriented(+1), [s]).projective
+    rep = _entry(matsumoto.change_identity_suite(EU.oriented(+1), [s]),
+                 "projective-impossibility")
     assert rep.n_samples == 0 and rep.passed
     assert "1 parallel and 0 degenerate" in rep.note
 
     s = core.make_sample(NOPHI, [0.2, 0.1], [1.0, 0.5])
     assert matsumoto.projective_check(_scalars(NOPHI, s), s.y) is None
-    rep = matsumoto.change_identity_suite(NOPHI.oriented(+1), [s]).projective
+    rep = _entry(matsumoto.change_identity_suite(NOPHI.oriented(+1), [s]),
+                 "projective-impossibility")
     assert rep.n_samples == 0 and rep.passed
     assert "0 parallel and 1 degenerate" in rep.note
 
@@ -510,7 +566,7 @@ def test_negative_control_fails_hat_decomposition(orient):
 def test_master_change_suite_euclid():
     """Every transformation law at once, definition-consistent orientation."""
     batch = _batch(EU, +1.0, 40, 24)
-    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch).entries:
+    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch):
         if r.kind == "identity":
             assert r.residual <= min(r.tolerance, 1e-6), (r.name, r.residual)
 
@@ -528,7 +584,7 @@ def test_negative_control_fails_cartan_law(orient):
     """The closed-form Cartan law assumes phi^k C_kij = 0; without it the law fails."""
     batch = _batch(RANDERS, orient, 8, 27 + int(orient > 0))
     res = {r.name: r for r in
-           matsumoto.change_identity_suite(RANDERS.oriented(orient), batch).entries}
+           matsumoto.change_identity_suite(RANDERS.oriented(orient), batch)}
     assert res["cartan-torsion-change"].passed is False
 
 
@@ -547,7 +603,7 @@ def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
     monkeypatch.setattr(matsumoto, helper, lambda *a: (1.0 + 1e-3) * original(*a))
     batch = _batch(EX, -1.0, 8, 29)
     res = {r.name: r
-           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries}
+           for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)}
     assert res[identity].passed is False
     if helper == "predicted_spray":
         # the spray jets N is differentiated from are the same law on jets
@@ -561,7 +617,7 @@ def test_change_suite_fails_a_mutated_factor_a(monkeypatch):
     monkeypatch.setattr(matsumoto.ChangeScalars, "a",
                         property(lambda sc: (1.0 + 1e-3) * original(sc)))
     batch = _batch(EX, -1.0, 8, 29)
-    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries
+    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)
               if r.passed is False}
     assert {"metric-change", "angular-metric-change", "cartan-torsion-change"} <= failed
 
@@ -574,7 +630,7 @@ def test_shared_change_scalars_fail_a_mutated_formula(name, monkeypatch):
     original = vars(matsumoto.ChangeScalars)[name].func
     monkeypatch.setattr(matsumoto.ChangeScalars, name,
                         property(lambda sc: (1.0 + 1e-3) * original(sc)))
-    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch).entries
+    failed = {r.name for r in matsumoto.change_identity_suite(EX.oriented(-1), batch)
               if r.passed is False}
     assert "spray-change" in failed
     assert failed & {"chain-rule-f1", "chain-rule-f2"}
@@ -645,9 +701,9 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     monkeypatch.setattr(numkit.Jet, "sqrt", counting_sqrt)
     calls = _count_calls(monkeypatch)
     evaluations = _count_jet_evaluations(model, monkeypatch)
-    suite = matsumoto.change_identity_suite(model, batch, with_curvature)
-    results = suite.entries
-    assert all(r.note == "" for r in results if r.kind == "identity")
+    results = matsumoto.change_identity_suite(model, batch, with_curvature)
+    laws = {**matsumoto.CHANGE_TOLERANCES, **matsumoto.LEMMA_TOLERANCES}
+    assert all(r.note == "" for r in results if r.name in laws)   # none skipped
     x_order = 2 if with_curvature else 1
     assert built == [(4, x_order)] * (2 * len(batch))
     assert calls == {"ModelEnergy.energy_jet": 2 * len(batch),
@@ -656,8 +712,11 @@ def test_change_suite_builds_two_geometries_per_sample(with_curvature, monkeypat
     assert len(roots) == 3 * len(batch)
     assert set(matsumoto.LEMMA_TOLERANCES) <= {r.name for r in results}
     # the projective witness and the obstruction are read in the same pass
-    assert suite.projective.n_samples == len(batch) and suite.projective.passed
-    assert suite.obstruction.n_samples == len(batch) and suite.obstruction_max > 0.0
+    projective = _entry(results, "projective-impossibility")
+    assert projective.n_samples == len(batch) and projective.passed
+    obstruction = _entry(results, "concurrency-obstruction")
+    assert obstruction.n_samples == len(batch) and obstruction.passed
+    assert _obstruction_max(obstruction) > 0.0
 
 
 def _reference_lemma(model, s_batch):
@@ -694,7 +753,7 @@ def test_lemma_entries_match_a_separate_3_1_geometry(model, point, orient):
         for with_curvature in (True, False):
             got = [json.dumps(r.to_dict(), sort_keys=True)
                    for r in matsumoto.change_identity_suite(
-                       oriented, batch, with_curvature).entries
+                       oriented, batch, with_curvature)
                    if r.name in matsumoto.LEMMA_TOLERANCES]
             assert got == ref
 
@@ -889,7 +948,7 @@ def test_vertical_derivative_operator_is_shared():
 
 def test_report_self_audit():
     batch = _batch(EU, +1.0, 5, 25)
-    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch).entries:
+    for r in matsumoto.change_identity_suite(EU.oriented(+1), batch):
         if r.predicted_worst is not None:
             assert report.relmax(r.predicted_worst, r.direct_worst) == pytest.approx(
                 r.residual, rel=1e-12)
