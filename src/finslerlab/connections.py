@@ -400,7 +400,7 @@ def integrate_geodesic(model, s0: TangentSample, t_end: float, step: float,
     xs = [s0.x.copy()]
     ys = [s0.y.copy()]
     Fs = [energy.f_value(s0.x, s0.y)]
-    if Fs[0] is None:
+    if Fs[0] is None or not np.isfinite(Fs[0]):
         raise DomainEscape(f"start x={s0.x.tolist()}, y={s0.y.tolist()} is outside "
                            f"the domain of the metric")
     z = np.concatenate([s0.x, s0.y])

@@ -173,8 +173,8 @@ def read_metric_data(E: Jet, s: TangentSample, F_jet=None) -> MetricData:
     C_ijk = (1/2) d^3 E/dy_i dy_j dy_k."""
     n = E.space.n
     E0 = E.value
-    if not E0 > 0.0:
-        raise DomainEscape(f"F^2 = {2 * E0} is not positive at the sample")
+    if not 0.0 < E0 < math.inf:
+        raise DomainEscape(f"F^2 = {2 * E0} is not positive and finite at the sample")
     F = math.sqrt(2.0 * E0)
 
     g = metric_tensor(E)

@@ -341,7 +341,10 @@ def _pow(base, exponent):
     if isinstance(base, Jet):
         return base ** float(exponent)
     _guard(base <= 0, base, f"{{}} ** {exponent}: non-integer power needs a positive base")
-    return base ** float(exponent)
+    try:
+        return base ** float(exponent)
+    except OverflowError:
+        raise EvalError(f"{float(base)!r} ** {exponent} overflows") from None
 
 
 def _sqrt(v):
@@ -359,13 +362,19 @@ def _log(v):
 
 
 def _analytic(name):
-    """sin, cos or exp: the jet method, numpy's ufunc on arrays, math's on floats."""
+    """sin, cos or exp: the jet method, numpy's ufunc on arrays, math's on
+    floats, where an overflow is an EvalError."""
     on_floats, on_arrays = getattr(math, name), getattr(np, name)
 
     def fn(v):
         if isinstance(v, Jet):
             return getattr(v, name)()
-        return on_arrays(v) if isinstance(v, np.ndarray) else on_floats(v)
+        if isinstance(v, np.ndarray):
+            return on_arrays(v)
+        try:
+            return on_floats(v)
+        except OverflowError:
+            raise EvalError(f"{name}({float(v)!r}) overflows") from None
     return fn
 
 
@@ -519,6 +528,10 @@ class ModelDef:
             return False
 
 
+# largest dim a model file may declare: the (5, 2) jet space of a curvature
+# check holds 3.1M product pairs at dim 8 and 12.3M at dim 10
+MAX_DIM = 8
+
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
 _PARAM_RE = re.compile(r"^\s*param\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
 _PHI_RE = re.compile(r"^phi([1-9][0-9]*)$")
@@ -573,8 +586,10 @@ def parse(source: str) -> ModelDef:
             try:
                 params[pname] = float(rhs.strip())
             except ValueError:
-                raise ModelSyntaxError(f"parameter {pname!r} needs a real literal",
-                                       lineno, pm.start(2) + 1) from None
+                params[pname] = math.nan
+            if not math.isfinite(params[pname]):
+                raise ModelSyntaxError(f"parameter {pname!r} needs a finite real literal",
+                                       lineno, pm.start(2) + 1)
             continue
         hm = _HEADER_RE.match(line)
         if not hm:
@@ -590,6 +605,9 @@ def parse(source: str) -> ModelDef:
                 dim = int(rhs)
             except ValueError:
                 raise ModelSyntaxError("dim needs an integer", lineno, rhs_col) from None
+            if not 2 <= dim <= MAX_DIM:
+                raise ModelSyntaxError(f"dim must be between 2 and {MAX_DIM}, got {dim}",
+                                       lineno, rhs_col)
         elif key == "F":
             F = parse_expression(rhs, lineno, rhs_col)
         elif key == "domain":

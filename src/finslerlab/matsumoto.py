@@ -158,7 +158,8 @@ class HatEnergy:
 @dataclass
 class ChangeScalars:
     """Scalar data of the change at one sample, as floats (`change_scalars`) or
-    as jets (`ChangeJets.scalars`), with the base metric data `md` there."""
+    as jets (`ChangeJets.scalars`, whose phi^i keeps a constant component a
+    float), with the base metric data `md` there."""
 
     md: MetricData
     F: float | Jet
@@ -290,13 +291,11 @@ class ChangeJets:
     def scalars(self) -> ChangeScalars:
         geo, n, phi = self.geo, self.n, self.geo.phi_jets
         Phi, F = concurrent_form(phi, geo.E), geo.F_jet
-        phi_up = [p if isinstance(p, Jet) else geo.space.constant(p) for p in phi]
         g = geo.g_jets
-        phi_low = [sum((g[i][j] * phi_up[j] for j in range(1, n)), g[i][0] * phi_up[0])
+        phi_low = [sum((g[i][j] * phi[j] for j in range(1, n)), g[i][0] * phi[0])
                    for i in range(n)]
-        p2 = sum((phi_low[i] * phi_up[i] for i in range(n)), geo.space.zero())
-        return ChangeScalars(md=geo.md, F=F, Phi=Phi, phi_up=phi_up, phi_low=phi_low,
-                             p2=p2)
+        p2 = sum((phi_low[i] * phi[i] for i in range(n)), geo.space.zero())
+        return ChangeScalars(md=geo.md, F=F, Phi=Phi, phi_up=phi, phi_low=phi_low, p2=p2)
 
     @cached_property
     def spray_pred_jets(self):
@@ -345,7 +344,7 @@ def concurrency_obstruction(cj: ChangeJets) -> np.ndarray:
     Generically nonzero."""
     sc, n = cj.scalars, cj.n
     ys = range(n, 2 * n)
-    ph = np.array([p.value for p in sc.phi_up])
+    ph = phi_values(cj.geo.energy.model, cj.geo.s.x)
     df1 = sc.f1.partials(ys)
     return (np.outer(ph, df1 - ph @ sc.f2.partials(ys, ys)) - float(ph @ df1) * np.eye(n)
             + np.outer(cj.geo.s.y, ph @ sc.f1.partials(ys, ys)))

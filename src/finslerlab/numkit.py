@@ -332,17 +332,18 @@ class Jet:
             )
 
     # -- ring operations ----------------------------------------------------
-    # Fast paths skip the constant jets a scalar or an integer power would
-    # build and give the same bits, sign of zero included: a product's
-    # coefficients are bincount sums started at +0.0, so never -0.0.
+    # A scalar operand stays a scalar: no constant jet is built for it, nor
+    # for the 1 an integer power would start from (`int_power`, same bits).
+    # Scalar + and - give the constant jet's bits, sign of zero included.
+    # Scalar * and / give the float product's bits, coeffs * c: a zero
+    # coefficient times a negative c reads -0.0, where the constant jet's
+    # product, a bincount sum started at +0.0, would read +0.0.
 
     def _coerce(self, other):
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise EvalError("jets from different spaces")
             return other
-        if isinstance(other, _SCALARS):
-            return self.space.constant(float(other))
         return NotImplemented
 
     def _affine(self, other, op):
@@ -400,10 +401,9 @@ class Jet:
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self._reciprocal()
+        if isinstance(other, _SCALARS):
+            return self._reciprocal() * other
+        return NotImplemented
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)) or (
@@ -441,8 +441,7 @@ class Jet:
         try:
             cs = [taylor_coeff(k) for k in range(K + 1)]
         except (OverflowError, ZeroDivisionError) as e:
-            raise EvalError(f"series coefficient overflow at value {self.value!r} "
-                            f"(too close to a singularity)") from e
+            raise EvalError(f"series coefficient overflow at value {self.value!r}") from e
         sp = self.space
         if K == 0:
             return Jet(sp, sp.constant(cs[0]).coeffs, yv, xv)
@@ -468,8 +467,8 @@ class Jet:
         return self ** 0.5
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        return self._compose(lambda k: e / math.factorial(k))
+        v = self.value
+        return self._compose(lambda k: math.exp(v) / math.factorial(k))
 
     def log(self) -> "Jet":
         v = self.value

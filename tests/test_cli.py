@@ -88,6 +88,15 @@ F_EUCLID = "sqrt(y1^2 + y2^2)"
                  "line 7, col 1: duplicate F", id="second-F"),
     pytest.param(EUCLID_LINES.format(F=F_EUCLID).encode() + b"# caf\xe9\n",
                  "deep.fmod is not UTF-8 text", id="not-utf8"),
+    pytest.param(EUCLID_LINES.format(F=F_EUCLID).replace("dim = 2", "dim = 9").encode(),
+                 "line 2, col 7: dim must be between 2 and 8, got 9", id="dim-9"),
+    pytest.param(EUCLID_LINES.format(F=F_EUCLID).replace(
+                     "dim = 2", "dim = 1000000000000").encode(),
+                 "line 2, col 7: dim must be between 2 and 8", id="dim-1e12"),
+    pytest.param((EUCLID_LINES.format(F=F_EUCLID) + "param s = nan\n").encode(),
+                 "line 7, col 11: parameter 's' needs a finite", id="param-nan"),
+    pytest.param((EUCLID_LINES.format(F=F_EUCLID) + "param s = 1e309\n").encode(),
+                 "line 7, col 11: parameter 's' needs a finite", id="param-1e309"),
 ])
 @pytest.mark.parametrize("command", [
     ["verify", "--samples", "8"], ["inspect", "--x=0.3,-0.2", "--y=1.1,0.7"]])
@@ -414,6 +423,28 @@ def test_geodesic_bad_step_exits_2(flags, named, capsys):
     assert run(["geodesic", "--model", "euclid_concurrent", "--x", "0,0",
                 "--y", "1,0", *flags]) == 2
     assert named in capsys.readouterr().err
+
+
+OVERFLOW_MODEL = EUCLID_LINES.format(F="sqrt(y1^2 + y2^2)*exp(1000*x1)")
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["inspect", "--x=1,0", "--y=1,1"], "overflow at value 1000.0", id="inspect"),
+    pytest.param(["geodesic", "--x=1,0", "--y=1,1"], "exp(1000.0) overflows", id="geodesic"),
+    pytest.param(["geodesic", "--x=0.7,0", "--y=1,1"], "outside the domain of the metric",
+                 id="geodesic-infinite-F"),
+    pytest.param(["verify", "--samples", "8"], "F^2 = inf is not positive and finite",
+                 id="verify"),
+])
+def test_overflowing_model_is_a_domain_error(argv, named, tmp_path, capsys):
+    """exp(1000) overflows a float, and at x1 = 0.7 F^2 overflows to inf:
+    each command exits 2 with a one-line domain error and writes no dump."""
+    p = tmp_path / "overflow.fmod"
+    p.write_text(OVERFLOW_MODEL)
+    assert run([argv[0], "--model", str(p), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_hat_geodesic_started_past_the_fence_exits_2(capsys):

@@ -286,6 +286,21 @@ def test_value_reads_differentiate_no_jet(monkeypatch):
     matsumoto.concurrency_obstruction(cj)
 
 
+def test_change_suite_builds_no_constant_jet(monkeypatch):
+    """A constant phi component stays a float in the change jets, and a scalar
+    over a jet (the spray solve's 1 / pivot) is the reciprocal times the
+    scalar: a change suite on either shipped model builds no constant jet."""
+    built = []
+    constant = numkit.JetSpace.constant
+    monkeypatch.setattr(numkit.JetSpace, "constant",
+                        lambda self, value: built.append(value) or constant(self, value))
+    for model, orient in ((EU, +1.0), (EX, -1.0)):
+        oriented = model.oriented(orient)
+        entries = matsumoto.change_identity_suite(oriented, _change_batch(oriented, 2))
+        assert _entry(entries, "spray-change").n_samples == 2, model.name
+    assert built == []
+
+
 def test_chain_rule_trivial_function():
     """f(F, Phi) = F: its y-derivative is the supporting form, exactly."""
     geo = connections.GeometryJets(EX.oriented(+1), P0, 3, 0)
@@ -388,7 +403,7 @@ def _obstruction_terms(cj):
     test can mutate each one."""
     sc, n = cj.scalars, cj.n
     ys = range(n, 2 * n)
-    ph = np.array([p.value for p in sc.phi_up])
+    ph = connections.phi_values(cj.geo.energy.model, cj.geo.s.x)
     df1 = sc.f1.partials(ys)
     return (np.outer(ph, df1 - ph @ sc.f2.partials(ys, ys)),
             -float(ph @ df1) * np.eye(n),

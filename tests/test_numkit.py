@@ -301,6 +301,20 @@ def test_scalar_add_and_subtract_match_the_constant_jet_route(j, c):
 
 
 @settings(max_examples=40, deadline=None)
+@given(jets(value=st.floats(0.1, 50.0)))
+def test_scalar_over_a_jet_is_the_constant_jet_route_up_to_the_sign_of_zero(j):
+    """c / j is the reciprocal times c, with the float product's bits: equal
+    (==, so +0.0 == -0.0) to constant(c) * j._reciprocal() on the valid slots."""
+    valid = _inside(j)
+    for c in (2.5, -2.5, 1, np.float64(3.0)):
+        out, ref = c / j, j.space.constant(c) * j._reciprocal()
+        assert (out.y_valid, out.x_valid) == (ref.y_valid, ref.x_valid) == (j.y_valid, j.x_valid)
+        assert np.array_equal(out.coeffs[valid], ref.coeffs[valid])
+    with pytest.raises(TypeError):
+        "2" / j
+
+
+@settings(max_examples=40, deadline=None)
 @given(jets(value=SCALARS))
 def test_integer_powers_match_square_and_multiply_from_one(j):
     for k in range(6):
