@@ -29,9 +29,7 @@ from .report import IdentityResult
 __all__ = [
     "GeometryJets",
     "Trajectory",
-    "berwald_from_njets",
     "concurrency_probe",
-    "curvature_from_njets",
     "integrate_geodesic",
     "phi_covariants",
     "spray_system",
@@ -81,6 +79,7 @@ class GeometryJets:
         self.E = self.energy.energy_jet(s, y_order, x_order)
         self.space = self.E.space
         self.coords = self.space.lift(s.x, s.y)
+        self._N = self._berwald = None   # values of N and G^i_jk, read once
 
     @cached_property
     def md(self) -> MetricData:
@@ -95,9 +94,16 @@ class GeometryJets:
     @cached_property
     def phi_jets(self):
         """The model's phi^i on this geometry's x-coordinate jets, one
-        evaluation for the change jets and the probe's Jacobian; a constant
+        evaluation for the change jets and `phi_jacobian`; a constant
         component stays a float."""
         return [p(self.coords[:self.n], None) for p in self.energy.model.phi_fns]
+
+    @cached_property
+    def phi_jacobian(self) -> np.ndarray:
+        """dphi^i/dx^j read off `phi_jets`, for `phi_covariants` and `ChangeJets.H_dx`."""
+        xs = range(self.n)
+        return np.array([p.partials(xs) if isinstance(p, Jet) else np.zeros(self.n)
+                         for p in self.phi_jets])
 
     # -- jet-level fields ----------------------------------------------------
 
@@ -151,13 +157,25 @@ class GeometryJets:
         return np.array([G.value for G in self.spray_jets])
 
     def nonlinear(self) -> np.ndarray:
-        return np.array([[Nij.value for Nij in row] for row in self.nonlinear_jets])
+        if self._N is None:
+            self._N = np.array([[Nij.value for Nij in row] for row in self.nonlinear_jets])
+        return self._N
 
     def berwald(self) -> np.ndarray:
-        return berwald_from_njets(self.nonlinear_jets)
+        """G^i_jk = dN^i_j/dy^k; every entry is read, no symmetry assumed."""
+        if self._berwald is None:
+            ys = range(self.n, 2 * self.n)
+            self._berwald = np.array([[Nij.partials(ys) for Nij in row]
+                                      for row in self.nonlinear_jets])
+        return self._berwald
 
     def curvature(self) -> np.ndarray:
-        return curvature_from_njets(self.nonlinear_jets)
+        """R^i_jk = delta_j N^i_k - delta_k N^i_j (needs x-order 2)."""
+        xs = range(self.n)
+        # delta[i, k, j] = delta_j N^i_k
+        delta = (np.array([[Nik.partials(xs) for Nik in row] for row in self.nonlinear_jets])
+                 - np.einsum("mj,ikm->ikj", self.nonlinear(), self.berwald()))
+        return np.einsum("ikj->ijk", delta) - delta
 
     def delta_metric(self) -> np.ndarray:
         """dg[k, i, j] = delta_k g_ij = d g_ij/dx^k - N^m_k * 2 C_mij."""
@@ -172,26 +190,6 @@ class GeometryJets:
         return 0.5 * (np.einsum("is,jsk->ijk", ginv, dg)
                       + np.einsum("is,ksj->ijk", ginv, dg)
                       - np.einsum("is,sjk->ijk", ginv, dg))
-
-
-def berwald_from_njets(N_jets) -> np.ndarray:
-    """G^i_jk = dN^i_j/dy^k for any nonlinear-connection field given as a matrix
-    of jets valid to one y-order; every entry is read, no symmetry assumed."""
-    n = len(N_jets)
-    return np.array([[Nij.partials(range(n, 2 * n)) for Nij in row] for row in N_jets])
-
-
-def curvature_from_njets(N_jets) -> np.ndarray:
-    """R^i_jk = delta_j N^i_k - delta_k N^i_j for any nonlinear-connection field
-    given as a matrix of jets valid to one y- and one x-order."""
-    n = len(N_jets)
-    N = np.array([[Nij.value for Nij in row] for row in N_jets])
-    # dxN[i, k, j] = d N^i_k / dx^j, dyN[i, k, m] = d N^i_k / dy^m
-    dxN = np.array([[Nik.partials(range(n)) for Nik in row] for row in N_jets])
-    dyN = np.array([[Nik.partials(range(n, 2 * n)) for Nik in row] for row in N_jets])
-    # delta[j, i, k] = delta_j N^i_k
-    delta = np.einsum("ikj->jik", dxN) - np.einsum("mj,ikm->jik", N, dyN)
-    return np.transpose(delta, (1, 0, 2)) - np.transpose(delta, (1, 2, 0))
 
 
 # --------------------------------------------------------------------------
@@ -210,13 +208,9 @@ PROBE_TOLERANCES = {
 
 def phi_covariants(model, geo):
     """hcov_phi = dphi^i/dx^j + phi^k Gamma^i_kj and phi^k C_kij at the sample
-    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more;
-    dphi^i/dx^j is read off its `phi_jets`."""
-    n = geo.n
+    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more."""
     ph = phi_values(model, geo.s.x)
-    dphi = np.array([p.partials(range(n)) if isinstance(p, Jet) else np.zeros(n)
-                     for p in geo.phi_jets])
-    return (dphi + np.einsum("k,ikj->ij", ph, geo.cartan()),
+    return (geo.phi_jacobian + np.einsum("k,ikj->ij", ph, geo.cartan()),
             np.einsum("k,kij->ij", ph, geo.cartan_torsion()))
 
 

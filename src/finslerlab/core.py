@@ -89,9 +89,14 @@ class ModelEnergy:
                 return E.restrict(y_order, x_order)
         space = jet_space(self.dim, y_order, x_order)
         coords = space.lift(s.x, s.y)
-        F2 = self.model.F2_fn(coords[:self.dim], coords[self.dim:])
+        # an overflow is refused below as a domain error, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            F2 = self.model.F2_fn(coords[:self.dim], coords[self.dim:])
         if not isinstance(F2, Jet):
             F2 = space.constant(F2)
+        if not np.isfinite(F2.coeffs).all():
+            raise DomainEscape(f"the F^2 jet at x={s.x.tolist()}, y={s.y.tolist()} "
+                               f"is not finite")
         E = 0.5 * F2
         self._last = (key, E, coords)
         return E

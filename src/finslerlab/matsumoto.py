@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connections import (SPRAY_ORDERS, GeometryJets, berwald_from_njets,
-                          curvature_from_njets, phi_covariants, phi_values)
+from .connections import SPRAY_ORDERS, GeometryJets, phi_covariants, phi_values
 from .core import MetricData, ModelEnergy, TangentSample, make_sample, metric_data
 from .errors import DegenerateMargin, OutsideHatDomain
 from .numkit import Jet
@@ -43,6 +42,7 @@ __all__ = [
     "predicted_angular",
     "predicted_berwald",
     "predicted_cartan",
+    "predicted_curvature",
     "predicted_metric",
     "predicted_metric_determinant",
     "predicted_nonlinear_connection",
@@ -281,11 +281,16 @@ def predicted_spray(sc: ChangeScalars, G, y) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 class ChangeJets:
-    """Jets of the change scalars and predicted fields, sharing one base geometry."""
+    """Jets of the change scalars at one sample, sharing one base geometry, and
+    values read off them in one gather per partial:
+    H = Nhat - N = (1/2)(f1 delta^i_j + y^i f1_j - phi^i f2_j), f_j = df/dy^j,
+    with H_dy[i, j, k] = dH^i_j/dy^k and H_dx[i, j, k] = dH^i_j/dx^k."""
 
     def __init__(self, geo: GeometryJets):
         self.geo = geo
         self.n = geo.n
+        self.ys = range(self.n, 2 * self.n)
+        self.phi = phi_values(geo.energy.model, geo.s.x)
 
     @cached_property
     def scalars(self) -> ChangeScalars:
@@ -302,38 +307,54 @@ class ChangeJets:
         return predicted_spray(self.scalars, self.geo.spray_jets, self.geo.coords[self.n:])
 
     @cached_property
-    def nhat_pred_jets(self):
-        """Predicted nonlinear connection as a jet field,
-        Nhat^i_j = N^i_j + (1/2)(f1 delta^i_j + (df1/dy^j) y^i - (df2/dy^j) phi^i)."""
-        n = self.n
-        yc = self.geo.coords[n:]
-        sc = self.scalars
-        df1 = [sc.f1.diff_y(j) for j in range(n)]
-        df2 = [sc.f2.diff_y(j) for j in range(n)]
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                term = 0.5 * (df1[j] * yc[i] - df2[j] * sc.phi_up[i])
-                if i == j:
-                    term = term + 0.5 * sc.f1
-                out[i][j] = self.geo.nonlinear_jets[i][j] + term
-        return out
+    def df(self):   # (df1/dy^j, df2/dy^j)
+        return self.scalars.f1.partials(self.ys), self.scalars.f2.partials(self.ys)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        (df1, df2), f1 = self.df, self.scalars.f1.value
+        return (0.5 * (np.outer(self.geo.s.y, df1) - np.outer(self.phi, df2))
+                + 0.5 * f1 * np.eye(self.n))
+
+    @cached_property
+    def H_dy(self) -> np.ndarray:
+        sc, ys, eye, df1 = self.scalars, self.ys, np.eye(self.n), self.df[0]
+        return 0.5 * (np.einsum("ij,k->ijk", eye, df1) + np.einsum("ik,j->ijk", eye, df1)
+                      + np.einsum("i,jk->ijk", self.geo.s.y, sc.f1.partials(ys, ys))
+                      - np.einsum("i,jk->ijk", self.phi, sc.f2.partials(ys, ys)))
+
+    @cached_property
+    def H_dx(self) -> np.ndarray:
+        sc, xs, ys = self.scalars, range(self.n), self.ys
+        return 0.5 * (np.einsum("ij,k->ijk", np.eye(self.n), sc.f1.partials(xs))
+                      + np.einsum("i,jk->ijk", self.geo.s.y, sc.f1.partials(ys, xs))
+                      - np.einsum("ik,j->ijk", self.geo.phi_jacobian, self.df[1])
+                      - np.einsum("i,jk->ijk", self.phi, sc.f2.partials(ys, xs)))
 
 
 # --------------------------------------------------------------------------
-# predicted laws that need jets
+# predicted laws read off the change jets
 # --------------------------------------------------------------------------
 
 def predicted_nonlinear_connection(cj: ChangeJets) -> np.ndarray:
-    """Nhat^i_j from the closed-form law; needs base jets of order (3, 1)."""
-    return np.array([[Nij.value for Nij in row] for row in cj.nhat_pred_jets])
+    """Nhat^i_j = N^i_j + H^i_j; needs base jets of order (3, 1)."""
+    return cj.geo.nonlinear() + cj.H
 
 
 def predicted_berwald(cj: ChangeJets) -> np.ndarray:
-    """Berwald coefficients of the predicted nonlinear connection; needs base
-    jets of order (4, 1).  Its curvature is curvature_from_njets of the same
-    jets, at order (4, 2)."""
-    return berwald_from_njets(cj.nhat_pred_jets)
+    """Ghat^i_jk = G^i_jk + dH^i_j/dy^k = G^i_jk + (1/2)(f1_jk y^i
+    + f1_j delta^i_k + f1_k delta^i_j - f2_jk phi^i); needs base jets of order (4, 1)."""
+    return cj.geo.berwald() + cj.H_dy
+
+
+def predicted_curvature(cj: ChangeJets) -> np.ndarray:
+    """Rhat^i_jk = R^i_jk + delta_j H^i_k - delta_k H^i_j - H^m_j Ghat^i_km
+    + H^m_k Ghat^i_jm, with the base's delta_j = d/dx^j - N^m_j d/dy^m and Ghat
+    the predicted Berwald law; needs base jets of order (4, 2)."""
+    H, Ghat, N = cj.H, predicted_berwald(cj), cj.geo.nonlinear()
+    delta = cj.H_dx - np.einsum("mj,ikm->ikj", N, cj.H_dy)   # [i, k, j]: delta_j H^i_k
+    return (cj.geo.curvature() + np.einsum("ikj->ijk", delta) - delta
+            - np.einsum("mj,ikm->ijk", H, Ghat) + np.einsum("mk,ijm->ijk", H, Ghat))
 
 
 def concurrency_obstruction(cj: ChangeJets) -> np.ndarray:
@@ -342,10 +363,7 @@ def concurrency_obstruction(cj: ChangeJets) -> np.ndarray:
     O^i_j = [df1/dy^j - phi^k d2f2/dy^k dy^j] phi^i
             - (phi^k df1/dy^k) delta^i_j + (phi^k d2f1/dy^k dy^j) y^i.
     Generically nonzero."""
-    sc, n = cj.scalars, cj.n
-    ys = range(n, 2 * n)
-    ph = phi_values(cj.geo.energy.model, cj.geo.s.x)
-    df1 = sc.f1.partials(ys)
+    sc, n, ys, ph, df1 = cj.scalars, cj.n, cj.ys, cj.phi, cj.df[0]
     return (np.outer(ph, df1 - ph @ sc.f2.partials(ys, ys)) - float(ph @ df1) * np.eye(n)
             + np.outer(cj.geo.s.y, ph @ sc.f1.partials(ys, ys)))
 
@@ -386,8 +404,8 @@ LEMMA_TOLERANCES = {
 
 def _check_change(model, s: TangentSample, with_curvature: bool):
     """Predicted-vs-direct pairs of every transformation law and lemma identity
-    at one sample, with the value scalars, change jets and hat geometry they
-    read: one base and one hat geometry, both at order (4, 2) with curvature
+    at one sample, with the value scalars and change jets they read: one base
+    and one hat geometry, both at order (4, 2) with curvature
     and (4, 1) without.  The hat geometry is built first, so the base
     geometry's energy jet is the restriction of the one its base provider
     built for the hat."""
@@ -423,10 +441,9 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         "berwald-change": (predicted_berwald(cj), geo_hat.berwald()),
     }
     if with_curvature:
-        out["curvature-change"] = (
-            curvature_from_njets(cj.nhat_pred_jets), geo_hat.curvature())
+        out["curvature-change"] = (predicted_curvature(cj), geo_hat.curvature())
     out.update(_lemma_pairs(cj, sc))
-    return out, sc, cj, geo_hat
+    return out, sc, cj
 
 
 def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
@@ -447,8 +464,7 @@ def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
     dell = jets.F.partials(ys, ys)
     dp2 = jets.p2.partials(ys)
 
-    df1 = jets.f1.partials(ys)
-    df2 = jets.f2.partials(ys)
+    df1, df2 = cj.df
     df1_dF = (4 * Phi - 2 * F) / m - F * (4 * Phi - F) * (1 + 2 * p2) / m**2
     df1_dP = (4 * F * m + 3 * F * (4 * Phi - F)) / m**2
     df2_dF = 6 * F**2 / m - 2 * F**3 * (1 + 2 * p2) / m**2
@@ -469,17 +485,15 @@ def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
 _TOLERANCES = {**CHANGE_TOLERANCES, **LEMMA_TOLERANCES}
 
 
-def _obstruction_pair(model, cj: ChangeJets, geo_hat: GeometryJets):
+def _obstruction_pair(model, cj: ChangeJets, berwald_hat: np.ndarray):
     """The closed-form obstruction O and its Berwald route at one sample,
     -2 sigma phi^m (Ghat^i_mk - G^i_mk) - 2 (phi^m df1/dy^m) delta^i_k, with
     sigma = trace(hcov phi)/n and both Berwald connections recomputed: phi
     stays concurrent for Fhat where O = -2 (phi . df1) delta, not O = 0."""
-    geo, n = cj.geo, cj.n
-    sigma = np.trace(phi_covariants(model, geo)[0]) / n
-    ph = phi_values(model, geo.s.x)
-    df1 = cj.scalars.f1.partials(range(n, 2 * n))
-    direct = (-2.0 * sigma * np.einsum("m,imk->ik", ph, geo_hat.berwald() - geo.berwald())
-              - 2.0 * float(ph @ df1) * np.eye(n))
+    n, ph = cj.n, cj.phi
+    sigma = np.trace(phi_covariants(model, cj.geo)[0]) / n
+    direct = (-2.0 * sigma * np.einsum("m,imk->ik", ph, berwald_hat - cj.geo.berwald())
+              - 2.0 * float(ph @ cj.df[0]) * np.eye(n))
     return concurrency_obstruction(cj), direct
 
 
@@ -497,7 +511,7 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True) -> list:
     obs_max = 0.0
     for k, s in enumerate(s_batch):
         try:
-            pairs, sc, cj, geo_hat = _check_change(model, s, with_curvature)
+            pairs, sc, cj = _check_change(model, s, with_curvature)
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue
@@ -507,7 +521,7 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True) -> list:
             accs[name].add(s, pred, direct)
         ratios.append(projective_check(sc, s.y))
         if k < max(8, len(s_batch) // 8):
-            O, direct = _obstruction_pair(model, cj, geo_hat)
+            O, direct = _obstruction_pair(model, cj, pairs["berwald-change"][1])
             obstruction.add(s, O, direct)
             obs_max = max(obs_max, float(np.max(np.abs(O))))
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \

@@ -433,8 +433,7 @@ OVERFLOW_MODEL = EUCLID_LINES.format(F="sqrt(y1^2 + y2^2)*exp(1000*x1)")
     pytest.param(["geodesic", "--x=1,0", "--y=1,1"], "exp(1000.0) overflows", id="geodesic"),
     pytest.param(["geodesic", "--x=0.7,0", "--y=1,1"], "outside the domain of the metric",
                  id="geodesic-infinite-F"),
-    pytest.param(["verify", "--samples", "8"], "F^2 = inf is not positive and finite",
-                 id="verify"),
+    pytest.param(["verify", "--samples", "8"], "the F^2 jet at x=", id="verify"),
 ])
 def test_overflowing_model_is_a_domain_error(argv, named, tmp_path, capsys):
     """exp(1000) overflows a float, and at x1 = 0.7 F^2 overflows to inf:

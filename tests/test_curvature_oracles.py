@@ -70,11 +70,11 @@ def test_funk_spray_and_berwald_coefficients():
 
 
 def test_a_sign_flipped_curvature_fails_the_oracle(monkeypatch):
-    """Swapping the two transposes in `curvature_from_njets` negates every
+    """Swapping the two transposes in `GeometryJets.curvature` negates every
     R^i_jk while keeping its antisymmetry and R = 0 on flat models; the
     oracle catches it."""
-    original = connections.curvature_from_njets
-    monkeypatch.setattr(connections, "curvature_from_njets", lambda N: -original(N))
+    original = connections.GeometryJets.curvature
+    monkeypatch.setattr(connections.GeometryJets, "curvature", lambda geo: -original(geo))
     for name, K in CONSTANT_CURVATURE.items():
         with pytest.raises(AssertionError):
             check_flag_curvature(_load(name), K)

@@ -199,7 +199,7 @@ def test_predicted_berwald_and_curvature_euclid_batch():
     for s in _batch(EU, +1.0, 10, 2):
         cj = _change_jets(EU, s, +1.0, 4, 2)
         berw = matsumoto.predicted_berwald(cj)
-        curv = connections.curvature_from_njets(cj.nhat_pred_jets)
+        curv = matsumoto.predicted_curvature(cj)
         geo = connections.GeometryJets(HatEnergy(EU.oriented(+1)), s, 4, 2)
         bd = geo.berwald()
         rd = geo.curvature()
@@ -266,22 +266,26 @@ def test_lemma_suite_euclid_and_example():
 
 
 def test_value_reads_differentiate_no_jet(monkeypatch):
-    """Berwald, curvature, delta g, the lemma entries and the concurrency
+    """Berwald, curvature, delta g, the value fields H, H_dy and H_dx, the
+    predicted connection laws, the lemma entries and the concurrency
     obstruction read their derivatives off prebuilt jets in one gather each:
     with `Jet.diff` (which `diff_x` and `diff_y` call) raising, they still run."""
     cj = _change_jets(EX, P0, -1.0, 4, 2)
     geo = cj.geo
     sc = matsumoto.change_scalars(geo.md, EX.oriented(-1), P0)
-    N_fields = (geo.nonlinear_jets, cj.nhat_pred_jets)
+    geo.nonlinear_jets, cj.scalars   # built by differentiation, before the patch
 
     def no_diff(self, var):
         raise AssertionError("a value read differentiated a jet")
 
     monkeypatch.setattr(numkit.Jet, "diff", no_diff)
-    for N_jets in N_fields:
-        connections.berwald_from_njets(N_jets)
-        connections.curvature_from_njets(N_jets)
+    geo.berwald()
+    geo.curvature()
     geo.delta_metric()
+    cj.H, cj.H_dy, cj.H_dx
+    matsumoto.predicted_nonlinear_connection(cj)
+    matsumoto.predicted_berwald(cj)
+    matsumoto.predicted_curvature(cj)
     matsumoto._lemma_pairs(cj, sc)
     matsumoto.concurrency_obstruction(cj)
 
@@ -396,6 +400,42 @@ def test_obstruction_is_the_berwald_change_along_phi(model, orient):
         O = matsumoto.concurrency_obstruction(cj)
         assert np.max(np.abs(O)) > 0.1
         assert report.relmax(predicted, O) <= 1e-12
+
+
+@pytest.mark.parametrize("orient", [-1.0, +1.0])
+def test_obstruction_is_the_closed_berwald_change_along_phi(orient):
+    """O^i_k = 2 phi^m H_dy[i, m, k] - 2 (phi . df1) delta^i_k: the
+    concurrency obstruction is the closed-form Berwald change along phi, at
+    either orientation."""
+    n = EX.dim
+    for s in _batch(EX, orient, 2, 35 + int(orient > 0)):
+        cj = _change_jets(EX, s, orient, 4, 1)
+        want = (2.0 * np.einsum("m,imk->ik", cj.phi, cj.H_dy)
+                - 2.0 * float(cj.phi @ cj.df[0]) * np.eye(n))
+        O = matsumoto.concurrency_obstruction(cj)
+        assert np.max(np.abs(O)) > 0.1
+        assert report.relmax(O, want) <= 1e-14
+
+
+@pytest.mark.parametrize("method, factor, identity", [
+    ("berwald", 1.0 + 1e-3, "berwald-change"),
+    ("curvature", -1.0, "curvature-change"),
+], ids=["berwald-scaled", "curvature-flipped"])
+def test_change_suite_fails_a_mutated_geometry_kernel(method, factor, identity,
+                                                      monkeypatch):
+    """The predicted Berwald and curvature laws share no kernel with their
+    direct routes: `GeometryJets.berwald` scaled by 1 + 1e-3, or
+    `GeometryJets.curvature` sign-flipped, fails its change identity on both
+    shipped models, at the orientation `verify` picks, on the first 8 samples
+    of its change stream."""
+    original = getattr(connections.GeometryJets, method)
+    monkeypatch.setattr(connections.GeometryJets, method,
+                        lambda geo: factor * original(geo))
+    for model, orient in ((EU, +1.0), (EX, -1.0)):
+        oriented = model.oriented(orient)
+        entry = _entry(matsumoto.change_identity_suite(oriented, _change_batch(oriented, 8)),
+                       identity)
+        assert entry.n_samples == 8 and entry.passed is False, model.name
 
 
 def _obstruction_terms(cj):
@@ -609,6 +649,7 @@ def test_negative_control_fails_cartan_law(orient):
     ("predicted_spray", "spray-change"),
     ("predicted_nonlinear_connection", "nonlinear-connection-change"),
     ("predicted_berwald", "berwald-change"),
+    ("predicted_curvature", "curvature-change"),
 ])
 def test_change_suite_fails_a_mutated_law(helper, identity, monkeypatch):
     """Each predicted law feeds its identity: scaled by 1 + 1e-3, it fails."""
