@@ -79,7 +79,7 @@ class GeometryJets:
         self.E = self.energy.energy_jet(s, y_order, x_order)
         self.space = self.E.space
         self.coords = self.space.lift(s.x, s.y)
-        self._N = self._berwald = None   # values of N and G^i_jk, read once
+        self._N = self._berwald = None   # N and G^i_jk, read once; callers never write them
 
     @cached_property
     def md(self) -> MetricData:
