@@ -63,12 +63,13 @@ def _jet_solve(M, b):
 
 
 class GeometryJets:
-    """Lazily built jets of the geometric fields of one energy at one sample.
+    """Lazily built jets and values of the geometric fields of one energy at one sample.
 
     `y_order`/`x_order` are the orders the energy jet is valid to, in a space
     its provider picks.  Minimal orders per consumer: spray values (2,1),
     nonlinear connection (3,1), Berwald coefficients (4,1), curvature (4,2),
-    Cartan coefficients (3,1).
+    Cartan coefficients (3,1).  Every field is a cached property, computed once
+    per instance; callers never write into a returned array.
     """
 
     def __init__(self, energy, s: TangentSample, y_order: int, x_order: int):
@@ -79,7 +80,6 @@ class GeometryJets:
         self.E = self.energy.energy_jet(s, y_order, x_order)
         self.space = self.E.space
         self.coords = self.space.lift(s.x, s.y)
-        self._N = self._berwald = None   # N and G^i_jk, read once; callers never write them
 
     @cached_property
     def md(self) -> MetricData:
@@ -97,6 +97,10 @@ class GeometryJets:
         evaluation for the change jets and `phi_jacobian`; a constant
         component stays a float."""
         return [p(self.coords[:self.n], None) for p in self.energy.model.phi_fns]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return phi_values(self.energy.model, self.s.x)
 
     @cached_property
     def phi_jacobian(self) -> np.ndarray:
@@ -144,48 +148,52 @@ class GeometryJets:
 
     # -- value-level fields ---------------------------------------------------
 
+    @cached_property
     def metric(self) -> np.ndarray:
         return metric_tensor(self.E)
 
+    @cached_property
     def metric_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.metric())
+        return np.linalg.inv(self.metric)
 
+    @cached_property
     def cartan_torsion(self) -> np.ndarray:
         return cartan_tensor(self.E)
 
+    @cached_property
     def spray(self) -> np.ndarray:
         return np.array([G.value for G in self.spray_jets])
 
+    @cached_property
     def nonlinear(self) -> np.ndarray:
-        if self._N is None:
-            self._N = np.array([[Nij.value for Nij in row] for row in self.nonlinear_jets])
-        return self._N
+        return np.array([[Nij.value for Nij in row] for row in self.nonlinear_jets])
 
+    @cached_property
     def berwald(self) -> np.ndarray:
         """G^i_jk = dN^i_j/dy^k; every entry is read, no symmetry assumed."""
-        if self._berwald is None:
-            ys = range(self.n, 2 * self.n)
-            self._berwald = np.array([[Nij.partials(ys) for Nij in row]
-                                      for row in self.nonlinear_jets])
-        return self._berwald
+        ys = range(self.n, 2 * self.n)
+        return np.array([[Nij.partials(ys) for Nij in row] for row in self.nonlinear_jets])
 
+    @cached_property
     def curvature(self) -> np.ndarray:
         """R^i_jk = delta_j N^i_k - delta_k N^i_j (needs x-order 2)."""
         xs = range(self.n)
         # delta[i, k, j] = delta_j N^i_k
         delta = (np.array([[Nik.partials(xs) for Nik in row] for row in self.nonlinear_jets])
-                 - np.einsum("mj,ikm->ikj", self.nonlinear(), self.berwald()))
+                 - np.einsum("mj,ikm->ikj", self.nonlinear, self.berwald))
         return np.einsum("ikj->ijk", delta) - delta
 
+    @cached_property
     def delta_metric(self) -> np.ndarray:
         """dg[k, i, j] = delta_k g_ij = d g_ij/dx^k - N^m_k * 2 C_mij."""
         n = self.n
         dxg = self.E.partials(range(n), range(n, 2 * n), range(n, 2 * n))
-        return dxg - 2.0 * np.einsum("mk,mij->kij", self.nonlinear(), self.cartan_torsion())
+        return dxg - 2.0 * np.einsum("mk,mij->kij", self.nonlinear, self.cartan_torsion)
 
+    @cached_property
     def cartan(self) -> np.ndarray:
         ginv = self.md.ginv
-        dg = self.delta_metric()
+        dg = self.delta_metric
         # Gamma^i_jk = (1/2) g^{is} (delta_j g_sk + delta_k g_js - delta_s g_jk)
         return 0.5 * (np.einsum("is,jsk->ijk", ginv, dg)
                       + np.einsum("is,ksj->ijk", ginv, dg)
@@ -206,12 +214,11 @@ PROBE_TOLERANCES = {
 }
 
 
-def phi_covariants(model, geo):
+def phi_covariants(geo):
     """hcov_phi = dphi^i/dx^j + phi^k Gamma^i_kj and phi^k C_kij at the sample
-    of `geo`, a geometry of the model valid to y-order 3 and x-order 1 or more."""
-    ph = phi_values(model, geo.s.x)
-    return (geo.phi_jacobian + np.einsum("k,ikj->ij", ph, geo.cartan()),
-            np.einsum("k,kij->ij", ph, geo.cartan_torsion()))
+    of `geo`, a geometry of a model valid to y-order 3 and x-order 1 or more."""
+    return (geo.phi_jacobian + np.einsum("k,ikj->ij", geo.phi, geo.cartan),
+            np.einsum("k,kij->ij", geo.phi, geo.cartan_torsion))
 
 
 def concurrency_probe(model, covariants):

@@ -114,23 +114,23 @@ def run_core_suite(model, s_batch):
             accs["metric-homogeneity"].add(
                 s, [rep.F_residual, rep.g_residual, rep.C_residual], [0.0, 0.0, 0.0])
 
-        G = geo.spray()
-        N = geo.nonlinear()
-        Bw = geo.berwald()
+        G = geo.spray
+        N = geo.nonlinear
+        Bw = geo.berwald
         accs["spray-defining-system"].add(
             s, md.g @ (2.0 * G), connections.spray_system(geo.E, s.y))
         accs["spray-homogeneity-tower"].add(
             s, np.concatenate([N @ s.y, np.einsum("ijk,k->ij", Bw, s.y).ravel()]),
             np.concatenate([2.0 * G, N.ravel()]))
 
-        gamma = geo.cartan()
-        dg = geo.delta_metric()
+        gamma = geo.cartan
+        dg = geo.delta_metric
         compat = dg - np.einsum("lik,lj->kij", gamma, md.g) \
             - np.einsum("ljk,il->kij", gamma, md.g)
         gscale = max(1.0, float(np.max(np.abs(dg))))
         accs["cartan-metric-compatibility"].add(
             s, compat / gscale, np.zeros_like(compat))
-        covariants.append(connections.phi_covariants(model, geo))
+        covariants.append(connections.phi_covariants(geo))
 
     probe, sigma = connections.concurrency_probe(model, covariants)
     return ([accs[k].result() for k in sorted(accs)] + probe,
@@ -447,11 +447,11 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
         "ell": md.ell.tolist(),
         "hbar": md.hbar.tolist(),
         "cartan_torsion": md.cartanC.tolist(),
-        "spray": geo.spray().tolist(),
-        "nonlinear_connection": geo.nonlinear().tolist(),
-        "berwald": geo.berwald().tolist(),
-        "curvature": geo.curvature().tolist(),
-        "cartan_hcoeffs": geo.cartan().tolist(),
+        "spray": geo.spray.tolist(),
+        "nonlinear_connection": geo.nonlinear.tolist(),
+        "berwald": geo.berwald.tolist(),
+        "curvature": geo.curvature.tolist(),
+        "cartan_hcoeffs": geo.cartan.tolist(),
     }
     hat = HatEnergy(model.oriented(orientation))
     try:
@@ -469,7 +469,7 @@ def inspect_point(model, x, y, orientation: float = 1.0) -> dict:
             "phi_low": sc.phi_low.tolist(),
             "ghat": geo_hat.md.g.tolist(),
             "det_ghat": geo_hat.md.det_g,
-            "spray_hat": geo_hat.spray().tolist(),
+            "spray_hat": geo_hat.spray.tolist(),
         }
     except Exception as e:  # noqa: BLE001 - inspection should degrade, not die
         out["change"] = {"error": f"{type(e).__name__}: {e}"}

@@ -290,7 +290,7 @@ class ChangeJets:
         self.geo = geo
         self.n = geo.n
         self.ys = range(self.n, 2 * self.n)
-        self.phi = phi_values(geo.energy.model, geo.s.x)
+        self.phi = geo.phi
 
     @cached_property
     def scalars(self) -> ChangeScalars:
@@ -338,22 +338,22 @@ class ChangeJets:
 
 def predicted_nonlinear_connection(cj: ChangeJets) -> np.ndarray:
     """Nhat^i_j = N^i_j + H^i_j; needs base jets of order (3, 1)."""
-    return cj.geo.nonlinear() + cj.H
+    return cj.geo.nonlinear + cj.H
 
 
 def predicted_berwald(cj: ChangeJets) -> np.ndarray:
     """Ghat^i_jk = G^i_jk + dH^i_j/dy^k = G^i_jk + (1/2)(f1_jk y^i
     + f1_j delta^i_k + f1_k delta^i_j - f2_jk phi^i); needs base jets of order (4, 1)."""
-    return cj.geo.berwald() + cj.H_dy
+    return cj.geo.berwald + cj.H_dy
 
 
 def predicted_curvature(cj: ChangeJets) -> np.ndarray:
     """Rhat^i_jk = R^i_jk + delta_j H^i_k - delta_k H^i_j - H^m_j Ghat^i_km
     + H^m_k Ghat^i_jm, with the base's delta_j = d/dx^j - N^m_j d/dy^m and Ghat
     the predicted Berwald law; needs base jets of order (4, 2)."""
-    H, Ghat, N = cj.H, predicted_berwald(cj), cj.geo.nonlinear()
+    H, Ghat, N = cj.H, predicted_berwald(cj), cj.geo.nonlinear
     delta = cj.H_dx - np.einsum("mj,ikm->ikj", N, cj.H_dy)   # [i, k, j]: delta_j H^i_k
-    return (cj.geo.curvature() + np.einsum("ikj->ijk", delta) - delta
+    return (cj.geo.curvature + np.einsum("ikj->ijk", delta) - delta
             - np.einsum("mj,ikm->ijk", H, Ghat) + np.einsum("mk,ijm->ijk", H, Ghat))
 
 
@@ -435,13 +435,13 @@ def _check_change(model, s: TangentSample, with_curvature: bool):
         "angular-consistency": (hhat, ghat - np.outer(ellhat, ellhat)),
         "angular-annihilates-direction-hat": (hhat @ y, np.zeros(len(y))),
         "cartan-torsion-change": (predicted_cartan(sc), mdh.cartanC),
-        "spray-change": (predicted_spray(sc, geo.spray(), y), geo_hat.spray()),
-        "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear()),
+        "spray-change": (predicted_spray(sc, geo.spray, y), geo_hat.spray),
+        "nonlinear-connection-change": (nhat_formula, geo_hat.nonlinear),
         "nonlinear-connection-internal": (nhat_formula, nhat_from_spray),
-        "berwald-change": (predicted_berwald(cj), geo_hat.berwald()),
+        "berwald-change": (predicted_berwald(cj), geo_hat.berwald),
     }
     if with_curvature:
-        out["curvature-change"] = (predicted_curvature(cj), geo_hat.curvature())
+        out["curvature-change"] = (predicted_curvature(cj), geo_hat.curvature)
     out.update(_lemma_pairs(cj, sc))
     return out, sc, cj
 
@@ -452,7 +452,7 @@ def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
     geo, jets, md = cj.geo, cj.scalars, sc.md
     y, n = geo.s.y, geo.n
     xs, ys = range(n), range(n, 2 * n)
-    N, G = geo.nonlinear(), geo.spray()
+    N, G = geo.nonlinear, geo.spray
     F, m, Phi, p2 = sc.F, sc.margin, sc.Phi, sc.p2
 
     dyPhi = jets.Phi.partials(ys)
@@ -485,14 +485,14 @@ def _lemma_pairs(cj: ChangeJets, sc: ChangeScalars):
 _TOLERANCES = {**CHANGE_TOLERANCES, **LEMMA_TOLERANCES}
 
 
-def _obstruction_pair(model, cj: ChangeJets, berwald_hat: np.ndarray):
+def _obstruction_pair(cj: ChangeJets, berwald_hat: np.ndarray):
     """The closed-form obstruction O and its Berwald route at one sample,
     -2 sigma phi^m (Ghat^i_mk - G^i_mk) - 2 (phi^m df1/dy^m) delta^i_k, with
     sigma = trace(hcov phi)/n and both Berwald connections recomputed: phi
     stays concurrent for Fhat where O = -2 (phi . df1) delta, not O = 0."""
     n, ph = cj.n, cj.phi
-    sigma = np.trace(phi_covariants(model, cj.geo)[0]) / n
-    direct = (-2.0 * sigma * np.einsum("m,imk->ik", ph, berwald_hat - cj.geo.berwald())
+    sigma = np.trace(phi_covariants(cj.geo)[0]) / n
+    direct = (-2.0 * sigma * np.einsum("m,imk->ik", ph, berwald_hat - cj.geo.berwald)
               - 2.0 * float(ph @ cj.df[0]) * np.eye(n))
     return concurrency_obstruction(cj), direct
 
@@ -521,7 +521,7 @@ def change_identity_suite(model, s_batch, with_curvature: bool = True) -> list:
             accs[name].add(s, pred, direct)
         ratios.append(projective_check(sc, s.y))
         if k < max(8, len(s_batch) // 8):
-            O, direct = _obstruction_pair(model, cj, pairs["berwald-change"][1])
+            O, direct = _obstruction_pair(cj, pairs["berwald-change"][1])
             obstruction.add(s, O, direct)
             obs_max = max(obs_max, float(np.max(np.abs(O))))
     note = f"{skipped} samples skipped (outside hat domain or degenerate margin)" \
@@ -593,7 +593,7 @@ def nondegeneracy_scan(model, s_batch):
         # the hat geometry's base jet is the one this metric data reads
         sc = _scalar_values(metric_data(hat.base, s), model, s)
         if _clear_of_hat_boundary(sc):
-            ghat = GeometryJets(hat, s, 2, 0).metric()
+            ghat = GeometryJets(hat, s, 2, 0).metric
             census.add(s, [predicted_metric_determinant(sc)], [np.linalg.det(ghat)])
             signature.add(s, [float(predicted_positive_definite(sc))],
                           [float(np.linalg.eigvalsh(ghat)[0] > 0)])
@@ -627,7 +627,7 @@ def margin_ray_scan(model, x):
         return _scalar_values(metric_data(hat.base, s), model, s).margin
 
     def det_at(theta):
-        return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric()))
+        return float(np.linalg.det(GeometryJets(hat, sample(theta), 2, 0).metric))
 
     steps = RAY_THETA_STEPS
     thetas = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
@@ -714,7 +714,7 @@ def rational_decomposition_check(model, s_batch):
             acc_base.add(s, theta * a, md.g)
         try:
             sc = change_scalars(md, model, s)
-            ghat = GeometryJets(hat, s, 2, 0).metric()
+            ghat = GeometryJets(hat, s, 2, 0).metric
         except (OutsideHatDomain, DegenerateMargin):
             skipped += 1
             continue

@@ -40,8 +40,8 @@ def test_criterion_01_example_reproduction():
     for s in batch:
         comp = models._example_components(s.x, s.y)
         md = metric_data(EX, s)
-        G = connections.GeometryJets(EX, s, 2, 1).spray()
-        gamma = connections.GeometryJets(EX, s, 3, 1).cartan()
+        G = connections.GeometryJets(EX, s, 2, 1).spray
+        gamma = connections.GeometryJets(EX, s, 3, 1).cartan
         pairs = []
         for (i, j) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
             pairs.append((md.g[i, j], comp[f"g{i+1}{j+1}"]))
@@ -66,7 +66,7 @@ def test_criterion_02_concurrency_probe():
     sigma = -1 exactly on the flat companion (<= 1e-12)."""
     def probe(model, stream):
         return connections.concurrency_probe(model, [
-            connections.phi_covariants(model, connections.GeometryJets(model, s, 4, 2))
+            connections.phi_covariants(connections.GeometryJets(model, s, 4, 2))
             for s in _batch(model, 20, stream)])
 
     (probe_ex, phic_ex), sigma_ex = probe(EX, 102)

@@ -176,10 +176,13 @@ def test_verify_good_model_small_run(tmp_path):
     assert len(names) == len(set(names))
 
 
-def test_verify_determinism_byte_identical(tmp_path):
+@pytest.mark.parametrize("model", ["euclid_concurrent", "matsumoto_example"])
+def test_verify_determinism_byte_identical(model, tmp_path):
+    """Two runs in one process write the same bytes: no state carried between
+    runs changes a report."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        code = run(["verify", "--model", "euclid_concurrent", "--samples", "12",
+        code = run(["verify", "--model", model, "--samples", "12",
                     "--seed", "42", "--format", "json", "--out", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import connections, core, expr, models
+from finslerlab import connections, core, expr, harness, models
 from finslerlab.errors import DomainEscape
 from finslerlab.matsumoto import HatEnergy
 from finslerlab.numkit import Jet, fd_derivative, jet_space
@@ -27,23 +27,23 @@ def _closed_form_spray(x, y):
 
 
 def test_spray_example_p0_and_generic_point():
-    assert np.allclose(connections.GeometryJets(EX, P0, 2, 1).spray(), [0.0, 1.0, -4.5],
+    assert np.allclose(connections.GeometryJets(EX, P0, 2, 1).spray, [0.0, 1.0, -4.5],
                        atol=1e-12)
     for s in (P0, PA):
-        got = connections.GeometryJets(EX, s, 2, 1).spray()
+        got = connections.GeometryJets(EX, s, 2, 1).spray
         want = _closed_form_spray(s.x, s.y)
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_spray_euclidean_vanishes():
     s = core.make_sample(EU, [0.4, -0.2], [1.0, 0.7])
-    assert np.allclose(connections.GeometryJets(EU, s, 2, 1).spray(), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 2, 1).spray, 0.0, atol=1e-14)
 
 
 def test_spray_degree_two_homogeneity():
     s2 = core.make_sample(EX, P0.x, 2.0 * P0.y)
-    G1 = connections.GeometryJets(EX, P0, 2, 1).spray()
-    G2 = connections.GeometryJets(EX, s2, 2, 1).spray()
+    G1 = connections.GeometryJets(EX, P0, 2, 1).spray
+    G2 = connections.GeometryJets(EX, s2, 2, 1).spray
     assert np.max(np.abs(G2 - 4.0 * G1)) <= 1e-9 * max(1.0, np.max(np.abs(G2)))
 
 
@@ -51,36 +51,36 @@ def test_spray_defining_linear_system():
     md = core.metric_data(EX, PA)
     geo = connections.GeometryJets(EX, PA, 2, 1)
     rhs = connections.spray_system(geo.E, PA.y)
-    lhs = md.g @ (2.0 * connections.GeometryJets(EX, PA, 2, 1).spray())
+    lhs = md.g @ (2.0 * connections.GeometryJets(EX, PA, 2, 1).spray)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_nonlinear_connection_euler_and_sparsity():
-    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear()
-    G = connections.GeometryJets(EX, P0, 2, 1).spray()
+    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear
+    G = connections.GeometryJets(EX, P0, 2, 1).spray
     assert np.allclose(N @ P0.y, 2.0 * G, atol=1e-9)
     assert np.allclose(N @ P0.y, [0.0, 2.0, -9.0], atol=1e-9)
     assert N[2, 2] == pytest.approx(0.0, abs=1e-12)  # G3 has no y3 dependence
     s = core.make_sample(EU, [0.3, 0.0], [1.0, 0.2])
-    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).nonlinear(), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).nonlinear, 0.0, atol=1e-14)
 
 
 def test_berwald_symmetry_and_contraction():
-    Bw = connections.GeometryJets(EX, P0, 4, 1).berwald()
+    Bw = connections.GeometryJets(EX, P0, 4, 1).berwald
     assert np.max(np.abs(Bw - np.transpose(Bw, (0, 2, 1)))) <= 1e-10
-    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear()
+    N = connections.GeometryJets(EX, P0, 3, 1).nonlinear
     assert np.max(np.abs(np.einsum("ijk,k->ij", Bw, P0.y) - N)) \
         <= 1e-9 * max(1.0, np.max(np.abs(N)))
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.GeometryJets(EU, s, 4, 1).berwald(), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 4, 1).berwald, 0.0, atol=1e-14)
 
 
 def test_curvature_antisymmetry_and_flat_space():
-    R = connections.GeometryJets(EX, P0, 4, 2).curvature()
+    R = connections.GeometryJets(EX, P0, 4, 2).curvature
     assert np.max(np.abs(R + np.transpose(R, (0, 2, 1)))) <= 1e-10 * max(
         1.0, np.max(np.abs(R)))
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.GeometryJets(EU, s, 4, 2).curvature(), 0.0, atol=1e-13)
+    assert np.allclose(connections.GeometryJets(EU, s, 4, 2).curvature, 0.0, atol=1e-13)
 
 
 def test_horizontal_derivative_of_n_against_finite_differences():
@@ -93,7 +93,7 @@ def test_horizontal_derivative_of_n_against_finite_differences():
     def N_component(i, k, j):
         def f(x, y):
             s = core.make_sample(EX, x, y)
-            return connections.GeometryJets(EX, s, 3, 1).nonlinear()[i, k]
+            return connections.GeometryJets(EX, s, 3, 1).nonlinear[i, k]
         mi = [0] * 6
         mi[j] = 1
         return fd_derivative(f, PA.x, PA.y, mi, step_scale=0.1)
@@ -131,30 +131,51 @@ def test_partials_reads_equal_the_diff_chain_reads(model, x, y, which):
                                   for i in range(n)])
     dxg = np.array([core.metric_tensor(geo.E.diff_x(k)) for k in range(n)])
     same(geo.E.partials(xs, ys, ys), dxg)
-    same(geo.delta_metric(),
-         dxg - 2.0 * np.einsum("mk,mij->kij", geo.nonlinear(), geo.cartan_torsion()))
+    same(geo.delta_metric,
+         dxg - 2.0 * np.einsum("mk,mij->kij", geo.nonlinear, geo.cartan_torsion))
 
 
 def test_cartan_coefficients_fixtures_and_compatibility():
     for s in (P0, PA):
-        gamma = connections.GeometryJets(EX, s, 3, 1).cartan()
+        gamma = connections.GeometryJets(EX, s, 3, 1).cartan
         x3 = s.x[2]
         assert gamma[0, 0, 2] == pytest.approx(1.0 / x3, rel=1e-10)
         assert gamma[1, 1, 2] == pytest.approx(1.0 / x3, rel=1e-10)
         assert gamma[2, 2, 2] == pytest.approx(0.0, abs=1e-10)
         assert np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1)))) <= 1e-10
     s = core.make_sample(EU, [0.1, 0.2], [0.8, 0.6])
-    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).cartan(), 0.0, atol=1e-14)
+    assert np.allclose(connections.GeometryJets(EU, s, 3, 1).cartan, 0.0, atol=1e-14)
 
 
 def test_cartan_metric_compatibility():
     md = core.metric_data(EX, PA)
     geo = connections.GeometryJets(EX, PA, 3, 1)
-    gamma = geo.cartan()
-    dg = geo.delta_metric()
+    gamma = geo.cartan
+    dg = geo.delta_metric
     resid = dg - np.einsum("lik,lj->kij", gamma, md.g) \
         - np.einsum("ljk,il->kij", gamma, md.g)
     assert np.max(np.abs(resid)) <= 1e-8 * max(1.0, np.max(np.abs(dg)))
+
+
+@pytest.mark.parametrize("name", [
+    "metric", "metric_inverse", "cartan_torsion", "spray", "nonlinear", "berwald",
+    "curvature", "delta_metric", "cartan", "phi"])
+def test_every_value_read_is_computed_once(name):
+    geo = connections.GeometryJets(EX, P0, 4, 2)
+    assert getattr(geo, name) is getattr(geo, name)
+
+
+def test_core_suite_reads_the_cartan_torsion_once_per_sample(monkeypatch):
+    """`cartan`, `delta_metric` and the concurrency covariants share one
+    Cartan torsion per core sample."""
+    calls = []
+    cartan_tensor = connections.cartan_tensor
+    monkeypatch.setattr(connections, "cartan_tensor",
+                        lambda E: calls.append(E) or cartan_tensor(E))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, 1])))
+    batch, _ = core.sample_batch(EU, models.default_box(EU), 10, rng)
+    harness.run_core_suite(EU, batch)
+    assert len(calls) == 10
 
 
 def test_jet_solve_skips_a_row_whose_valid_slots_are_zero():
@@ -218,7 +239,7 @@ def test_spray_jets_build_makes_at_most_26_jet_products(monkeypatch):
 def _probe(model, batch):
     """The probe over (4,2) geometries, as the core suite builds them."""
     return connections.concurrency_probe(model, [
-        connections.phi_covariants(model, connections.GeometryJets(model, s, 4, 2))
+        connections.phi_covariants(connections.GeometryJets(model, s, 4, 2))
         for s in batch])
 
 

@@ -45,7 +45,7 @@ def check_flag_curvature(model, K):
         geo = connections.GeometryJets(model, s, 4, 2)
         md, y = geo.md, s.y
         want = K * (md.F ** 2 * np.eye(model.dim) - np.outer(y, md.g @ y))
-        got = np.einsum("ijk,k->ij", geo.curvature(), y)
+        got = np.einsum("ijk,k->ij", geo.curvature, y)
         assert _rel(got, want) <= TOL, (s.x, s.y)
 
 
@@ -62,11 +62,11 @@ def test_funk_spray_and_berwald_coefficients():
     for s in _samples(model):
         geo = connections.GeometryJets(model, s, 4, 1)
         md, y = geo.md, s.y
-        assert _rel(geo.spray(), 0.5 * md.F * y) <= TOL
+        assert _rel(geo.spray, 0.5 * md.F * y) <= TOL
         want = 0.5 * (np.einsum("jk,i->ijk", md.hbar / md.F, y)
                       + np.einsum("j,ik->ijk", md.ell, eye)
                       + np.einsum("k,ij->ijk", md.ell, eye))
-        assert _rel(geo.berwald(), want) <= TOL
+        assert _rel(geo.berwald, want) <= TOL
 
 
 def test_a_sign_flipped_curvature_fails_the_oracle(monkeypatch):
@@ -74,7 +74,8 @@ def test_a_sign_flipped_curvature_fails_the_oracle(monkeypatch):
     R^i_jk while keeping its antisymmetry and R = 0 on flat models; the
     oracle catches it."""
     original = connections.GeometryJets.curvature
-    monkeypatch.setattr(connections.GeometryJets, "curvature", lambda geo: -original(geo))
+    monkeypatch.setattr(connections.GeometryJets, "curvature",
+                        property(lambda geo: -original.func(geo)))
     for name, K in CONSTANT_CURVATURE.items():
         with pytest.raises(AssertionError):
             check_flag_curvature(_load(name), K)

@@ -165,7 +165,7 @@ def test_predicted_cartan_torsion():
 def test_predicted_spray_p0_frozen_values_and_direct_oracle():
     # orientation +1 arithmetic (printed-sign scalars)
     sc = _scalars(EX.oriented(+1), P0)
-    G = connections.GeometryJets(EX, P0, 2, 1).spray()
+    G = connections.GeometryJets(EX, P0, 2, 1).spray
     got = matsumoto.predicted_spray(sc, G, P0.y)
     want = np.array([0.5 * P0_F1, 1.0 + 0.5 * P0_F1, -4.5 + 0.5 * P0_F1 - 0.5 * P0_F2])
     assert np.allclose(got, want, atol=1e-12)
@@ -173,7 +173,7 @@ def test_predicted_spray_p0_frozen_values_and_direct_oracle():
     # the direct cross-check holds under the harness-selected orientation (-1)
     sc = _scalars(EX.oriented(-1), P0)
     pred = matsumoto.predicted_spray(sc, G, P0.y)
-    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 2, 1).spray()
+    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 2, 1).spray
     assert np.max(np.abs(pred - direct)) <= 1e-6 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -191,7 +191,7 @@ def test_predicted_nonlinear_connection_consistency_and_oracle():
     from_spray = np.array([[cj.spray_pred_jets[i].diff_y(j).value
                             for j in range(3)] for i in range(3)])
     assert np.max(np.abs(nhat - from_spray)) <= 1e-9 * max(1.0, np.max(np.abs(nhat)))
-    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 3, 1).nonlinear()
+    direct = connections.GeometryJets(HatEnergy(EX.oriented(-1)), P0, 3, 1).nonlinear
     assert np.max(np.abs(nhat - direct)) <= 1e-6 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -201,8 +201,8 @@ def test_predicted_berwald_and_curvature_euclid_batch():
         berw = matsumoto.predicted_berwald(cj)
         curv = matsumoto.predicted_curvature(cj)
         geo = connections.GeometryJets(HatEnergy(EU.oriented(+1)), s, 4, 2)
-        bd = geo.berwald()
-        rd = geo.curvature()
+        bd = geo.berwald
+        rd = geo.curvature
         assert np.max(np.abs(berw - bd)) <= 1e-6 * max(1.0, np.max(np.abs(bd)))
         assert np.max(np.abs(curv - rd)) <= 1e-5 * max(1.0, np.max(np.abs(rd)))
 
@@ -279,9 +279,7 @@ def test_value_reads_differentiate_no_jet(monkeypatch):
         raise AssertionError("a value read differentiated a jet")
 
     monkeypatch.setattr(numkit.Jet, "diff", no_diff)
-    geo.berwald()
-    geo.curvature()
-    geo.delta_metric()
+    geo.berwald, geo.curvature, geo.delta_metric
     cj.H, cj.H_dy, cj.H_dx
     matsumoto.predicted_nonlinear_connection(cj)
     matsumoto.predicted_berwald(cj)
@@ -391,11 +389,11 @@ def test_obstruction_is_the_berwald_change_along_phi(model, orient):
     for s in _batch(model, orient, 2, 33 + int(orient > 0)):
         geo = connections.GeometryJets(oriented, s, 4, 1)
         cj = matsumoto.ChangeJets(geo)
-        G_hat = connections.GeometryJets(HatEnergy(oriented), s, 4, 1).berwald()
-        sigma = np.trace(connections.phi_covariants(oriented, geo)[0]) / n
+        G_hat = connections.GeometryJets(HatEnergy(oriented), s, 4, 1).berwald
+        sigma = np.trace(connections.phi_covariants(geo)[0]) / n
         ph = connections.phi_values(oriented, s.x)
         df1 = cj.scalars.f1.partials(range(n, 2 * n))
-        predicted = (-2.0 * sigma * np.einsum("m,imk->ik", ph, G_hat - geo.berwald())
+        predicted = (-2.0 * sigma * np.einsum("m,imk->ik", ph, G_hat - geo.berwald)
                      - 2.0 * float(ph @ df1) * np.eye(n))
         O = matsumoto.concurrency_obstruction(cj)
         assert np.max(np.abs(O)) > 0.1
@@ -430,7 +428,7 @@ def test_change_suite_fails_a_mutated_geometry_kernel(method, factor, identity,
     of its change stream."""
     original = getattr(connections.GeometryJets, method)
     monkeypatch.setattr(connections.GeometryJets, method,
-                        lambda geo: factor * original(geo))
+                        property(lambda geo: factor * original.func(geo)))
     for model, orient in ((EU, +1.0), (EX, -1.0)):
         oriented = model.oriented(orient)
         entry = _entry(matsumoto.change_identity_suite(oriented, _change_batch(oriented, 8)),
@@ -467,6 +465,70 @@ def test_obstruction_identity_fails_a_mutated_term(term, factor, monkeypatch):
         entry = _entry(matsumoto.change_identity_suite(oriented, batch, False),
                        "concurrency-obstruction")
         assert entry.n_samples == 8 and entry.passed is False, model.name
+
+
+def _connection_change_terms(cj):
+    """The terms of `ChangeJets.H`, `.H_dy` and `.H_dx`, written out again so
+    a test can mutate each one."""
+    sc, n, ys, xs = cj.scalars, cj.n, cj.ys, range(cj.n)
+    y, ph, eye, (df1, df2) = cj.geo.s.y, cj.phi, np.eye(n), cj.df
+    return {
+        "H": (0.5 * np.outer(y, df1), -0.5 * np.outer(ph, df2), 0.5 * sc.f1.value * eye),
+        "H_dy": (0.5 * np.einsum("ij,k->ijk", eye, df1),
+                 0.5 * np.einsum("ik,j->ijk", eye, df1),
+                 0.5 * np.einsum("i,jk->ijk", y, sc.f1.partials(ys, ys)),
+                 -0.5 * np.einsum("i,jk->ijk", ph, sc.f2.partials(ys, ys))),
+        "H_dx": (0.5 * np.einsum("ij,k->ijk", eye, sc.f1.partials(xs)),
+                 0.5 * np.einsum("i,jk->ijk", y, sc.f1.partials(ys, xs)),
+                 -0.5 * np.einsum("ik,j->ijk", cj.geo.phi_jacobian, df2),
+                 -0.5 * np.einsum("i,jk->ijk", ph, sc.f2.partials(ys, xs))),
+    }
+
+
+@pytest.fixture(scope="module")
+def change_batches():
+    """Both shipped models at the orientation `verify` picks, each with the
+    first 8 samples of its change stream."""
+    return [(oriented, _change_batch(oriented, 8))
+            for oriented in (EU.oriented(+1.0), EX.oriented(-1.0))]
+
+
+def test_connection_change_terms_sum_to_the_fields(change_batches):
+    """The written-out terms add up to each field's bits, so a mutant below
+    changes one term and nothing else."""
+    for oriented, batch in change_batches:
+        cj = matsumoto.ChangeJets(connections.GeometryJets(oriented, batch[0], 4, 2))
+        for field, terms in _connection_change_terms(cj).items():
+            assert np.array_equal(sum(terms), getattr(cj, field)), (oriented.name, field)
+
+
+_NONLINEAR = {"nonlinear-connection-change", "nonlinear-connection-internal"}
+
+
+@pytest.mark.parametrize("field, term, fails", [
+    ("H", 0, _NONLINEAR | {"curvature-change"}),
+    ("H", 1, _NONLINEAR | {"curvature-change"}),
+    ("H", 2, _NONLINEAR),   # a multiple of delta cancels in H^m_k Ghat^i_jm - (j <-> k)
+    *[("H_dy", k, {"berwald-change", "curvature-change"}) for k in range(4)],
+    *[("H_dx", k, {"curvature-change"}) for k in range(4)],
+], ids=["H-y-df1", "H-phi-df2", "H-f1-delta",
+        "H_dy-delta-df1", "H_dy-df1-delta", "H_dy-y-d2f1", "H_dy-phi-d2f2",
+        "H_dx-delta-dxf1", "H_dx-y-dydxf1", "H_dx-dphi-df2", "H_dx-phi-dydxf2"])
+@pytest.mark.parametrize("factor", [1.0 + 1e-3, -1.0], ids=["scaled", "flipped"])
+def test_change_suite_fails_a_mutated_connection_change_term(field, term, fails, factor,
+                                                             change_batches, monkeypatch):
+    """Each term of H = Nhat - N and of its y- and x-derivatives, scaled by
+    1 + 1e-3 or sign-flipped, fails exactly the change entries that read it
+    on both shipped models, at the orientation `verify` picks, on the first
+    8 samples of its change stream."""
+    monkeypatch.setattr(matsumoto.ChangeJets, field, property(lambda cj: sum(
+        factor * t if k == term else t
+        for k, t in enumerate(_connection_change_terms(cj)[field]))))
+    for oriented, batch in change_batches:
+        entries = matsumoto.change_identity_suite(oriented, batch)
+        failed = {r.name for r in entries if r.passed is False}
+        assert failed == fails, oriented.name
+        assert all(_entry(entries, name).n_samples == 8 for name in fails), oriented.name
 
 
 def test_nondegeneracy_scan_flags_nothing_healthy():

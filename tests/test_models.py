@@ -52,9 +52,9 @@ def _engine_value(model, fx, name):
         return metric_data(model, s).cartanC[i, j, k]
     if name.startswith("Gamma"):
         i, j, k = (int(c) - 1 for c in name[5:])
-        return connections.GeometryJets(model, s, 3, 1).cartan()[i, j, k]
+        return connections.GeometryJets(model, s, 3, 1).cartan[i, j, k]
     if name.startswith("G"):
-        return connections.GeometryJets(model, s, 2, 1).spray()[int(name[1]) - 1]
+        return connections.GeometryJets(model, s, 2, 1).spray[int(name[1]) - 1]
     if name in ("Phi", "p2", "margin"):
         sc = matsumoto.change_scalars(metric_data(model, s), model.oriented(+1), s)
         return getattr(sc, {"Phi": "Phi", "p2": "p2", "margin": "margin"}[name])
@@ -118,7 +118,7 @@ def test_concurrency_of_both_shipped_models():
         m = by_name[name]
         batch, _ = core.sample_batch(m, models.default_box(m), 10, rng)
         (probe, _), sigma = connections.concurrency_probe(m, [
-            connections.phi_covariants(m, connections.GeometryJets(m, s, 4, 2))
+            connections.phi_covariants(connections.GeometryJets(m, s, 4, 2))
             for s in batch])
         assert sigma == pytest.approx(want, abs=tol) and probe.residual <= tol
 
