@@ -134,14 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path):
+    """Write `text` to --out as UTF-8, whatever the locale, or to stdout."""
     if out_path:
         try:
-            with open(out_path, "w") as fh:
+            with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             raise OutputError(f"cannot write --out {out_path!r}: {e}") from e
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as e:
+            raise OutputError(f"cannot write the report to stdout ({e}); "
+                              f"--out writes UTF-8") from e
 
 
 def _inspect_table(dump: dict) -> str:

@@ -27,7 +27,7 @@ _STREAM_CORE = 0
 _STREAM_CHANGE = 3
 _STREAM_CHANGE_OTHER = 4
 _STREAM_SCAN = 5
-_STREAM_DECOMP = 6
+_STREAM_RATIONALITY = 6
 _STREAM_GEODESIC = 7
 
 CORE_TOLERANCES = {
@@ -392,9 +392,9 @@ def run_verification(model, cfg: RunConfig) -> SuiteReport:
                                  min(cfg.samples, 50), _rng(cfg.seed, _STREAM_SCAN))
     results += matsumoto.nondegeneracy_scan(hat_model, scan_batch)
 
-    decomp_batch, _ = sample_batch(model, _box(model, cfg),
-                                   min(cfg.samples, 30), _rng(cfg.seed, _STREAM_DECOMP))
-    results += matsumoto.rational_decomposition_check(hat_model, decomp_batch)
+    rational_batch, _ = sample_batch(model, _box(model, cfg), min(cfg.samples, 30),
+                                     _rng(cfg.seed, _STREAM_RATIONALITY))
+    results += matsumoto.rational_decomposition_check(hat_model, rational_batch)
 
     results += run_geodesic_suite(hat_model, cfg)
 

@@ -76,6 +76,8 @@ RAY_DET_TARGETS = (1e-6, 0.5)
 PROJECTIVE_THRESHOLD = 1e-8
 # closed-form concurrency obstruction against its Berwald route
 OBSTRUCTION_TOLERANCE = 1e-9
+# largest scaled hat-metric proportionality defect of an almost rational sample
+ALMOST_RATIONAL_DEFECT = 1e-9
 
 
 def _inside_hat_fence(F: float, Phi: float) -> bool:
@@ -691,43 +693,40 @@ def projective_check(sc: ChangeScalars, y: np.ndarray) -> float | None:
     return math.sqrt(abs(float(w @ g @ w))) / nv
 
 
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i v_j - u_j v_i for i < j: zero exactly where u and v are parallel."""
+    i, j = np.triu_indices(len(u), 1)
+    return u[i] * v[j] - u[j] * v[i]
+
+
 def rational_decomposition_check(model, s_batch):
-    """Residuals of the factored forms theta*a = g and theta_hat*a_hat = ghat.
-
-    The base factorization requires shipped closed forms for the model and is
-    skipped without them; the hat factorization uses theta_hat = F^2/(F - Phi)^4
-    with a_hat rebuilt from metric data (g, ell, phi, F, Phi), and is checked
-    against the directly recomputed ghat for every model.
-    """
-    from . import models as _models
-
-    base_forms = _models.decomposition_forms(model)
-    acc_base = PairAccumulator("rational-decomposition-base", 1e-9)
-    acc_hat = PairAccumulator("rational-decomposition-hat", 1e-9)
-    skipped = 0
-    hat = HatEnergy(model)
+    """almost-rationality, this code's reading: ghat = theta A, theta a scalar
+    and A rational in F^2.  The sheet swap F -> -F fixes what is rational in
+    F^2 and maps ghat to the hat metric of `model.oriented(-1)`, so ghat is
+    almost rational where the two are proportional.  At each sample inside
+    both hat domains, the `_wedge` of their recomputed upper triangles is
+    checked against `predicted_metric`'s, both over the recomputed norms (so
+    at most 1).  With no such sample the entry is skipped."""
+    hats = (HatEnergy(model), HatEnergy(model.oriented(-1)))
+    iu = np.triu_indices(model.dim)
+    acc = PairAccumulator("almost-rationality", 1e-9)
+    rational, smallest = 0, math.inf
     for s in s_batch:
-        # the hat metric below is served from this base energy jet
-        md = metric_data(hat.base, s)
-        if base_forms is not None:
-            theta, a = base_forms(s.x, s.y)
-            acc_base.add(s, theta * a, md.g)
         try:
-            sc = change_scalars(md, model, s)
-            ghat = GeometryJets(hat, s, 2, 0).metric
+            pred = [predicted_metric(change_scalars(metric_data(h.base, s), h.model, s))[iu]
+                    for h in hats]
+            direct = [GeometryJets(h, s, 2, 0).metric[iu] for h in hats]
         except (OutsideHatDomain, DegenerateMargin):
-            skipped += 1
             continue
-        F, P = sc.F, sc.Phi
-        el, pl = md.ell, sc.phi_low
-        theta_hat = F**2 / (F - P) ** 4
-        cross = np.outer(pl, F * el) + np.outer(F * el, pl)
-        a_hat = ((F**2 + 2 * P**2) * md.g + 3 * F**2 * np.outer(pl, pl)
-                 + 4 * P**2 * np.outer(el, el) - 4 * P * cross
-                 - F * P * (3 * md.g + np.outer(el, el)) + F * cross)
-        acc_hat.add(s, theta_hat * a_hat, ghat)
-    note = f"{skipped} samples outside hat domain skipped" if skipped else ""
-    base = acc_base.result() if base_forms is not None else IdentityResult(
-        name="rational-decomposition-base", kind="skipped",
-        note=f"no factored closed forms shipped for model {model.name!r}")
-    return [base, acc_hat.result(note)]
+        scale = np.linalg.norm(direct[0]) * np.linalg.norm(direct[1])
+        defect = _wedge(*direct) / scale
+        acc.add(s, _wedge(*pred) / scale, defect)
+        worst = float(np.max(np.abs(defect)))
+        rational, smallest = rational + (worst <= ALMOST_RATIONAL_DEFECT), min(smallest, worst)
+    skipped = len(s_batch) - acc.n
+    if not acc.n:
+        return [IdentityResult(name="almost-rationality", kind="skipped",
+                               note=f"none of {skipped} samples lies inside both hat domains")]
+    return [acc.result(f"almost rational at {rational} of {acc.n} samples; smallest "
+                       f"defect {smallest!r}; {skipped} samples outside a hat domain "
+                       f"or at a degenerate margin skipped")]

@@ -10,7 +10,6 @@ plain-text table shipped under data/fixtures/ (regenerated by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +24,6 @@ __all__ = [
     "load_model",
     "fixtures",
     "fixture_table",
-    "decomposition_forms",
     "default_box",
     "P0",
 ]
@@ -114,36 +112,6 @@ def _example_components(x, y) -> dict:
     }
 
 
-def _example_decomposition(x, y):
-    """Factored fundamental tensor g = theta * a of the example model.
-
-    The a12 numerator carries a single power of y1 in the denominator so that
-    theta * a12 reproduces g12 (the component formulas fix this uniquely).
-    """
-    x1, _, x3 = x
-    y1, y2, _ = y
-    theta = (x3 / y1) ** 2
-    a = np.zeros((3, 3))
-    a[0, 0] = x1**2 * y2**3 * (3 * x1**2 * y2 + 4 * y1) / y1**2
-    a[0, 1] = a[1, 0] = -2 * x1**2 * y2**2 * (2 * x1**2 * y2 + 3 * y1) / y1
-    a[1, 1] = 2 * (3 * x1**4 * y2**2 + 6 * x1**2 * y1 * y2 + 2 * y1**2)
-    a[2, 2] = (y1 / x3) ** 2
-    return theta, a
-
-
-@cache
-def _example_F():
-    return builtin_model("matsumoto_example").F
-
-
-def decomposition_forms(model):
-    """Closed-form (theta, a) factorization of F, shipped for the example's F
-    (whatever the model's name or phi), else None."""
-    if model.F == _example_F():
-        return _example_decomposition
-    return None
-
-
 def _euclid_components(x, y) -> dict:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -197,9 +165,6 @@ def fixtures() -> list[ReferenceFixture]:
     out = []
     for label, x, y in _EXAMPLE_POINTS:
         comp = _example_components(np.array(x), np.array(y))
-        theta, a = _example_decomposition(np.array(x), np.array(y))
-        comp.update({"theta": theta, "a11": a[0, 0], "a12": a[0, 1],
-                     "a22": a[1, 1], "a33": a[2, 2]})
         values = {
             k: (float(v), 1e-8,
                 "structural" if (k in _STRUCTURAL and v == 0.0) else "closed-form")

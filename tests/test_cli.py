@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,9 @@ F = y1^2 + y2^2 + 1
 phi1 = 0
 phi2 = 0
 """
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -316,20 +322,48 @@ def test_verify_unknown_tolerance_name_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model,entry,kind", [
-    ("euclid_concurrent", "rational-decomposition-base", "skipped"),
+    ("randers_not_concurrent", "almost-rationality", "skipped"),
 ])
 def test_verify_tolerance_override_of_an_entry_without_one_exits_2(
         model, entry, kind, tmp_path, capsys):
     """An entry that carries no tolerance refuses an override, naming the
-    entry and its kind, and no report is written."""
+    entry and its kind, and no report is written.  At this seed the Randers
+    control's default box puts no sample inside both hat domains, so its
+    almost-rationality entry is skipped."""
+    path = str(DATA / f"{model}.fmod")
+    rep = harness.run_verification(models.load_model(path),
+                                   harness.RunConfig(samples=8, seed=3))
+    assert rep.find(entry).kind == kind
     out = tmp_path / "rep.json"
-    code = run(["verify", "--model", model, "--samples", "8", "--seed", "3",
+    code = run(["verify", "--model", path, "--samples", "8", "--seed", "3",
                 "--format", "json", "--out", str(out), "--tolerance", f"{entry}=1",
                 "--tolerance", "metric-change=1"])
     err = capsys.readouterr().err
     assert code == 2
     assert f"{entry} ({kind})" in err and "metric-change" not in err
     assert not out.exists()
+
+
+def test_report_bytes_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, stdout is ASCII.  --out still
+    writes a non-ASCII model name as UTF-8, and the same report on stdout is
+    an output error, not a domain error."""
+    model = tmp_path / "cafe.fmod"
+    model.write_text("name = café\ndim = 2\nF = sqrt(y1^2 + y2^2)\nphi1 = -x1\n"
+                     "phi2 = -x2\ndomain = y1^2 + y2^2\n"
+                     "box = -0.75:0.75,-0.75:0.75,0.5:2,0.5:2\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "finslerlab.cli", "verify", "--model", str(model),
+            "--samples", "4", "--seed", "1"]
+    out = tmp_path / "r.txt"
+    done = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes().startswith("model: café ".encode("utf-8"))
+    done = subprocess.run(argv, env=env, capture_output=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"output error: cannot write the report to stdout")
 
 
 def test_verify_obstruction_gates_under_a_zero_tolerance(tmp_path):
@@ -356,8 +390,7 @@ def test_report_covers_every_identity_exactly_once(tmp_path):
         __import__("finslerlab.matsumoto", fromlist=["x"]).CHANGE_TOLERANCES) | set(
         __import__("finslerlab.matsumoto", fromlist=["x"]).LEMMA_TOLERANCES) | {
         "nondegeneracy-margin-scan", "nondegeneracy-signature", "projective-impossibility",
-        "concurrency-obstruction", "rational-decomposition-base",
-        "rational-decomposition-hat",
+        "concurrency-obstruction", "almost-rationality",
     }
     assert set(names) == expected
     assert {r["kind"] for r in rep["identities"]} <= {"identity", "skipped"}
@@ -509,7 +542,7 @@ def test_verify_with_a_margin_zero_on_the_hat_boundary_reports_the_failing_probe
     assert res["concurrency-probe"]["passed"] is False
 
 
-GOLDEN = Path(__file__).parent / "data"
+GOLDEN = DATA
 
 
 @pytest.mark.parametrize("argv, golden", [

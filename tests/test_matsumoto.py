@@ -20,6 +20,9 @@ P0 = core.make_sample(EX, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
 # negative control: horizontally but not vertically concurrent
 RANDERS = models.load_model(
     str(Path(__file__).parent / "data" / "randers_not_concurrent.fmod"))
+# phi = 0 on a curved base: the positive case of almost-rationality
+SPHERE = models.load_model(
+    str(Path(__file__).parent / "data" / "sphere_stereographic.fmod"))
 # phi = 0: the change is the identity, with no obstruction and no projective term
 NOPHI = expr.parse("name = nophi\ndim = 2\nF = sqrt(y1^2 + y2^2)\n"
                    "phi1 = 0\nphi2 = 0\ndomain = y1^2 + y2^2\n")
@@ -648,34 +651,63 @@ def test_projective_check_example_and_parallel_construction():
 
 
 def test_rational_decomposition_example_p0_and_batch():
-    theta, a = models.decomposition_forms(EX)(P0.x, P0.y)
-    assert theta == 1.0 and a[0, 0] == 7.0
-    assert theta * a[2, 2] == 1.0
-    md = metric_data(EX, P0)
-    assert np.allclose(theta * a, md.g, atol=1e-12)
+    """almost-rationality pairs the proportionality defect of the two hat
+    metrics with the one predicted_metric gives at both orientations; on the
+    example neither is near 0, so no sample reads almost rational."""
+    hats, iu = [EX.oriented(o) for o in (-1, +1)], np.triu_indices(3)
+    pred = matsumoto._wedge(*(matsumoto.predicted_metric(_scalars(h, P0))[iu] for h in hats))
+    direct = matsumoto._wedge(*(connections.GeometryJets(HatEnergy(h), P0, 2, 0).metric[iu]
+                                for h in hats))
+    assert np.abs(direct).max() > 1e-3
+    assert np.abs(pred - direct).max() <= 1e-12 * np.abs(direct).max()
 
     batch = _batch(EX, -1.0, 30, 23)
-    res = {r.name: r for r in matsumoto.rational_decomposition_check(EX.oriented(-1), batch)}
-    assert res["rational-decomposition-base"].residual <= 1e-9
-    assert res["rational-decomposition-hat"].residual <= 1e-9
+    (res,) = matsumoto.rational_decomposition_check(EX.oriented(-1), batch)
+    assert res.name == "almost-rationality" and res.residual <= 1e-9
+    assert res.n_samples == 30 and res.note.startswith("almost rational at 0 of 30 samples")
 
 
-def test_rational_decomposition_skipped_without_closed_forms():
-    """Without shipped closed forms only the base half is skipped: the hat
-    factorization needs metric data alone."""
-    batch = _batch(EU, +1.0, 20, 30)
-    base, hat = matsumoto.rational_decomposition_check(EU.oriented(+1), batch)
-    assert base.name == "rational-decomposition-base" and base.kind == "skipped"
-    assert hat.name == "rational-decomposition-hat" and hat.passed
-    assert hat.n_samples == 20 and hat.residual <= 1e-12
+@pytest.mark.parametrize("orient", [+1.0, -1.0])
+def test_almost_rationality_holds_where_phi_is_zero(orient):
+    """phi = 0: the sheet swap fixes Fhat = F, both hat metrics have the same
+    bits, and every sample reads almost rational with both defects exactly 0."""
+    batch = _batch(SPHERE, orient, 12, 32)
+    (res,) = matsumoto.rational_decomposition_check(SPHERE.oriented(orient), batch)
+    assert res.passed and res.residual == 0.0
+    assert res.note.startswith("almost rational at 12 of 12 samples; smallest defect 0.0")
 
 
 @pytest.mark.parametrize("orient", [+1.0, -1.0])
 def test_negative_control_fails_hat_decomposition(orient):
-    """The hat factorization assumes phi^k C_kij = 0, like the Cartan law."""
-    batch = _batch(RANDERS, orient, 8, 31 + int(orient > 0))
-    _, hat = matsumoto.rational_decomposition_check(RANDERS.oriented(orient), batch)
-    assert hat.passed is False
+    """predicted_metric assumes phi^k C_kij = 0, like the Cartan law: on the
+    Randers control near x = 0, inside both hat domains, the predicted defect
+    misses the recomputed one."""
+    box = np.array([[-0.3, 0.3]] * 2 + [[0.5, 2.0]] * 2)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 31])))
+    batch, _ = sample_batch(RANDERS, box, 8, rng)
+    (res,) = matsumoto.rational_decomposition_check(RANDERS.oriented(orient), batch)
+    assert res.n_samples == 8 and res.passed is False
+
+
+def test_almost_rationality_is_skipped_without_a_sample_in_both_hat_domains():
+    """With x = y, Phi = g(phi, y) = -g(y, y) = -F^2, and F > 1 at each of
+    these samples, so each lies outside one of the two hat domains: the entry
+    is skipped, not a vacuous PASS."""
+    batch = [core.make_sample(RANDERS, y, y) for y in ([1.0, 0.5], [0.7, 1.2], [2.0, 1.0])]
+    (res,) = matsumoto.rational_decomposition_check(RANDERS, batch)
+    assert res.kind == "skipped" and res.passed is None
+    assert res.note == "none of 3 samples lies inside both hat domains"
+
+
+def test_almost_rationality_fails_a_scaled_metric_law(monkeypatch):
+    """predicted_metric scaled by 1 + 1e-3 scales the predicted defect by about
+    1 + 2e-3, which fails the entry on both shipped models."""
+    law = matsumoto.predicted_metric
+    monkeypatch.setattr(matsumoto, "predicted_metric", lambda sc: (1 + 1e-3) * law(sc))
+    for model, orient, stream in ((EX, -1.0, 34), (EU, +1.0, 35)):
+        batch = _batch(model, orient, 8, stream)
+        (res,) = matsumoto.rational_decomposition_check(model.oriented(orient), batch)
+        assert res.passed is False, model.name
 
 
 def test_master_change_suite_euclid():

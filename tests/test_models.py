@@ -58,12 +58,6 @@ def _engine_value(model, fx, name):
     if name in ("Phi", "p2", "margin"):
         sc = matsumoto.change_scalars(metric_data(model, s), model.oriented(+1), s)
         return getattr(sc, {"Phi": "Phi", "p2": "p2", "margin": "margin"}[name])
-    if name == "theta" or name.startswith("a"):
-        theta, a = models.decomposition_forms(model)(np.array(fx.x), np.array(fx.y))
-        if name == "theta":
-            return theta
-        i, j = int(name[1]) - 1, int(name[2]) - 1
-        return a[i, j]
     raise KeyError(name)
 
 
@@ -125,25 +119,6 @@ def test_concurrency_of_both_shipped_models():
 
 def _shipped_text(name):
     return (models._data_dir() / "models" / f"{name}.fmod").read_text()
-
-
-def test_decomposition_forms_follow_F_not_the_name():
-    """A renamed copy of the example keeps its closed forms; a flat F that
-    borrows the example's name gets none, and its base entry is skipped."""
-    from finslerlab import expr
-    renamed = expr.parse(_shipped_text("matsumoto_example").replace(
-        "name = matsumoto_example", "name = slope_copy"))
-    impostor = expr.parse("name = matsumoto_example\ndim = 3\n"
-                          "F = sqrt(y1^2 + y2^2 + y3^2)\nphi1 = 0\nphi2 = 0\nphi3 = x3\n"
-                          "domain = x3^2\ndomain = y1^2\n")
-    assert models.decomposition_forms(renamed) is models._example_decomposition
-    assert models.decomposition_forms(impostor) is None
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 1])))
-    for model, kind in ((renamed, "identity"), (impostor, "skipped")):
-        batch, _ = core.sample_batch(model, models.default_box(model), 4, rng)
-        base, _ = matsumoto.rational_decomposition_check(model.oriented(-1), batch)
-        assert base.kind == kind
-        assert base.passed is not False
 
 
 def test_default_box_reads_the_model_file():
